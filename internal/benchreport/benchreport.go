@@ -39,12 +39,13 @@ type Experiment struct {
 }
 
 // Replay summarizes how harness simulations were served: fresh
-// recordings vs trace replays, batched-retiming counters, work-claiming
-// counters (sharded runs), per-tier artifact-store counters, and cache
-// pressure.
+// recordings vs trace replays, compilations issued, batched-retiming
+// counters, work-claiming counters (sharded runs), per-tier
+// artifact-store counters, and cache pressure.
 type Replay struct {
 	Recordings     int64   `json:"recordings"`
 	Replays        int64   `json:"replays"`
+	Compiles       int64   `json:"compiles"`
 	Batches        int64   `json:"batches"`
 	BatchConfigs   int64   `json:"batch_configs"`
 	BatchFallbacks int64   `json:"batch_fallbacks"`
@@ -73,6 +74,7 @@ func (r *Replay) add(o *Replay) {
 	}
 	r.Recordings += o.Recordings
 	r.Replays += o.Replays
+	r.Compiles += o.Compiles
 	r.Batches += o.Batches
 	r.BatchConfigs += o.BatchConfigs
 	r.BatchFallbacks += o.BatchFallbacks

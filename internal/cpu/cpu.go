@@ -208,4 +208,3 @@ func (c *Core) Barrier(t int64) {
 		c.slotUsed = 0
 	}
 }
-

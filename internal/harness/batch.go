@@ -34,7 +34,6 @@ import (
 
 	"helixrc/internal/hcc"
 	"helixrc/internal/sim"
-	"helixrc/internal/workloads"
 )
 
 // retimeGroup is one recorded trace plus the timing configs a figure
@@ -132,10 +131,11 @@ func groupKeys(ctx context.Context, g *retimeGroup) (tkey string, keyOf func(sim
 }
 
 // prefetchGroup serves one group: peek-filter the configs whose
-// Results are already cached, record the trace if needed (the
-// recording lane's Result is exact and published directly), then
-// retime the remaining configs — batched when two or more are missing,
-// a counted solo-replay fallback for a single straggler.
+// Results are already cached, record the trace if needed (compiling
+// only then; the recording lane's Result is exact and published
+// directly), then retime the remaining configs — batched when two or
+// more are missing, a counted solo-replay fallback for a single
+// straggler.
 func prefetchGroup(ctx context.Context, g *retimeGroup) {
 	if len(g.archs) == 0 {
 		return
@@ -143,17 +143,6 @@ func prefetchGroup(ctx context.Context, g *retimeGroup) {
 	tkey, keyOf, err := groupKeys(ctx, g)
 	if err != nil {
 		return
-	}
-	var w *workloads.Workload
-	var comp *hcc.Compiled
-	if g.baseline {
-		if w, err = workloads.Get(g.name); err != nil {
-			return
-		}
-	} else {
-		if w, comp, err = cachedCompileTier(ctx, g.name, g.level, g.archs[0].Cores, g.tier); err != nil {
-			return
-		}
 	}
 	cached := func(arch sim.Config) bool {
 		if g.baseline {
@@ -182,15 +171,15 @@ func prefetchGroup(ctx context.Context, g *retimeGroup) {
 		return
 	}
 
+	load := compiledLoader(g.name, g.level, g.archs[0].Cores, g.tier)
+	if g.baseline {
+		load = baselineLoader(g.name)
+	}
 	var recorded *sim.Result
 	tr, err := traceStore.Get(ctx, tkey, func(cctx context.Context) (*sim.Trace, error) {
-		res, tr, err := sim.Record(cctx, w.Prog, comp, w.Entry, missing[0], args(w, g.ref)...)
-		if err != nil {
-			return nil, err
-		}
+		res, tr, err := record(cctx, load, missing[0], g.ref)
 		recorded = res
-		traceRecordings.Add(1)
-		return tr, nil
+		return tr, err
 	})
 	if err != nil {
 		return

@@ -22,7 +22,7 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 	ResetCaches()
 	want := make([]*sim.Result, len(archs))
 	for i, arch := range archs {
-		res, _, err := runOn(ctx, bench, hcc.V3, arch, true)
+		res, err := runOn(ctx, bench, hcc.V3, arch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 		t.Errorf("prefetch recorded %d traces, want 1", rec1-rec0)
 	}
 	for i, arch := range archs {
-		res, _, err := runOn(ctx, bench, hcc.V3, arch, true)
+		res, err := runOn(ctx, bench, hcc.V3, arch, true)
 		if err != nil {
 			t.Fatal(err)
 		}

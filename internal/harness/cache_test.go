@@ -155,3 +155,78 @@ func TestClearDiskCache(t *testing.T) {
 		t.Fatalf("entries survived ClearDiskCache: %v", entries)
 	}
 }
+
+// TestWarmRunServedWithoutCompiling pins the lazy-compile contract:
+// once a cold pass has persisted every Result, a warm pass (fresh
+// memory tier, same directory) over a recording-bound sweep and the
+// TLP cells records nothing, replays nothing and compiles nothing, and
+// renders byte-identical output.
+func TestWarmRunServedWithoutCompiling(t *testing.T) {
+	withCacheDir(t)
+	ctx := context.Background()
+	render := func() string {
+		fig, err := Figure11(ctx, "cores")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tlp, err := TLP(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig.Format() + tlp.Format()
+	}
+
+	comp0 := CompileStats()
+	cold := render()
+	if CompileStats() == comp0 {
+		t.Fatal("cold pass compiled nothing; test is vacuous")
+	}
+
+	ResetCaches()
+	rec1, rep1 := ReplayStats()
+	comp1 := CompileStats()
+	warm := render()
+	rec2, rep2 := ReplayStats()
+	if rec2 != rec1 {
+		t.Errorf("warm pass recorded %d traces, want 0", rec2-rec1)
+	}
+	if rep2 != rep1 {
+		t.Errorf("warm pass replayed %d traces, want 0", rep2-rep1)
+	}
+	if n := CompileStats() - comp1; n != 0 {
+		t.Errorf("warm pass compiled %d times, want 0", n)
+	}
+	if warm != cold {
+		t.Errorf("warm output differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+}
+
+// TestTLPCachedMatchesUncached pins that persisting the TLP cells does
+// not change them: the TLPResult served from the result tier equals
+// the one the reference stepper computes with the store bypassed.
+func TestTLPCachedMatchesUncached(t *testing.T) {
+	withCacheDir(t)
+	ctx := context.Background()
+	if _, err := TLP(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ResetCaches()
+	cached, err := TLP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	SetSlowSim(true)
+	defer SetSlowSim(false)
+	comp0 := CompileStats()
+	ref, err := TLP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if CompileStats() == comp0 {
+		t.Error("SlowSim TLP compiled nothing; it must bypass the result tier")
+	}
+	if *cached != *ref {
+		t.Errorf("cached TLP differs from uncached:\ncached %+v\nref    %+v", cached, ref)
+	}
+}

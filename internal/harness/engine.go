@@ -119,6 +119,15 @@ func ReplayStats() (recordings, replays int64) {
 	return traceRecordings.Load(), traceReplays.Load()
 }
 
+// compiles counts every hcc.Compile the harness issues (the cached
+// compile tier's fills and the TLP cells' fills). A warm run that finds
+// its Results cached compiles only for the analysis experiments that
+// read loops and profiles. Cumulative across ResetCaches.
+var compiles atomic.Int64
+
+// CompileStats returns the cumulative count of harness compilations.
+func CompileStats() int64 { return compiles.Load() }
+
 // batchesIssued / batchLanes / batchFallbacks count how the batched
 // retimer served sweep figures: batched trace traversals issued, total
 // configs retimed across them, and groups that degraded to a solo

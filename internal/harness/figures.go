@@ -246,12 +246,8 @@ func CachedBaseline(ctx context.Context, name string, arch sim.Config, ref bool)
 	karch.Cores = 0
 	key := fmt.Sprintf("base/%s/ref=%v/%s/%s", name, ref, karch.Fingerprint(), fp)
 	return seqStore.Get(ctx, key, func(cctx context.Context) (*sim.Result, error) {
-		w, err := workloads.Get(name)
-		if err != nil {
-			return nil, err
-		}
 		tkey := fmt.Sprintf("trace/base/%s/ref=%v/%s", name, ref, fp)
-		return simWithTrace(cctx, tkey, w, nil, arch, args(w, ref))
+		return simWithTrace(cctx, tkey, baselineLoader(name), arch, ref)
 	})
 }
 
@@ -286,6 +282,42 @@ func traceKey(name string, level hcc.Level, cores, tier int, ref bool, fp string
 	return fmt.Sprintf("trace/%s/L%d/c%d/ref=%v/%s", name, level, cores, ref, fp)
 }
 
+// loader builds the program one simulation executes: the workload and
+// its compilation (nil for a sequential baseline). The record/replay
+// path calls it only when it must execute — a result hit or a trace
+// replay never builds or compiles anything.
+type loader func(ctx context.Context) (*workloads.Workload, *hcc.Compiled, error)
+
+// baselineLoader builds the unparallelized workload.
+func baselineLoader(name string) loader {
+	return func(context.Context) (*workloads.Workload, *hcc.Compiled, error) {
+		w, err := workloads.Get(name)
+		return w, nil, err
+	}
+}
+
+// compiledLoader compiles the workload through the compile tier.
+func compiledLoader(name string, level hcc.Level, cores, tier int) loader {
+	return func(ctx context.Context) (*workloads.Workload, *hcc.Compiled, error) {
+		return cachedCompileTier(ctx, name, level, cores, tier)
+	}
+}
+
+// record executes the loaded program under arch and captures its
+// dynamic trace: the fill behind every trace-store miss.
+func record(ctx context.Context, load loader, arch sim.Config, ref bool) (*sim.Result, *sim.Trace, error) {
+	w, comp, err := load(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, tr, err := sim.Record(ctx, w.Prog, comp, w.Entry, arch, args(w, ref)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	traceRecordings.Add(1)
+	return res, tr, nil
+}
+
 // simWithTrace serves one harness simulation through the record/replay
 // fast path: the first run for a trace key executes and records (and
 // persists the trace when a disk tier is configured), every later run
@@ -297,22 +329,22 @@ func traceKey(name string, level hcc.Level, cores, tier int, ref bool, fp string
 // the result tier and never touch the trace. The trace key must pin
 // everything the dynamic behaviour depends on — compiled program
 // identity (workload content, level, cores) and input — while timing
-// parameters stay out of it. SlowSim, SetNoReplay and arch.NoReplay
-// bypass the caches entirely.
-func simWithTrace(ctx context.Context, key string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, a []int64) (*sim.Result, error) {
+// parameters stay out of it. load runs only to record a trace, or when
+// SlowSim, SetNoReplay or arch.NoReplay bypass the caches entirely.
+func simWithTrace(ctx context.Context, key string, load loader, arch sim.Config, ref bool) (*sim.Result, error) {
 	if SlowSim() || NoReplay() || arch.NoReplay {
-		return sim.Run(ctx, w.Prog, comp, w.Entry, applySlow(arch), a...)
+		w, comp, err := load(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return sim.Run(ctx, w.Prog, comp, w.Entry, applySlow(arch), args(w, ref)...)
 	}
 	return resStore.Get(ctx, resultKey(key, arch), func(rctx context.Context) (*sim.Result, error) {
 		var recorded *sim.Result
 		tr, err := traceStore.Get(rctx, key, func(cctx context.Context) (*sim.Trace, error) {
-			res, tr, err := sim.Record(cctx, w.Prog, comp, w.Entry, arch, a...)
-			if err != nil {
-				return nil, err
-			}
+			res, tr, err := record(cctx, load, arch, ref)
 			recorded = res
-			traceRecordings.Add(1)
-			return tr, nil
+			return tr, err
 		})
 		if err != nil {
 			return nil, err
@@ -327,37 +359,43 @@ func simWithTrace(ctx context.Context, key string, w *workloads.Workload, comp *
 	})
 }
 
-// runOn compiles (cached) and simulates one configuration, replaying a
-// stored trace when one exists for this (workload content, level,
-// cores, input).
-func runOn(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, *hcc.Compiled, error) {
+// runOn simulates one configuration keyed by workload content alone: a
+// cached Result answers without compiling, a stored trace for this
+// (workload content, level, cores, input) replays, and only a recording
+// compiles (through the compile tier).
+func runOn(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, error) {
 	return runOnTier(ctx, name, level, 0, arch, ref)
 }
 
 // runOnTier is runOn with an alias-tier override for the compile and
 // the trace key (0 = level default, the historical path).
-func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch sim.Config, ref bool) (*sim.Result, *hcc.Compiled, error) {
-	w, comp, err := cachedCompileTier(ctx, name, level, arch.Cores, tier)
-	if err != nil {
-		return nil, nil, err
-	}
+func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch sim.Config, ref bool) (*sim.Result, error) {
 	fp, err := workloadFingerprint(ctx, name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	key := traceKey(name, level, arch.Cores, tier, ref, fp)
-	res, err := simWithTrace(ctx, key, w, comp, arch, args(w, ref))
+	res, err := simWithTrace(ctx, key, compiledLoader(name, level, arch.Cores, tier), arch, ref)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	return res, comp, nil
+	return res, nil
 }
 
-// CachedRun is runOn's exported face: compile (memoized) plus simulate
-// through the store-backed record/replay path. cmd/helix-run uses it in
-// -cachedir mode so a repeated run serves its trace from disk.
+// CachedRun is runOn's exported face for callers that also want the
+// compilation: compile (memoized) plus simulate through the
+// store-backed record/replay path. cmd/helix-run uses it in -cachedir
+// mode so a repeated run serves its trace from disk.
 func CachedRun(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, *hcc.Compiled, error) {
-	return runOn(ctx, name, level, arch, ref)
+	_, comp, err := CachedCompile(ctx, name, level, arch.Cores)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := runOn(ctx, name, level, arch, ref)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, comp, nil
 }
 
 // SpeedupRow is one benchmark's values under one or more configurations.
@@ -428,7 +466,7 @@ func Figure1(ctx context.Context, cores int) (*FigureResult, error) {
 	}
 	vals, err := parMapCells(ctx, len(names)*len(levels), cell, func(ctx context.Context, i int) (float64, error) {
 		name, level := names[i/len(levels)], levels[i%len(levels)]
-		res, _, err := runOn(ctx, name, level, sim.Conventional(cores), true)
+		res, err := runOn(ctx, name, level, sim.Conventional(cores), true)
 		if err != nil {
 			return 0, err
 		}
@@ -834,9 +872,9 @@ func Figure7(ctx context.Context, cores int) (*FigureResult, error) {
 		}
 		var res *sim.Result
 		if i%2 == 0 {
-			res, _, err = runOn(ctx, name, hcc.V2, sim.Conventional(cores), true)
+			res, err = runOn(ctx, name, hcc.V2, sim.Conventional(cores), true)
 		} else {
-			res, _, err = runOn(ctx, name, hcc.V3, sim.HelixRC(cores), true)
+			res, err = runOn(ctx, name, hcc.V3, sim.HelixRC(cores), true)
 		}
 		if err != nil {
 			return 0, err
@@ -893,7 +931,7 @@ func Figure8(ctx context.Context, cores int) (*FigureResult, error) {
 		if ci == 0 {
 			level = hcc.V2
 		}
-		res, _, err := runOn(ctx, name, level, configs[ci], true)
+		res, err := runOn(ctx, name, level, configs[ci], true)
 		if err != nil {
 			return 0, err
 		}
@@ -943,7 +981,7 @@ func Figure9(ctx context.Context, cores int) (*FigureResult, error) {
 		if i%2 == 1 {
 			arch = sim.HelixRC(cores)
 		}
-		res, _, err := runOn(ctx, name, hcc.V3, arch, true)
+		res, err := runOn(ctx, name, hcc.V3, arch, true)
 		if err != nil {
 			return 0, err
 		}

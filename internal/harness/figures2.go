@@ -64,7 +64,7 @@ func Figure10(ctx context.Context, cores int) (*FigureResult, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		res, _, err := runOn(ctx, name, hcc.V3, arch, true)
+		res, err := runOn(ctx, name, hcc.V3, arch, true)
 		if err != nil {
 			return cell{}, err
 		}
@@ -221,7 +221,7 @@ func Figure11(ctx context.Context, which string) (*FigureResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, _, err := runOn(ctx, name, hcc.V3, arch, true)
+		res, err := runOn(ctx, name, hcc.V3, arch, true)
 		if err != nil {
 			return 0, err
 		}
@@ -258,7 +258,7 @@ func Figure12(ctx context.Context, cores int) ([]Figure12Row, error) {
 		if err != nil {
 			return Figure12Row{}, err
 		}
-		res, _, err := runOn(ctx, name, hcc.V3, sim.HelixRC(cores), true)
+		res, err := runOn(ctx, name, hcc.V3, sim.HelixRC(cores), true)
 		if err != nil {
 			return Figure12Row{}, err
 		}
@@ -310,6 +310,42 @@ func (r *TLPResult) Format() string {
 		r.ConservativeTLP, r.ConservativeSeg, r.AggressiveTLP, r.AggressiveSeg)
 }
 
+// tlpRun serves one Section 6.2 cell: the workload compiled at level
+// for 16 cores with communication-free loop selection, then simulated
+// execution-driven on the abstract machine over the ref input. The
+// Result is a pure function of content, so it persists in the result
+// tier under its own key grammar (res/tlp/...) and a warm run neither
+// compiles nor simulates; SlowSim and SetNoReplay bypass the store,
+// as they do for every other simulated cell.
+func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, error) {
+	arch := sim.Abstract(16)
+	run := func(ctx context.Context) (*sim.Result, error) {
+		w, err := workloads.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		compiles.Add(1)
+		comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{
+			Level: level, Cores: 16, TrainArgs: w.TrainArgs,
+			// Selection under the abstract machine: communication-free.
+			SelectLatency: 1,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return sim.Run(ctx, w.Prog, comp, w.Entry, applySlow(arch), w.RefArgs...)
+	}
+	if SlowSim() || NoReplay() {
+		return run(ctx)
+	}
+	fp, err := workloadFingerprint(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	key := fmt.Sprintf("res/tlp/%s/L%d/c16/sel1/ref=true/%s/%s", name, level, fp, arch.Fingerprint())
+	return resStore.Get(ctx, key, run)
+}
+
 // TLP measures thread-level parallelism on the abstract machine for
 // HCCv2-style merged segments vs HCCv3 aggressive splitting, over the
 // CINT2000 analogues.
@@ -317,9 +353,9 @@ func TLP(ctx context.Context) (*TLPResult, error) {
 	out := &TLPResult{}
 	names := workloads.IntNames()
 	levels := []hcc.Level{hcc.V2, hcc.V3}
-	// One cell per (workload, splitting policy): a fresh build and
-	// compile per cell (V2 under abstract selection differs from the
-	// cache key), so cells are fully independent.
+	// One cell per (workload, splitting policy), each served by tlpRun
+	// (V2 under abstract selection differs from the compile-tier key),
+	// so cells are fully independent.
 	type cell struct {
 		tlp, seg float64
 		hasSeg   bool
@@ -328,20 +364,7 @@ func TLP(ctx context.Context) (*TLPResult, error) {
 		return fmt.Sprintf("%s/L%d/abstract16", names[i/len(levels)], levels[i%len(levels)])
 	}
 	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (cell, error) {
-		name, level := names[i/len(levels)], levels[i%len(levels)]
-		w, err := workloads.Get(name)
-		if err != nil {
-			return cell{}, err
-		}
-		comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{
-			Level: level, Cores: 16, TrainArgs: w.TrainArgs,
-			// Selection under the abstract machine: communication-free.
-			SelectLatency: 1,
-		})
-		if err != nil {
-			return cell{}, err
-		}
-		res, err := sim.Run(ctx, w.Prog, comp, w.Entry, applySlow(sim.Abstract(16)), w.RefArgs...)
+		res, err := tlpRun(ctx, names[i/len(levels)], levels[i%len(levels)])
 		if err != nil {
 			return cell{}, err
 		}

@@ -64,6 +64,7 @@ func compileTier(name string, level hcc.Level, cores, tier int) (*workloads.Work
 	if err != nil {
 		return nil, nil, err
 	}
+	compiles.Add(1)
 	comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{
 		Level: level, Cores: cores, TrainArgs: w.TrainArgs, AliasTier: tier,
 	})

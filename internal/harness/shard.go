@@ -62,8 +62,8 @@ func ExperimentClaimKey(name string, cores int) string {
 // experimentGroups enumerates the trace groups an experiment's cells
 // will consume, exactly as the figure generators construct them (the
 // generators call this too, so planner and figure can never drift).
-// Experiments with no simulated cells (the static analyses, and TLP's
-// execution-driven abstract machine) return nil.
+// Experiments with no trace groups (the static analyses, and TLP,
+// whose cells cache their Results directly) return nil.
 func experimentGroups(exp string, cores int) []retimeGroup {
 	conv := func(c int) []sim.Config { return []sim.Config{sim.Conventional(c)} }
 	switch exp {
@@ -164,7 +164,8 @@ func experimentGroups(exp string, cores int) []retimeGroup {
 		return groups
 	}
 	// fig2, fig3, fig4, table1: compile/analysis only. tlp: execution-
-	// driven on the abstract machine, deliberately uncached.
+	// driven on the abstract machine, one persisted Result per cell
+	// (tlpRun) with no trace to share.
 	return nil
 }
 

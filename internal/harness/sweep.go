@@ -127,7 +127,7 @@ func SweepCell(ctx context.Context, name string, level hcc.Level, cfg SweepConfi
 	if err != nil {
 		return 0, err
 	}
-	res, _, err := runOnTier(ctx, name, level, cfg.Tier, arch, true)
+	res, err := runOnTier(ctx, name, level, cfg.Tier, arch, true)
 	if err != nil {
 		return 0, err
 	}

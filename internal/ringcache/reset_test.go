@@ -9,13 +9,13 @@ import (
 // folds every observable value (returned times, signal counts, flush
 // cost, dirty words, stats) into a comparable summary.
 type ringSummary struct {
-	loadSum  int64
-	waitSum  int64
-	sigSum   int64
-	flush    int64
-	dirty    int
-	stats    Stats
-	owners   int64
+	loadSum int64
+	waitSum int64
+	sigSum  int64
+	flush   int64
+	dirty   int
+	stats   Stats
+	owners  int64
 }
 
 func driveRing(r *Ring, numSegs int, seed int64) ringSummary {

@@ -324,4 +324,3 @@ func (r *Ring) FlushCost() int64 {
 
 // DirtyWords reports the current dirty shared word count.
 func (r *Ring) DirtyWords() int { return len(r.dirty) }
-

@@ -275,6 +275,49 @@ func TestE2EWarmFigureZeroRecordingsZeroReplays(t *testing.T) {
 	}
 }
 
+// TestE2EWarmTLPZeroCompiles pins the persisted TLP cells at the
+// service boundary: a repeated tlp figure job is answered entirely by
+// the result tier — zero compiles, zero recordings — with the cold
+// job's bytes, and /metrics counts the cold job's compiles since start.
+func TestE2EWarmTLPZeroCompiles(t *testing.T) {
+	withTestCache(t)
+	s, ts := newTestServer(t, Config{Concurrency: 2})
+
+	submit := func() jobView {
+		v, code, _ := postJob(t, ts.URL, `{"kind":"figure","experiment":"tlp"}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d", code)
+		}
+		v = await(t, ts.URL, v.ID)
+		if v.Status != StatusDone || v.Result == nil {
+			t.Fatalf("tlp ended %s (%s)", v.Status, v.Error)
+		}
+		return v
+	}
+
+	cold := submit()
+	coldCompiles := s.MetricsSnapshot().Replay.Compiles
+	if coldCompiles == 0 {
+		t.Fatal("cold tlp job compiled nothing; test is vacuous")
+	}
+	rec0, _ := harness.ReplayStats()
+	comp0 := harness.CompileStats()
+	warm := submit()
+	rec1, _ := harness.ReplayStats()
+	if n := harness.CompileStats() - comp0; n != 0 {
+		t.Errorf("warm tlp job compiled %d times, want 0", n)
+	}
+	if rec1 != rec0 {
+		t.Errorf("warm tlp job recorded %d traces, want 0", rec1-rec0)
+	}
+	if warm.Result.OutputSHA256 != cold.Result.OutputSHA256 {
+		t.Errorf("warm hash %s != cold hash %s", warm.Result.OutputSHA256, cold.Result.OutputSHA256)
+	}
+	if got := s.MetricsSnapshot().Replay.Compiles; got != coldCompiles {
+		t.Errorf("snapshot compiles = %d after the warm job, want %d", got, coldCompiles)
+	}
+}
+
 // TestE2ECancelMidFigureDoesNotPoison cancels a figure job mid-run and
 // pins the two halves of the cancellation contract: the canceled job
 // ends canceled with a Partial-flagged result (never mistakable for

@@ -109,6 +109,7 @@ type Server struct {
 	baseStats artifact.Stats
 	baseRec   int64
 	baseRep   int64
+	baseComp  int64
 
 	draining  atomic.Bool
 	submitted atomic.Int64
@@ -131,6 +132,7 @@ func New(cfg Config) *Server {
 		baseStats:   harness.CacheStats(),
 		baseRec:     rec,
 		baseRep:     rep,
+		baseComp:    harness.CompileStats(),
 	}
 	s.jobs = newJobStore(s.cfg.RetainJobs)
 	s.q = newQueue(s.cfg.QueueDepth, s.cfg.Concurrency, s.runJob)
@@ -346,6 +348,7 @@ func (s *Server) MetricsSnapshot() *benchreport.Serve {
 		Replay: &benchreport.Replay{
 			Recordings:     rec - s.baseRec,
 			Replays:        rep - s.baseRep,
+			Compiles:       harness.CompileStats() - s.baseComp,
 			MemHits:        cs.MemHits,
 			MemMisses:      cs.MemMisses,
 			DiskHits:       cs.DiskHits,

@@ -258,6 +258,7 @@ func printCacheDiff(prev, cur run) {
 	fmt.Printf("\n%-16s %12s %12s\n", "cache", "old", "new")
 	row("recordings", count(func(r *replayReport) int64 { return r.Recordings }))
 	row("replays", count(func(r *replayReport) int64 { return r.Replays }))
+	row("compiles", count(func(r *replayReport) int64 { return r.Compiles }))
 	row("batches", count(func(r *replayReport) int64 { return r.Batches }))
 	row("batch configs", count(func(r *replayReport) int64 { return r.BatchConfigs }))
 	row("batch fallbacks", count(func(r *replayReport) int64 { return r.BatchFallbacks }))

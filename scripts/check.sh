@@ -8,6 +8,7 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 # Hard wall-clock bound: a hung cancellation path fails the gate instead
 # of wedging it.
 go test -race -timeout 10m ./...
