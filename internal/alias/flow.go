@@ -18,24 +18,8 @@ type absVal struct {
 	isC   bool
 }
 
-func (v absVal) clone() absVal {
-	if v.pts != nil {
-		v.pts = v.pts.Clone()
-	}
-	return v
-}
-
 func meetVal(a, b absVal) absVal {
-	out := absVal{}
-	switch {
-	case a.pts == nil:
-		out.pts = b.pts
-	case b.pts == nil:
-		out.pts = a.pts
-	default:
-		out.pts = a.pts.Clone()
-		out.pts.AddAll(b.pts)
-	}
+	out := absVal{pts: unionPts(a.pts, b.pts)}
 	if a.exact && b.exact && a.site == b.site && a.off == b.off {
 		out.exact, out.site, out.off = true, a.site, a.off
 	}
@@ -63,38 +47,32 @@ func sameVal(a, b absVal) bool {
 	if !ap {
 		return true
 	}
-	if a.pts.Universal != b.pts.Universal || a.pts.Len() != b.pts.Len() {
-		return false
-	}
-	for _, s := range a.pts.Sites() {
-		if !b.pts.Has(s) {
-			return false
-		}
-	}
-	return true
+	return a.pts.Universal == b.pts.Universal && a.pts.Len() == b.pts.Len() && a.pts.subsetOf(b.pts)
 }
 
-// state is a register file of abstract values.
+// state is a register file of abstract values. The points-to sets it
+// holds are never mutated once built (every transfer and meet that
+// changes a set builds a new one), so states share them and copying a
+// state is shallow.
 type state []absVal
 
-func (s state) clone() state {
-	c := make(state, len(s))
-	for i := range s {
-		c[i] = s[i].clone()
-	}
-	return c
-}
+func (s state) clone() state { return append(state(nil), s...) }
 
+// meetState returns the meet of a and b and whether it differs from a.
+// An unchanged meet returns a itself and allocates nothing, which is the
+// common case once the fixpoint nears convergence.
 func meetState(a, b state) (state, bool) {
-	changed := false
-	out := make(state, len(a))
 	for i := range a {
-		out[i] = meetVal(a[i], b[i])
-		if !sameVal(out[i], a[i]) {
-			changed = true
+		if sameVal(meetVal(a[i], b[i]), a[i]) {
+			continue
 		}
+		out := make(state, len(a))
+		for j := range a {
+			out[j] = meetVal(a[j], b[j])
+		}
+		return out, true
 	}
-	return out, changed
+	return a, false
 }
 
 // flowPass runs an intra-procedural forward dataflow over f, then records
@@ -194,13 +172,16 @@ func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
 	ins[f.Entry().Index] = entrySt
 	visited[f.Entry().Index] = true
 
+	// st is the scratch state a block is transferred in; it is copied
+	// whenever a successor keeps it.
+	var st state
 	for changed := true; changed; {
 		changed = false
 		for _, b := range g.RPO {
 			if !visited[b.Index] {
 				continue
 			}
-			st := ins[b.Index].clone()
+			st = append(st[:0], ins[b.Index]...)
 			for i := range b.Instrs {
 				transfer(st, &b.Instrs[i], false)
 			}
@@ -225,7 +206,7 @@ func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
 		if !visited[b.Index] {
 			continue
 		}
-		st := ins[b.Index].clone()
+		st = append(st[:0], ins[b.Index]...)
 		for i := range b.Instrs {
 			transfer(st, &b.Instrs[i], true)
 		}
@@ -299,14 +280,17 @@ func foldArith(op ir.Op, a, b absVal) absVal {
 	return out
 }
 
+// unionPts returns a ∪ b (nil when both are nil). It returns an operand
+// itself when that operand already contains the other, which is safe
+// because flow states never mutate their sets.
 func unionPts(a, b *SiteSet) *SiteSet {
 	switch {
-	case a == nil && b == nil:
-		return nil
 	case a == nil:
-		return b.Clone()
-	case b == nil:
-		return a.Clone()
+		return b
+	case b == nil || b.subsetOf(a):
+		return a
+	case a.subsetOf(b):
+		return b
 	}
 	u := a.Clone()
 	u.AddAll(b)

@@ -119,6 +119,22 @@ func (s *SiteSet) Clone() *SiteSet {
 	return c
 }
 
+// subsetOf reports whether every site of s is in t.
+func (s *SiteSet) subsetOf(t *SiteSet) bool {
+	if t.Universal {
+		return true
+	}
+	if s.Universal || len(s.sites) > len(t.sites) {
+		return false
+	}
+	for site := range s.sites {
+		if _, ok := t.sites[site]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Intersects reports whether two sets could name the same site. An empty
 // set means the analysis lost track of the pointer entirely, which must be
 // treated as universal for soundness.

@@ -1,11 +1,16 @@
 package interp
 
 import (
+	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"helixrc/internal/cfg"
 	"helixrc/internal/ir"
+	"helixrc/internal/irgen"
+	"helixrc/internal/scenarios"
+	"helixrc/internal/workloads"
 )
 
 // buildSumLoop builds: for (i=0; i<n; i++) sum += a[i]; return sum, over a
@@ -139,13 +144,126 @@ func TestMemoryGrowAndSnapshot(t *testing.T) {
 }
 
 func TestMemoryNegativePanics(t *testing.T) {
-	m := &Memory{}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative address should panic")
+	p, _ := buildSumLoop(t)
+	ops := map[string]func(m *Memory){
+		"Load":  func(m *Memory) { m.Load(-1) },
+		"Store": func(m *Memory) { m.Store(-1, 7) },
+	}
+	for op, do := range ops {
+		for kind, m := range map[string]*Memory{"NewMemory": NewMemory(p), "zero": {}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(-1) on %s memory should panic", op, kind)
+					}
+				}()
+				do(m)
+			}()
 		}
-	}()
-	m.Load(-1)
+	}
+}
+
+// TestMemoryMatchesMapModel checks the extent-backed Memory against a
+// sparse map model: random stores below the backed extent, inside it and
+// far above the arena, on both a program's memory and the zero value.
+func TestMemoryMatchesMapModel(t *testing.T) {
+	p, _ := buildSumLoop(t)
+	lo := p.Globals[0].Addr
+	base := p.ArenaBase()
+	for kind, mk := range map[string]func() *Memory{
+		"NewMemory": func() *Memory { return NewMemory(p) },
+		"zero":      func() *Memory { return &Memory{} },
+	} {
+		t.Run(kind, func(t *testing.T) {
+			m := mk()
+			arena := m.ArenaNext()
+			model := map[int64]int64{}
+			if kind == "NewMemory" {
+				for _, g := range p.Globals {
+					for i, v := range g.Init {
+						model[g.Addr+int64(i)] = v
+					}
+				}
+			}
+			rng := rand.New(rand.NewPCG(13, 1))
+			addr := func() int64 {
+				switch rng.IntN(3) {
+				case 0:
+					return rng.Int64N(lo)
+				case 1:
+					return lo + rng.Int64N(base-lo)
+				default:
+					return base + 1<<16 + rng.Int64N(1<<18)
+				}
+			}
+			var probes []int64
+			for i := 0; i < 4000; i++ {
+				a, v := addr(), rng.Int64()
+				m.Store(a, v)
+				model[a] = v
+				probes = append(probes, a, addr())
+				if q := probes[rng.IntN(len(probes))]; m.Load(q) != model[q] {
+					t.Fatalf("after %d stores: Load(%d) = %d, model %d", i+1, q, m.Load(q), model[q])
+				}
+			}
+			for _, q := range probes {
+				if m.Load(q) != model[q] {
+					t.Fatalf("Load(%d) = %d, model %d", q, m.Load(q), model[q])
+				}
+			}
+			for a, v := range model {
+				if m.Load(a) != v {
+					t.Fatalf("Load(%d) = %d, model %d", a, m.Load(a), v)
+				}
+			}
+			if m.ArenaNext() != arena {
+				t.Errorf("stores moved the arena: %d -> %d", arena, m.ArenaNext())
+			}
+		})
+	}
+}
+
+var memSink *Memory
+
+// TestNewMemoryAllocs pins NewMemory to the program's static data extent
+// ([first global, ArenaBase())) for every SPEC analogue and every
+// registered scenario, rather than to the fixed global base address. The
+// budget is the extent's bytes rounded up to the 8 KiB runtime page (the
+// allocator's granularity for large objects; small size classes round up
+// less), plus 1 KiB for the Memory header.
+func TestNewMemoryAllocs(t *testing.T) {
+	for _, f := range irgen.Families() {
+		pack, err := scenarios.DefaultPack(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := scenarios.RegisterPack(pack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range workloads.Registered() {
+		w, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extent := int64(0)
+		if len(w.Prog.Globals) > 0 {
+			extent = w.Prog.ArenaBase() - w.Prog.Globals[0].Addr
+		}
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			memSink = NewMemory(w.Prog)
+		}
+		runtime.ReadMemStats(&after)
+		perRun := int64(after.TotalAlloc-before.TotalAlloc) / runs
+		const page = 8 << 10
+		if budget := (8*extent+page-1)/page*page + 1024; perRun > budget {
+			t.Errorf("%s: NewMemory allocates %d bytes, budget %d (extent %d words)", name, perRun, budget, extent)
+		}
+	}
+	memSink = nil
 }
 
 func TestMemoryStoreLoadProperty(t *testing.T) {

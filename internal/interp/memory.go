@@ -14,20 +14,29 @@ import (
 
 // Memory is a flat, word-addressed store. Addresses are indices of 64-bit
 // words; the zero page is reserved so address 0 is never valid data.
+//
+// Only the written extent is backed: words[i] holds address lo+i, and
+// every address outside [lo, lo+len(words)) reads 0. Programs place their
+// globals at a high fixed base (ir.NewProgram), so backing from address 0
+// would allocate and zero megabytes no program touches.
 type Memory struct {
 	words []int64
+	lo    int64
 	arena int64
 }
 
 // NewMemory returns a memory initialized with the program's globals and an
-// allocation arena starting after them.
+// allocation arena starting after them. It backs exactly the static data
+// extent, [first global, ArenaBase()); the arena grows on first store.
 func NewMemory(p *ir.Program) *Memory {
 	m := &Memory{arena: p.ArenaBase()}
-	// Pre-size to the static data extent: growing by repeated doubling
-	// from 1KB zeroes and copies ~3x the final footprint, which shows up
-	// as the top allocation cost in simulator profiles.
-	if base := p.ArenaBase(); base > 1 {
-		m.grow(base - 1)
+	if len(p.Globals) > 0 {
+		lo := p.ArenaBase()
+		for _, g := range p.Globals {
+			lo = min(lo, g.Addr)
+		}
+		m.lo = lo
+		m.words = make([]int64, p.ArenaBase()-lo)
 	}
 	for _, g := range p.Globals {
 		for i, v := range g.Init {
@@ -37,41 +46,56 @@ func NewMemory(p *ir.Program) *Memory {
 	return m
 }
 
+// grow extends the backed extent to cover addr (addr >= 0), doubling
+// upward past the top or downward below lo (never below address 0).
 func (m *Memory) grow(addr int64) {
-	if addr < int64(len(m.words)) {
-		return
-	}
 	n := int64(len(m.words))
 	if n == 0 {
-		n = 1024
+		m.lo = addr
 	}
-	for n <= addr {
-		n *= 2
+	hi := m.lo + n
+	size := max(n, 1024)
+	if addr >= hi {
+		for m.lo+size <= addr {
+			size *= 2
+		}
+		nw := make([]int64, size)
+		copy(nw, m.words)
+		m.words = nw
+		return
 	}
-	nw := make([]int64, n)
-	copy(nw, m.words)
-	m.words = nw
+	for hi-size > addr {
+		size *= 2
+	}
+	lo := max(0, hi-size)
+	nw := make([]int64, hi-lo)
+	copy(nw[m.lo-lo:], m.words)
+	m.words, m.lo = nw, lo
 }
 
 // Load reads the word at addr. Negative addresses panic: they indicate a
 // compiler or workload bug, not a recoverable condition.
 func (m *Memory) Load(addr int64) int64 {
+	if i := uint64(addr - m.lo); i < uint64(len(m.words)) {
+		return m.words[i]
+	}
 	if addr < 0 {
 		panic(fmt.Sprintf("interp: load from negative address %d", addr))
 	}
-	if addr >= int64(len(m.words)) {
-		return 0
-	}
-	return m.words[addr]
+	return 0
 }
 
 // Store writes the word at addr.
 func (m *Memory) Store(addr, v int64) {
+	if i := uint64(addr - m.lo); i < uint64(len(m.words)) {
+		m.words[i] = v
+		return
+	}
 	if addr < 0 {
 		panic(fmt.Sprintf("interp: store to negative address %d", addr))
 	}
 	m.grow(addr)
-	m.words[addr] = v
+	m.words[addr-m.lo] = v
 }
 
 // Alloc reserves size words from the arena and returns the base address.

@@ -377,7 +377,11 @@ func (pr *Profiler) recordAccess(lp *LoopProfile, iter int64, uid int32, addr in
 		st.haveWrite = true
 		st.writeIter = iter
 		st.firstConsumed = false
-		st.consumers = map[int]struct{}{}
+		if st.consumers == nil {
+			st.consumers = map[int]struct{}{}
+		} else {
+			clear(st.consumers)
+		}
 	} else if st.haveWrite && iter > st.writeIter {
 		core := int(iter % n)
 		st.consumers[core] = struct{}{}

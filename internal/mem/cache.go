@@ -19,7 +19,8 @@ func (c CacheConfig) Lines() int { return c.SizeBytes / c.LineBytes }
 // granularity. Addresses are in words (8 bytes).
 type Cache struct {
 	cfg     CacheConfig
-	sets    [][]cacheLine
+	lines   []cacheLine // set-major: set s is lines[s*assoc : (s+1)*assoc]
+	assoc   int
 	shift   uint // word address -> line address
 	setMask int64
 	stamp   int64
@@ -62,16 +63,19 @@ func NewCache(cfg CacheConfig) *Cache {
 	for 1<<shift < cfg.LineBytes/8 {
 		shift++
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:     cfg,
-		sets:    make([][]cacheLine, nSets),
+		lines:   make([]cacheLine, nSets*cfg.Assoc),
+		assoc:   cfg.Assoc,
 		shift:   shift,
 		setMask: int64(nSets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Assoc)
-	}
-	return c
+}
+
+// set returns the ways of the set a line address maps to.
+func (c *Cache) set(line int64) []cacheLine {
+	i := int(line&c.setMask) * c.assoc
+	return c.lines[i : i+c.assoc : i+c.assoc]
 }
 
 // LineOf maps a word address to its line address.
@@ -83,7 +87,7 @@ func (c *Cache) WordOf(lineAddr int64) int64 { return lineAddr << c.shift }
 // Lookup reports whether the word's line is present, updating LRU on hit.
 func (c *Cache) Lookup(wordAddr int64) bool {
 	line := c.LineOf(wordAddr)
-	set := c.sets[line&c.setMask]
+	set := c.set(line)
 	for i := range set {
 		if c.live(&set[i]) && set[i].tag == line {
 			c.stamp++
@@ -100,7 +104,7 @@ func (c *Cache) Lookup(wordAddr int64) bool {
 // whether it was dirty (evicted=-1 when nothing valid was displaced).
 func (c *Cache) Insert(wordAddr int64, dirty bool) (evicted int64, evictedDirty bool) {
 	line := c.LineOf(wordAddr)
-	set := c.sets[line&c.setMask]
+	set := c.set(line)
 	c.stamp++
 	// Already present (e.g. insert-after-hit upgrade to dirty).
 	for i := range set {
@@ -133,7 +137,7 @@ func (c *Cache) Insert(wordAddr int64, dirty bool) (evicted int64, evictedDirty 
 // Invalidate drops the word's line if present.
 func (c *Cache) Invalidate(wordAddr int64) {
 	line := c.LineOf(wordAddr)
-	set := c.sets[line&c.setMask]
+	set := c.set(line)
 	for i := range set {
 		if c.live(&set[i]) && set[i].tag == line {
 			set[i].valid = false
@@ -145,11 +149,9 @@ func (c *Cache) Invalidate(wordAddr int64) {
 // DirtyCount returns the number of dirty lines (used for flush costs).
 func (c *Cache) DirtyCount() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if c.live(&set[i]) && set[i].dirty {
-				n++
-			}
+	for i := range c.lines {
+		if c.live(&c.lines[i]) && c.lines[i].dirty {
+			n++
 		}
 	}
 	return n

@@ -150,3 +150,22 @@ func TestHierarchyFlushDirty(t *testing.T) {
 		t.Errorf("second flush found %d lines", n)
 	}
 }
+
+var cacheSink *Cache
+
+// TestNewCacheAllocs pins NewCache at two allocations, the Cache and its
+// set-major line array, whatever the set count: the ring cache builds a
+// per-node cache array for every lane of every batched replay.
+func TestNewCacheAllocs(t *testing.T) {
+	for _, cfg := range []CacheConfig{
+		{SizeBytes: 1024, Assoc: 2, LineBytes: 64},
+		{SizeBytes: 64 << 10, Assoc: 8, LineBytes: 64},
+		{SizeBytes: 4 << 20, Assoc: 16, LineBytes: 64},
+	} {
+		allocs := testing.AllocsPerRun(10, func() { cacheSink = NewCache(cfg) })
+		if allocs != 2 {
+			t.Errorf("NewCache(%+v) allocates %.0f objects, want 2", cfg, allocs)
+		}
+	}
+	cacheSink = nil
+}

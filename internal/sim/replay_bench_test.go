@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -243,4 +244,65 @@ func BenchmarkRecord(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestRecordRetention keeps 32 (Result, Trace) pairs of one recording
+// alive across a GC and bounds the live heap each pair adds. A cached
+// Result or Trace must own its data: one that points back into the
+// runner or recorder that produced it pins the interpreter's memory
+// image and the simulator's scratch state for as long as it is cached.
+func TestRecordRetention(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap budgets are not meaningful under the race detector")
+	}
+	w, err := workloads.Get("164.gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{Level: hcc.V3, Cores: 16, TrainArgs: w.TrainArgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func() (*Result, *Trace) {
+		res, tr, err := Record(context.Background(), w.Prog, comp, w.Entry, HelixRC(16), w.RefArgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tr
+	}
+	_, tr := record() // warm the simulator pools
+	data, err := EncodeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keep = 32
+	type pair struct {
+		res *Result
+		tr  *Trace
+	}
+	// Two collections empty the simulator's sync.Pools (the second drops
+	// their victim caches), so pooled scratch state is not counted.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := make([]pair, keep)
+	for i := range kept {
+		kept[i].res, kept[i].tr = record()
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPair := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / keep
+	// Measured on 164.gzip: 736 KB per pair against a 629 KB encoded
+	// trace. The in-memory trace is larger than its encoding (fixed-width
+	// addresses, append-grown slice capacity). A pair that pins its runner
+	// adds the runner's memory image and scratch state on top: 17.7 MB
+	// per pair when the image was backed from address 0.
+	budget := int64(len(data)) + 128<<10
+	t.Logf("live heap per kept pair: %d bytes (encoded trace %d bytes, budget %d)", perPair, len(data), budget)
+	if perPair > budget {
+		t.Errorf("each kept (Result, Trace) pair holds %d live bytes, budget %d", perPair, budget)
+	}
+	runtime.KeepAlive(kept)
 }

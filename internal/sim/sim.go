@@ -80,16 +80,21 @@ func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Fu
 			r.maxRegs = f.NumRegs
 		}
 	}
+	// The returned Result is a copy: a pointer into the runner would keep
+	// the runner, its memory image and its pooled state alive for as long
+	// as any cache holds the Result.
 	if err := r.runSequential(entry, args); err != nil {
 		r.reclaimHier()
-		return &r.res, r.maxRegs, err
+		res := r.res
+		return &res, r.maxRegs, err
 	}
 	r.res.Cycles = r.now
 	if r.hier != nil {
 		r.res.Mem = r.hier.Stats
 	}
 	r.reclaimHier()
-	return &r.res, r.maxRegs, nil
+	res := r.res
+	return &res, r.maxRegs, nil
 }
 
 type runner struct {

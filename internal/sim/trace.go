@@ -239,7 +239,9 @@ func (rec *recorder) endLoop(lastVals map[ir.Reg]lastValRec) {
 	rec.spanStart = len(rec.tr.runs)
 }
 
-// finish closes the trailing sequential span and seals the trace.
+// finish closes the trailing sequential span and seals the trace. The
+// Trace is returned by value-copy so that caching it does not keep the
+// recorder (and its per-block offset map) alive.
 func (rec *recorder) finish(cores, maxRegs int, res *Result) *Trace {
 	rec.flushRun()
 	rec.tr.events = append(rec.tr.events, traceEvent{
@@ -250,7 +252,8 @@ func (rec *recorder) finish(cores, maxRegs int, res *Result) *Trace {
 	rec.tr.maxRegs = maxRegs
 	rec.tr.retValue = res.RetValue
 	rec.tr.instrs = res.Instrs
-	return &rec.tr
+	tr := rec.tr
+	return &tr
 }
 
 func sortRegVals(rv []regVal) {

@@ -160,6 +160,7 @@ type budgetFamily struct {
 type budgetFile struct {
 	Note            string         `json:"note"`
 	MaxTotalAllocMB float64        `json:"max_total_alloc_mb"`
+	AllocRationale  string         `json:"alloc_rationale"`
 	Families        []budgetFamily `json:"families"`
 }
 
