@@ -39,13 +39,15 @@ type Experiment struct {
 }
 
 // Replay summarizes how harness simulations were served: fresh
-// recordings vs trace replays, compilations issued, batched-retiming
-// counters, work-claiming counters (sharded runs), per-tier
-// artifact-store counters, and cache pressure.
+// recordings vs trace replays, compilations issued and the training
+// profiles they shared, batched-retiming counters, work-claiming
+// counters (sharded runs), per-tier artifact-store counters, and cache
+// pressure.
 type Replay struct {
 	Recordings     int64   `json:"recordings"`
 	Replays        int64   `json:"replays"`
 	Compiles       int64   `json:"compiles"`
+	Profiles       int64   `json:"profiles"`
 	Batches        int64   `json:"batches"`
 	BatchConfigs   int64   `json:"batch_configs"`
 	BatchFallbacks int64   `json:"batch_fallbacks"`
@@ -75,6 +77,7 @@ func (r *Replay) add(o *Replay) {
 	r.Recordings += o.Recordings
 	r.Replays += o.Replays
 	r.Compiles += o.Compiles
+	r.Profiles += o.Profiles
 	r.Batches += o.Batches
 	r.BatchConfigs += o.BatchConfigs
 	r.BatchFallbacks += o.BatchFallbacks

@@ -80,10 +80,10 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	order := []string{"fig1", "fig7", "fig9", "tlp"}
 	a := Report{Shard: "1/2", Cores: 16, Parallel: 1, TotalMillis: 100,
 		Experiments: []Experiment{exp("fig9", "ccc", 3), exp("fig1", "aaa", 1)},
-		Replay:      &Replay{Recordings: 2, Compiles: 30, Claims: 5, Steals: 1}}
+		Replay:      &Replay{Recordings: 2, Compiles: 30, Profiles: 10, Claims: 5, Steals: 1}}
 	b := Report{Shard: "2/2", Cores: 16, Parallel: 1, TotalMillis: 150,
 		Experiments: []Experiment{exp("tlp", "ddd", 4), exp("fig7", "bbb", 2)},
-		Replay:      &Replay{Recordings: 1, Compiles: 12, Claims: 4, DupSuppressed: 3}}
+		Replay:      &Replay{Recordings: 1, Compiles: 12, Profiles: 4, Claims: 4, DupSuppressed: 3}}
 	m, err := Merge([]Report{a, b}, order)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	if m.Workers != 2 || len(m.PerWorker) != 2 || m.PerWorker[0].Worker != "1/2" {
 		t.Fatalf("per-worker section wrong: %+v", m.PerWorker)
 	}
-	if m.Replay.Recordings != 3 || m.Replay.Compiles != 42 || m.Replay.Claims != 9 || m.Replay.Steals != 1 || m.Replay.DupSuppressed != 3 {
+	if m.Replay.Recordings != 3 || m.Replay.Compiles != 42 || m.Replay.Profiles != 14 || m.Replay.Claims != 9 || m.Replay.Steals != 1 || m.Replay.DupSuppressed != 3 {
 		t.Fatalf("aggregate counters wrong: %+v", m.Replay)
 	}
 	if m.TotalMillis != 150 {

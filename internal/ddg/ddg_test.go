@@ -106,21 +106,20 @@ func TestDataDependentIndexKeepsEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := prof.Loops[findSameLoop(forest, loop)]
+	lp := prof.Loops[loopKey(p, f, loop)]
 	if bad := Unsound(dg, lp); len(bad) > 0 {
 		t.Errorf("analysis unsound on scatter: %v", bad)
 	}
 }
 
-// findSameLoop maps a loop from one forest instance to another (the
-// profiler used a fresh FindLoops call).
-func findSameLoop(forest *cfg.Forest, l *cfg.Loop) *cfg.Loop {
-	for _, cand := range forest.Loops {
-		if cand.Header == l.Header {
-			return cand
+// loopKey names loop, a loop of f, the way profiles do.
+func loopKey(p *ir.Program, f *ir.Function, loop *cfg.Loop) interp.LoopKey {
+	for fi, fn := range p.Funcs {
+		if fn == f {
+			return interp.LoopKey{Fn: int32(fi), Header: int32(loop.Header.Index)}
 		}
 	}
-	return nil
+	panic("loopKey: function not in program")
 }
 
 func TestAccuracyLadderImproves(t *testing.T) {
@@ -148,7 +147,7 @@ func TestAccuracyLadderImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := prof.Loops[findSameLoop(forest, loop)]
+	lp := prof.Loops[loopKey(p, f, loop)]
 
 	prev := -1.0
 	for _, tier := range alias.Tiers {

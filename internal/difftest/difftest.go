@@ -191,9 +191,9 @@ func checkAlias(build Builder, opt Options, fail func(string, string, ...any) *F
 	}
 	for _, tier := range alias.Tiers {
 		an := alias.New(p, tier)
-		for _, fn := range p.Funcs {
+		for fi, fn := range p.Funcs {
 			for _, loop := range forests[fn].Loops {
-				lp := prof.Loops[loop]
+				lp := prof.Loops[interp.LoopKey{Fn: int32(fi), Header: int32(loop.Header.Index)}]
 				if lp == nil {
 					continue
 				}

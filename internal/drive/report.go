@@ -11,9 +11,9 @@ import (
 )
 
 // replaySection assembles the replay/caching counters of this process
-// — recordings, replays and compilations, per-tier (memory, disk,
-// remote) hit/miss/write/load-time counters from the artifact stores,
-// plus the work-claiming counters when sharded.
+// — recordings, replays, compilations and training profiles, per-tier
+// (memory, disk, remote) hit/miss/write/load-time counters from the
+// artifact stores, plus the work-claiming counters when sharded.
 func replaySection(claims artifact.Claims) *benchreport.Replay {
 	recordings, replays := harness.ReplayStats()
 	batches, batchConfigs, batchFallbacks := harness.BatchStats()
@@ -25,6 +25,7 @@ func replaySection(claims artifact.Claims) *benchreport.Replay {
 		Recordings:     recordings,
 		Replays:        replays,
 		Compiles:       harness.CompileStats(),
+		Profiles:       harness.ProfileStats(),
 		Batches:        batches,
 		BatchConfigs:   batchConfigs,
 		BatchFallbacks: batchFallbacks,

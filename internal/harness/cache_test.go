@@ -2,6 +2,9 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -160,7 +163,10 @@ func TestClearDiskCache(t *testing.T) {
 // once a cold pass has persisted every Result, a warm pass (fresh
 // memory tier, same directory) over a recording-bound sweep and the
 // TLP cells records nothing, replays nothing and compiles nothing, and
-// renders byte-identical output.
+// renders byte-identical output. The analysis experiments a warm run
+// still compiles for — Table 1 and Figures 2-4 — then cost exactly what
+// a warm helix-bench run reports: 30 compiles (ten workloads at three
+// levels) from 10 training profiles (one per workload).
 func TestWarmRunServedWithoutCompiling(t *testing.T) {
 	withCacheDir(t)
 	ctx := context.Background()
@@ -175,12 +181,32 @@ func TestWarmRunServedWithoutCompiling(t *testing.T) {
 		}
 		return fig.Format() + tlp.Format()
 	}
+	analyses := func() string {
+		rows, err := Table1(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f2, err := Figure2(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f3, err := Figure3(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f4, err := Figure4(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FormatTable1(rows) + f2.Format() + f3.Format() + f4.Format()
+	}
 
 	comp0 := CompileStats()
 	cold := render()
 	if CompileStats() == comp0 {
 		t.Fatal("cold pass compiled nothing; test is vacuous")
 	}
+	coldAnalyses := analyses()
 
 	ResetCaches()
 	rec1, rep1 := ReplayStats()
@@ -198,6 +224,67 @@ func TestWarmRunServedWithoutCompiling(t *testing.T) {
 	}
 	if warm != cold {
 		t.Errorf("warm output differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+
+	comp2, prof2 := CompileStats(), ProfileStats()
+	warmAnalyses := analyses()
+	if n := CompileStats() - comp2; n != 30 {
+		t.Errorf("warm analyses compiled %d times, want 30", n)
+	}
+	if n := ProfileStats() - prof2; n != 10 {
+		t.Errorf("warm analyses trained %d profiles, want 10", n)
+	}
+	if warmAnalyses != coldAnalyses {
+		t.Errorf("warm analyses differ from cold:\ncold:\n%s\nwarm:\n%s", coldAnalyses, warmAnalyses)
+	}
+}
+
+// TestConfigFingerprintMemo pins sim.Config.Fingerprint, which memoizes
+// per config, to the fmt derivation every persisted result key was
+// written under, for every preset at 1-16 cores, every configuration an
+// experiment retimes (the fig8, fig10 and fig11 variants among them)
+// and every lane of the wide explore grid.
+func TestConfigFingerprintMemo(t *testing.T) {
+	var archs []sim.Config
+	for n := 1; n <= 16; n++ {
+		archs = append(archs, sim.HelixRC(n), sim.Conventional(n), sim.Abstract(n))
+	}
+	for _, exp := range []string{"fig1", "fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig11d", "fig12"} {
+		groups := experimentGroups(exp, 16)
+		if len(groups) == 0 {
+			t.Fatalf("%s has no retime groups", exp)
+		}
+		for _, g := range groups {
+			archs = append(archs, g.archs...)
+		}
+	}
+	for _, cores := range []int{2, 4, 8, 16} {
+		for _, link := range []int{1, 2, 4, 8, 16, 32} {
+			for _, signals := range []int{0, 1, 2, 5} {
+				archs = append(archs, SweepConfig{Cores: cores, Link: link, Signals: signals}.Arch())
+			}
+		}
+	}
+	distinct := map[sim.Config]bool{}
+	for _, a := range archs {
+		norm := a
+		norm.SlowStep, norm.NoReplay, norm.TraceIters = false, false, 0
+		sum := sha256.Sum256(fmt.Appendf(nil, "%s %+v", sim.ConfigFingerprintScheme, norm))
+		want := hex.EncodeToString(sum[:])
+		for range 2 { // the second call is always a memo hit
+			if got := a.Fingerprint(); got != want {
+				t.Fatalf("Fingerprint(%+v) = %s, want %s", a, got, want)
+			}
+		}
+		slow := a
+		slow.SlowStep, slow.NoReplay, slow.TraceIters = true, true, 3
+		if got := slow.Fingerprint(); got != want {
+			t.Fatalf("execution-strategy switches changed the fingerprint of %+v", a)
+		}
+		distinct[norm] = true
+	}
+	if len(distinct) < 100 {
+		t.Errorf("only %d distinct configs checked; the enumeration lost its variants", len(distinct))
 	}
 }
 

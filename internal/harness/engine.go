@@ -128,6 +128,15 @@ var compiles atomic.Int64
 // CompileStats returns the cumulative count of harness compilations.
 func CompileStats() int64 { return compiles.Load() }
 
+// profiles counts the training profiles the harness runs: one per
+// (workload, cores) input, however many levels and alias tiers compile
+// from it. Cumulative across ResetCaches.
+var profiles atomic.Int64
+
+// ProfileStats returns the cumulative count of harness training
+// profiles.
+func ProfileStats() int64 { return profiles.Load() }
+
 // batchesIssued / batchLanes / batchFallbacks count how the batched
 // retimer served sweep figures: batched trace traversals issued, total
 // configs retimed across them, and groups that degraded to a solo

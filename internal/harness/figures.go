@@ -12,6 +12,7 @@ import (
 	"helixrc/internal/cfg"
 	"helixrc/internal/ddg"
 	"helixrc/internal/hcc"
+	"helixrc/internal/interp"
 	"helixrc/internal/ir"
 	"helixrc/internal/sim"
 	"helixrc/internal/workloads"
@@ -36,6 +37,9 @@ const cacheScheme = ir.FingerprintScheme + "+" + sim.ConfigFingerprintScheme + "
 // serialized size, and its product is pointer-rich).
 var (
 	compStore = artifact.NewStore[*compEntry]("compile", cacheScheme, compCost, nil)
+	// profStore shares each training profile among the compilations of
+	// one (workload, cores) input; memory-only like the compile tier.
+	profStore = artifact.NewStore[*interp.Profile]("profile", cacheScheme, profCost, nil)
 	seqStore  = artifact.NewStore[*sim.Result]("baseline", cacheScheme,
 		func(*sim.Result) int64 { return 1 << 10 },
 		&artifact.Codec[*sim.Result]{Encode: sim.EncodeResult, Decode: sim.DecodeResult})
@@ -68,7 +72,8 @@ func init() {
 }
 
 // SetCacheBudget bounds the summed estimated size of the harness memo
-// caches, splitting the total across them (traces take three quarters).
+// caches, splitting the total across them (traces take three quarters;
+// training profiles take a quarter of the compile share).
 // Least-recently-used entries are evicted past the budget, with a log
 // line per eviction. total <= 0 removes the bound. The disk tier is
 // never evicted by budget — only -cacheclear (or Clear) empties it.
@@ -76,6 +81,7 @@ func SetCacheBudget(total int64) {
 	if total <= 0 {
 		traceStore.SetBudget(0)
 		compStore.SetBudget(0)
+		profStore.SetBudget(0)
 		seqStore.SetBudget(0)
 		resStore.SetBudget(0)
 		return
@@ -83,10 +89,12 @@ func SetCacheBudget(total int64) {
 	traces := total * 3 / 4
 	baselines := total / 64
 	results := total / 64
+	compiles := total - traces - baselines - results
 	traceStore.SetBudget(traces)
 	seqStore.SetBudget(baselines)
 	resStore.SetBudget(results)
-	compStore.SetBudget(total - traces - baselines - results)
+	profStore.SetBudget(compiles / 4)
+	compStore.SetBudget(compiles - compiles/4)
 }
 
 // SetCacheDir installs dir as the disk tier root for persistable
@@ -135,6 +143,7 @@ func ClearDiskCache() error {
 func CacheStats() artifact.Stats {
 	var t artifact.Stats
 	t.Add(compStore.Stats())
+	t.Add(profStore.Stats())
 	t.Add(seqStore.Stats())
 	t.Add(traceStore.Stats())
 	t.Add(resStore.Stats())
@@ -159,8 +168,9 @@ func workloadFingerprint(ctx context.Context, name string) (string, error) {
 }
 
 // compCost estimates a cached compilation's footprint: the cloned
-// program (instructions dominate, plus the per-UID analysis maps the
-// profile keeps), global initializers, and profile samples.
+// program (instructions dominate, plus the per-UID analysis maps) and
+// global initializers. The training profile it shares is profStore's
+// to count.
 func compCost(e *compEntry) int64 {
 	var instrs int64
 	for _, fn := range e.w.Prog.Funcs {
@@ -172,11 +182,21 @@ func compCost(e *compEntry) int64 {
 	for _, g := range e.w.Prog.Globals {
 		cost += int64(len(g.Init)) * 8
 	}
-	if e.comp != nil && e.comp.Profile != nil {
-		for _, lp := range e.comp.Profile.Loops {
-			cost += int64(len(lp.IterLens)+len(lp.TripCounts))*4 +
-				int64(len(lp.Deps)+len(lp.SharedAddrs))*48
-		}
+	return cost
+}
+
+// profCost estimates a training profile's footprint: block counts,
+// per-loop samples and histograms, and the dependence and shared-address
+// maps.
+func profCost(p *interp.Profile) int64 {
+	cost := int64(1024)
+	for _, counts := range p.BlockCount {
+		cost += int64(len(counts)) * 8
+	}
+	for _, lp := range p.Loops {
+		cost += int64(len(lp.IterLens)+len(lp.TripCounts))*4 +
+			int64(len(lp.HopDist)+len(lp.ConsumerCounts))*8 +
+			int64(len(lp.Deps)+len(lp.SharedAddrs))*48
 	}
 	return cost
 }
@@ -216,7 +236,7 @@ func cachedCompileTier(ctx context.Context, name string, level hcc.Level, cores,
 		if err := cctx.Err(); err != nil {
 			return nil, err
 		}
-		w, comp, err := compileTier(name, level, cores, tier)
+		w, comp, err := compileTier(cctx, name, level, cores, tier)
 		if err != nil {
 			return nil, err
 		}
@@ -258,6 +278,7 @@ func CachedBaseline(ctx context.Context, name string, arch sim.Config, ref bool)
 // complete for their waiters and are dropped.
 func ResetCaches() {
 	compStore.Reset()
+	profStore.Reset()
 	seqStore.Reset()
 	traceStore.Reset()
 	resStore.Reset()
@@ -527,7 +548,7 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 				if len(dg.MemEdges) == 0 {
 					continue
 				}
-				acc += ddg.Accuracy(dg, comp.Profile.Loops[pl.Loop])
+				acc += ddg.Accuracy(dg, pl.Profile)
 				n++
 			}
 			v := 1.0
@@ -719,8 +740,8 @@ func Figure4(ctx context.Context) (*Figure4Result, error) {
 			return nil, err
 		}
 		for _, pl := range comp.Loops {
-			lp := comp.Profile.Loops[pl.Loop]
-			if lp == nil || pl.AvgIterLen > smallIterLimit || pl.AvgIterLen < 10 {
+			lp := pl.Profile
+			if pl.AvgIterLen > smallIterLimit || pl.AvgIterLen < 10 {
 				continue
 			}
 			for _, il := range lp.IterLens {

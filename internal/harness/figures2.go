@@ -320,16 +320,20 @@ func (r *TLPResult) Format() string {
 func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, error) {
 	arch := sim.Abstract(16)
 	run := func(ctx context.Context) (*sim.Result, error) {
+		prof, err := trainedProfile(ctx, name, 16)
+		if err != nil {
+			return nil, err
+		}
 		w, err := workloads.Get(name)
 		if err != nil {
 			return nil, err
 		}
 		compiles.Add(1)
-		comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{
+		comp, err := hcc.CompileWith(w.Prog, w.Entry, hcc.Options{
 			Level: level, Cores: 16, TrainArgs: w.TrainArgs,
 			// Selection under the abstract machine: communication-free.
 			SelectLatency: 1,
-		})
+		}, prof)
 		if err != nil {
 			return nil, err
 		}

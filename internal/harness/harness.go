@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"helixrc/internal/hcc"
+	"helixrc/internal/interp"
 	"helixrc/internal/sim"
 	"helixrc/internal/workloads"
 )
@@ -54,24 +55,52 @@ func args(w *workloads.Workload, ref bool) []int64 {
 // Compile builds a fresh copy of the workload and compiles it at the
 // given level. A fresh copy is required because HCC mutates the program.
 func Compile(name string, level hcc.Level, cores int) (*workloads.Workload, *hcc.Compiled, error) {
-	return compileTier(name, level, cores, 0)
+	return compileTier(context.Background(), name, level, cores, 0)
 }
 
 // compileTier is Compile with an alias-tier override (0 = the level's
 // engineered default, which is every path except the explore sweeps).
-func compileTier(name string, level hcc.Level, cores, tier int) (*workloads.Workload, *hcc.Compiled, error) {
+// The training profile comes from the profile tier, shared with every
+// other level and tier compiled for the same (workload, cores).
+func compileTier(ctx context.Context, name string, level hcc.Level, cores, tier int) (*workloads.Workload, *hcc.Compiled, error) {
+	prof, err := trainedProfile(ctx, name, cores)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", name, err)
+	}
 	w, err := workloads.Get(name)
 	if err != nil {
 		return nil, nil, err
 	}
 	compiles.Add(1)
-	comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{
+	comp, err := hcc.CompileWith(w.Prog, w.Entry, hcc.Options{
 		Level: level, Cores: cores, TrainArgs: w.TrainArgs, AliasTier: tier,
-	})
+	}, prof)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return w, comp, nil
+}
+
+// trainedProfile serves the training profile of the workload on a ring
+// of cores cores. A profile depends on the program, its training args,
+// the core count and the profile budget, but not on the level or the
+// alias tier, so the first compile of an input trains it — on a fresh
+// build of its own — and every later one reads the same immutable
+// Profile from the profile tier.
+func trainedProfile(ctx context.Context, name string, cores int) (*interp.Profile, error) {
+	fp, err := workloadFingerprint(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	key := fmt.Sprintf("profile/%s/c%d/%s", name, cores, fp)
+	return profStore.Get(ctx, key, func(context.Context) (*interp.Profile, error) {
+		w, err := workloads.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		profiles.Add(1)
+		return hcc.Train(w.Prog, w.Entry, hcc.Options{Cores: cores, TrainArgs: w.TrainArgs})
+	})
 }
 
 // Evaluate compiles the workload at the level and simulates both the

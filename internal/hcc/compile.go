@@ -15,25 +15,86 @@ import (
 // Compile runs the full HCC pipeline on prog: profile the training run,
 // analyze every loop, select the profitable ones and generate parallel
 // bodies. entry is the function executed by the training run (and later by
-// the simulator).
+// the simulator). It is Train followed by CompileWith.
 func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, error) {
 	opts.fillDefaults()
+	fl, err := prepare(prog)
+	if err != nil {
+		return nil, err
+	}
+	profile, err := train(prog, entry, fl, opts)
+	if err != nil {
+		return nil, err
+	}
+	return compileWith(prog, entry, fl, opts, profile)
+}
+
+// Train runs the training profile loop selection reads: an instrumented
+// sequential run of entry over opts.TrainArgs on a ring of opts.Cores
+// cores, bounded by opts.ProfileBudget. The profile depends on nothing
+// else in opts — not the level, not the alias tier — and names loops and
+// blocks by position, so one profile serves every CompileWith of any
+// fresh build of the same program.
+func Train(prog *ir.Program, entry *ir.Function, opts Options) (*interp.Profile, error) {
+	opts.fillDefaults()
+	fl, err := prepare(prog)
+	if err != nil {
+		return nil, err
+	}
+	return train(prog, entry, fl, opts)
+}
+
+// CompileWith is Compile with the training profile supplied: prof must
+// come from Train on a program of the same content with the same cores,
+// training args and profile budget, or CompileWith returns an error. prof
+// is only read, so concurrent compilations may share it.
+func CompileWith(prog *ir.Program, entry *ir.Function, opts Options, prof *interp.Profile) (*Compiled, error) {
+	opts.fillDefaults()
+	fl, err := prepare(prog)
+	if err != nil {
+		return nil, err
+	}
+	return compileWith(prog, entry, fl, opts, prof)
+}
+
+// flow is the control-flow structure of a program: the graph and loop
+// forest of every function.
+type flow struct {
+	graphs  map[*ir.Function]*cfg.Graph
+	forests map[*ir.Function]*cfg.Forest
+}
+
+// prepare numbers the program's instructions, verifies it and computes
+// its control-flow structure (which renumbers every function's blocks
+// positionally).
+func prepare(prog *ir.Program) (*flow, error) {
 	prog.AssignUIDs()
 	if err := prog.Verify(); err != nil {
 		return nil, fmt.Errorf("hcc: input program: %w", err)
 	}
-
-	graphs := map[*ir.Function]*cfg.Graph{}
-	forests := map[*ir.Function]*cfg.Forest{}
+	fl := &flow{graphs: map[*ir.Function]*cfg.Graph{}, forests: map[*ir.Function]*cfg.Forest{}}
 	for _, f := range prog.Funcs {
 		g := cfg.New(f)
-		graphs[f] = g
-		forests[f] = cfg.FindLoops(g)
+		fl.graphs[f] = g
+		fl.forests[f] = cfg.FindLoops(g)
 	}
+	return fl, nil
+}
 
+// loopAt returns the loop of fn headed by its block at position header.
+func (fl *flow) loopAt(fn *ir.Function, header int32) *cfg.Loop {
+	for _, l := range fl.forests[fn].Loops {
+		if l.Header.Index == int(header) {
+			return l
+		}
+	}
+	return nil
+}
+
+func train(prog *ir.Program, entry *ir.Function, fl *flow, opts Options) (*interp.Profile, error) {
 	profiler := &interp.Profiler{
 		Prog:     prog,
-		Forests:  forests,
+		Forests:  fl.forests,
 		RingSize: opts.Cores,
 		Budget:   opts.ProfileBudget,
 	}
@@ -41,7 +102,13 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 	if err != nil {
 		return nil, fmt.Errorf("hcc: profiling: %w", err)
 	}
+	return profile, nil
+}
 
+func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, profile *interp.Profile) (*Compiled, error) {
+	if err := profile.Matches(prog, entry, opts.Cores, opts.ProfileBudget, opts.TrainArgs); err != nil {
+		return nil, fmt.Errorf("hcc: %w", err)
+	}
 	tier, err := opts.aliasTier()
 	if err != nil {
 		return nil, err
@@ -53,9 +120,12 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 	var cands []candidate
 
 	for _, lp := range profile.LoopsBy() {
-		loop := lp.Loop
-		fn := lp.Fn
-		g := graphs[fn]
+		fn := prog.Funcs[lp.Key.Fn]
+		loop := fl.loopAt(fn, lp.Key.Header)
+		if loop == nil {
+			return nil, fmt.Errorf("hcc: profile names a loop at block %d of %s, which heads none", lp.Key.Header, fn.Name)
+		}
+		g := fl.graphs[fn]
 		reject := func(reason string, est float64) {
 			out.Rejected = append(out.Rejected, RejectedLoop{Loop: loop, Fn: fn, Reason: reason, Estimate: est})
 		}
@@ -108,7 +178,7 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 			if lp.Iterations == 0 {
 				return 1
 			}
-			f := float64(profile.BlockCount[b]) / float64(lp.Iterations)
+			f := float64(profile.BlockCount[lp.Key.Fn][b.Index]) / float64(lp.Iterations)
 			if f > 0 && f < 0.01 {
 				f = 0.01
 			}
@@ -148,7 +218,10 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 		if cands[i].benefit != cands[j].benefit {
 			return cands[i].benefit > cands[j].benefit
 		}
-		return cands[i].loop.ID < cands[j].loop.ID
+		if cands[i].loop.ID != cands[j].loop.ID {
+			return cands[i].loop.ID < cands[j].loop.ID
+		}
+		return cands[i].lp.Key.Fn < cands[j].lp.Key.Fn
 	})
 
 	var picked []candidate
@@ -158,7 +231,7 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 		}
 		conflict := false
 		for _, p := range picked {
-			if profile.Conflict(c.loop, p.loop) || staticallyNested(c, p) {
+			if profile.Conflict(c.lp.Key, p.lp.Key) || staticallyNested(c, p) {
 				conflict = true
 				break
 			}
@@ -173,11 +246,12 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 	}
 
 	for i, c := range picked {
-		pl, err := generate(prog, c.fn, graphs[c.fn], c.loop, opts.Level, c.seg, c.classes, i)
+		pl, err := generate(prog, c.fn, fl.graphs[c.fn], c.loop, opts.Level, c.seg, c.classes, i)
 		if err != nil {
 			out.Rejected = append(out.Rejected, RejectedLoop{Loop: c.loop, Fn: c.fn, Reason: err.Error(), Estimate: c.est})
 			continue
 		}
+		pl.Profile = c.lp
 		pl.AvgIterLen = c.lp.AvgIterLen()
 		pl.AvgTripCount = c.lp.AvgTripCount()
 		pl.Coverage = c.lp.Coverage(profile.TotalInstrs)

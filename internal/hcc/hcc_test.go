@@ -220,3 +220,78 @@ func TestRejectedLoopReasons(t *testing.T) {
 		t.Errorf("expected clobber rejection, got %+v", comp.Rejected)
 	}
 }
+
+// buildTwinHelpers builds main calling two helper functions whose loops
+// are identical: equal coverage, equal benefit, and the same loop ID
+// (each is loop 0 of its function). Only the functions' positions tell
+// the two loops apart.
+func buildTwinHelpers(t testing.TB, n int64) (*ir.Program, *ir.Function) {
+	p := ir.NewProgram("twins")
+	helper := func(name string) *ir.Function {
+		ty := p.NewType(name + "[]")
+		arr := p.AddGlobal(name, n, ty)
+		for i := int64(0); i < n; i++ {
+			arr.Init = append(arr.Init, i*5%11)
+		}
+		f := p.NewFunction(name, 1)
+		b := ir.NewBuilder(p, f)
+		base := b.GlobalAddr(arr)
+		i := b.Const(0)
+		head, body, exit := b.NewBlock("head"), b.NewBlock("body"), b.NewBlock("exit")
+		b.Br(head)
+		b.SetBlock(head)
+		c := b.Bin(ir.OpCmpLT, ir.R(i), ir.R(f.Params[0]))
+		b.CondBr(ir.R(c), body, exit)
+		b.SetBlock(body)
+		a := b.Add(ir.R(base), ir.R(i))
+		v := b.Load(ir.R(a), 0, ir.MemAttrs{Type: ty, Path: name + "[i]"})
+		w := v
+		for range 12 {
+			w = b.Add(ir.R(b.Mul(ir.R(w), ir.C(3))), ir.R(v))
+		}
+		b.Store(ir.R(a), 0, ir.R(w), ir.MemAttrs{Type: ty, Path: name + "[i]"})
+		b.BinTo(i, ir.OpAdd, ir.R(i), ir.C(1))
+		b.Br(head)
+		b.SetBlock(exit)
+		b.Ret(ir.C(0))
+		return f
+	}
+	ha, hb := helper("twinA"), helper("twinB")
+	f := p.NewFunction("main", 1)
+	b := ir.NewBuilder(p, f)
+	ra := b.Call(ha, ir.R(f.Params[0]))
+	rb := b.Call(hb, ir.R(f.Params[0]))
+	b.Ret(ir.R(b.Add(ir.R(ra), ir.R(rb))))
+	if err := p.Verify(); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	return p, f
+}
+
+// TestTiedLoopsCompileDeterministically pins loop order when two loops
+// in different functions tie on coverage, benefit and loop ID: the
+// selector and code generation order them by function position, so
+// every compilation emits the same program.
+func TestTiedLoopsCompileDeterministically(t *testing.T) {
+	fps := map[string]bool{}
+	for range 20 {
+		p, f := buildTwinHelpers(t, 200)
+		comp, err := Compile(p, f, Options{Level: V3, Cores: 16, TrainArgs: []int64{200}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(comp.Loops) != 2 {
+			for _, rej := range comp.Rejected {
+				t.Logf("rejected %v in %s: %s (est %.2f)", rej.Loop, rej.Fn.Name, rej.Reason, rej.Estimate)
+			}
+			t.Fatalf("selected %d loops, want both twins", len(comp.Loops))
+		}
+		if a, b := comp.Loops[0], comp.Loops[1]; a.Coverage != b.Coverage || a.EstSpeedup != b.EstSpeedup {
+			t.Fatalf("twin loops differ: coverage %v/%v, estimate %v/%v", a.Coverage, b.Coverage, a.EstSpeedup, b.EstSpeedup)
+		}
+		fps[p.Fingerprint(f)] = true
+	}
+	if len(fps) != 1 {
+		t.Errorf("20 compilations produced %d distinct programs", len(fps))
+	}
+}

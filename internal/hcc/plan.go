@@ -97,6 +97,9 @@ type ParallelLoop struct {
 	// the loop and must be restored into the continuing context.
 	LiveOutRegs []ir.Reg
 
+	// Profile is the training profile of the loop (shared with every
+	// compilation trained on the same input; read only).
+	Profile *interp.LoopProfile
 	// Profile-derived stats used by benches and the selector.
 	AvgIterLen   float64
 	AvgTripCount float64

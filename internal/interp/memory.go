@@ -46,31 +46,36 @@ func NewMemory(p *ir.Program) *Memory {
 	return m
 }
 
-// grow extends the backed extent to cover addr (addr >= 0), doubling
-// upward past the top or downward below lo (never below address 0).
+// grow extends the backed extent to cover addr (addr >= 0).
 func (m *Memory) grow(addr int64) {
-	n := int64(len(m.words))
+	m.words, m.lo = growExtent(m.words, m.lo, addr)
+}
+
+// growExtent extends s, which backs the addresses [lo, lo+len(s)), to
+// cover addr (addr >= 0), doubling upward past the top or downward
+// below lo (never below address 0). It returns the new slice and base.
+func growExtent[T any](s []T, lo, addr int64) ([]T, int64) {
+	n := int64(len(s))
 	if n == 0 {
-		m.lo = addr
+		lo = addr
 	}
-	hi := m.lo + n
+	hi := lo + n
 	size := max(n, 1024)
 	if addr >= hi {
-		for m.lo+size <= addr {
+		for lo+size <= addr {
 			size *= 2
 		}
-		nw := make([]int64, size)
-		copy(nw, m.words)
-		m.words = nw
-		return
+		ns := make([]T, size)
+		copy(ns, s)
+		return ns, lo
 	}
 	for hi-size > addr {
 		size *= 2
 	}
-	lo := max(0, hi-size)
-	nw := make([]int64, hi-lo)
-	copy(nw[m.lo-lo:], m.words)
-	m.words, m.lo = nw, lo
+	nlo := max(0, hi-size)
+	ns := make([]T, hi-nlo)
+	copy(ns[lo-nlo:], s)
+	return ns, nlo
 }
 
 // Load reads the word at addr. Negative addresses panic: they indicate a

@@ -278,7 +278,9 @@ func TestE2EWarmFigureZeroRecordingsZeroReplays(t *testing.T) {
 // TestE2EWarmTLPZeroCompiles pins the persisted TLP cells at the
 // service boundary: a repeated tlp figure job is answered entirely by
 // the result tier — zero compiles, zero recordings — with the cold
-// job's bytes, and /metrics counts the cold job's compiles since start.
+// job's bytes, and /metrics counts the cold job's compiles and training
+// profiles since start (one profile per workload, shared by its V2 and
+// V3 cells).
 func TestE2EWarmTLPZeroCompiles(t *testing.T) {
 	withTestCache(t)
 	s, ts := newTestServer(t, Config{Concurrency: 2})
@@ -299,6 +301,9 @@ func TestE2EWarmTLPZeroCompiles(t *testing.T) {
 	coldCompiles := s.MetricsSnapshot().Replay.Compiles
 	if coldCompiles == 0 {
 		t.Fatal("cold tlp job compiled nothing; test is vacuous")
+	}
+	if got, want := s.MetricsSnapshot().Replay.Profiles, coldCompiles/2; got != want {
+		t.Errorf("cold tlp job trained %d profiles for %d compiles, want %d", got, coldCompiles, want)
 	}
 	rec0, _ := harness.ReplayStats()
 	comp0 := harness.CompileStats()

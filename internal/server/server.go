@@ -110,6 +110,7 @@ type Server struct {
 	baseRec   int64
 	baseRep   int64
 	baseComp  int64
+	baseProf  int64
 
 	draining  atomic.Bool
 	submitted atomic.Int64
@@ -133,6 +134,7 @@ func New(cfg Config) *Server {
 		baseRec:     rec,
 		baseRep:     rep,
 		baseComp:    harness.CompileStats(),
+		baseProf:    harness.ProfileStats(),
 	}
 	s.jobs = newJobStore(s.cfg.RetainJobs)
 	s.q = newQueue(s.cfg.QueueDepth, s.cfg.Concurrency, s.runJob)
@@ -349,6 +351,7 @@ func (s *Server) MetricsSnapshot() *benchreport.Serve {
 			Recordings:     rec - s.baseRec,
 			Replays:        rep - s.baseRep,
 			Compiles:       harness.CompileStats() - s.baseComp,
+			Profiles:       harness.ProfileStats() - s.baseProf,
 			MemHits:        cs.MemHits,
 			MemMisses:      cs.MemMisses,
 			DiskHits:       cs.DiskHits,

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 
 	"helixrc/internal/ir"
 )
@@ -399,8 +400,37 @@ const ConfigFingerprintScheme = "simcfg1"
 // NoReplay, TraceIters — are normalized out: they select how a result
 // is computed, not what it is (the golden tests pin all three paths
 // bit-identical).
+//
+// Result keys derive it for every lookup, and reflection is slow, so the
+// string is memoized per normalized Config (Config is comparable); the
+// fmt rendering stays the only derivation.
 func (c Config) Fingerprint() string {
 	c.SlowStep, c.NoReplay, c.TraceIters = false, false, 0
+	configFingerprints.RLock()
+	fp, ok := configFingerprints.m[c]
+	configFingerprints.RUnlock()
+	if ok {
+		return fp
+	}
 	sum := sha256.Sum256(fmt.Appendf(nil, "%s %+v", ConfigFingerprintScheme, c))
-	return hex.EncodeToString(sum[:])
+	fp = hex.EncodeToString(sum[:])
+	configFingerprints.Lock()
+	if configFingerprints.m == nil {
+		configFingerprints.m = map[Config]string{}
+	}
+	if len(configFingerprints.m) < maxConfigFingerprints {
+		configFingerprints.m[c] = fp
+	}
+	configFingerprints.Unlock()
+	return fp
 }
+
+// configFingerprints memoizes Fingerprint per normalized Config, up to
+// maxConfigFingerprints configs (a sweep uses a few hundred; the cap
+// only bounds a long-lived process fed arbitrary configs).
+var configFingerprints struct {
+	sync.RWMutex
+	m map[Config]string
+}
+
+const maxConfigFingerprints = 1 << 14

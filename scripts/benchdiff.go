@@ -260,6 +260,7 @@ func printCacheDiff(prev, cur run) {
 	row("recordings", count(func(r *replayReport) int64 { return r.Recordings }))
 	row("replays", count(func(r *replayReport) int64 { return r.Replays }))
 	row("compiles", count(func(r *replayReport) int64 { return r.Compiles }))
+	row("profiles", count(func(r *replayReport) int64 { return r.Profiles }))
 	row("batches", count(func(r *replayReport) int64 { return r.Batches }))
 	row("batch configs", count(func(r *replayReport) int64 { return r.BatchConfigs }))
 	row("batch fallbacks", count(func(r *replayReport) int64 { return r.BatchFallbacks }))

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The benchmark module (bench/, its own go.mod) compiles against the
+# internal APIs it walks — hcc, cfg, interp, sim — so a reshaped API
+# fails here rather than only when the benchmark runs. Offline: the
+# module's one dependency is this repository, by replace directive.
+GOPROXY=off go -C bench vet ./...
 test -z "$(gofmt -l .)"
 # Hard wall-clock bound: a hung cancellation path fails the gate instead
 # of wedging it.
