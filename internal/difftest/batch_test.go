@@ -11,8 +11,10 @@ import (
 
 // checkBatchEquivalence records one trace for a builder's program and
 // asserts sim.ReplayBatch over the cross-config spread (plus two budget
-// lanes) is lane-for-lane identical to independent sim.Replay calls —
-// the batched-retiming analogue of checkConfig's oracle.
+// lanes) is lane-for-lane identical to a fresh sim.Run of the program
+// under each lane's config — the batched-retiming analogue of
+// checkConfig's oracle. Budget lanes run under their own MaxSteps, so
+// their ErrBudget partials are compared too.
 func checkBatchEquivalence(t *testing.T, label string, build Builder) {
 	t.Helper()
 	prog, fn, args, err := build()
@@ -38,22 +40,22 @@ func checkBatchEquivalence(t *testing.T, label string, build Builder) {
 	archs := []sim.Config{rec, sim.Conventional(16), sim.Abstract(16), ooo4, third, half}
 	results, errs := sim.ReplayBatch(context.Background(), tr, archs)
 	for i, arch := range archs {
-		want, werr := sim.Replay(context.Background(), tr, arch)
+		want, werr := sim.Run(context.Background(), prog, comp, fn, arch, args...)
 		if (errs[i] == nil) != (werr == nil) || (errs[i] != nil && errs[i].Error() != werr.Error()) {
-			t.Errorf("%s lane %d: error diverges: batch=%v solo=%v", label, i, errs[i], werr)
+			t.Errorf("%s lane %d: error diverges: replay=%v run=%v", label, i, errs[i], werr)
 			continue
 		}
-		if (results[i] == nil) != (want == nil) {
-			t.Errorf("%s lane %d: result nil-ness diverges", label, i)
+		if results[i] == nil || want == nil {
+			t.Errorf("%s lane %d: missing result: replay=%v run=%v", label, i, results[i], want)
 			continue
 		}
-		if results[i] != nil && *results[i] != *want {
-			t.Errorf("%s lane %d: result diverges:\nbatch: %+v\nsolo:  %+v", label, i, results[i], want)
+		if *results[i] != *want {
+			t.Errorf("%s lane %d: result diverges:\nreplay: %+v\nrun:    %+v", label, i, results[i], want)
 		}
 	}
 }
 
-// TestBatchReplaySeeds runs the batch-vs-solo oracle over the generator
+// TestBatchReplaySeeds runs the batch-vs-run oracle over the generator
 // seed sweep the main difftest uses.
 func TestBatchReplaySeeds(t *testing.T) {
 	n := uint64(10)
@@ -69,7 +71,7 @@ func labelSeed(seed uint64) string {
 	return "seed-" + string(rune('0'+seed%10))
 }
 
-// TestBatchReplayCorpus runs the batch-vs-solo oracle over the checked-in
+// TestBatchReplayCorpus runs the batch-vs-run oracle over the checked-in
 // regression corpus.
 func TestBatchReplayCorpus(t *testing.T) {
 	files, err := CorpusFiles("testdata")

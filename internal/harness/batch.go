@@ -133,9 +133,10 @@ func groupKeys(ctx context.Context, g *retimeGroup) (tkey string, keyOf func(sim
 // prefetchGroup serves one group: peek-filter the configs whose
 // Results are already cached, record the trace if needed (compiling
 // only then; the recording lane's Result is exact and published
-// directly), then retime the remaining configs — batched when two or
-// more are missing, a counted solo-replay fallback for a single
-// straggler.
+// directly), then retime the remaining configs in one ReplayBatch. A
+// group with a single straggler is counted as a fallback rather than a
+// batch, so the counters keep separating real batching from one-lane
+// retimes.
 func prefetchGroup(ctx context.Context, g *retimeGroup) {
 	if len(g.archs) == 0 {
 		return
@@ -162,10 +163,9 @@ func prefetchGroup(ctx context.Context, g *retimeGroup) {
 
 	var missing []sim.Config
 	for _, arch := range g.archs {
-		if arch.NoReplay || cached(arch) {
-			continue
+		if !cached(arch) {
+			missing = append(missing, arch)
 		}
-		missing = append(missing, arch)
 	}
 	if len(missing) == 0 {
 		return
@@ -189,26 +189,22 @@ func prefetchGroup(ctx context.Context, g *retimeGroup) {
 		missing = missing[1:]
 	}
 
-	switch len(missing) {
-	case 0:
-	case 1:
+	if len(missing) == 0 {
+		return
+	}
+	if len(missing) == 1 {
 		batchFallbacks.Add(1)
-		if res, err := sim.Replay(ctx, tr, missing[0]); err == nil {
-			traceReplays.Add(1)
-			put(missing[0], res)
-		}
-	default:
+	} else {
 		batchesIssued.Add(1)
 		batchLanes.Add(int64(len(missing)))
-		results, errs := sim.ReplayBatch(ctx, tr, missing)
-		for i, arch := range missing {
-			// Partial Results (budget, cancellation, per-lane validation)
-			// are never cached: the cell recomputes solo and surfaces the
-			// error itself.
-			if errs[i] == nil && results[i] != nil {
-				traceReplays.Add(1)
-				put(arch, results[i])
-			}
+	}
+	results, errs := sim.ReplayBatch(ctx, tr, missing)
+	for i, arch := range missing {
+		// Partial Results (budget, cancellation, per-lane validation) are
+		// never cached: the cell recomputes and surfaces the error itself.
+		if errs[i] == nil && results[i] != nil {
+			traceReplays.Add(1)
+			put(arch, results[i])
 		}
 	}
 }

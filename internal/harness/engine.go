@@ -138,9 +138,9 @@ var profiles atomic.Int64
 func ProfileStats() int64 { return profiles.Load() }
 
 // batchesIssued / batchLanes / batchFallbacks count how the batched
-// retimer served sweep figures: batched trace traversals issued, total
-// configs retimed across them, and groups that degraded to a solo
-// replay because only one config was missing from the result cache.
+// retimer served sweep figures: traversals of two or more lanes issued,
+// total configs retimed across them, and one-lane traversals for groups
+// with only one config missing from the result cache.
 // Cumulative across ResetCaches; helix-bench reports them.
 var (
 	batchesIssued  atomic.Int64
@@ -149,8 +149,8 @@ var (
 )
 
 // BatchStats returns the cumulative batched-retiming counters:
-// batches issued, configs retimed across them, and single-replay
-// fallbacks for groups with one missing config.
+// batches issued, configs retimed across them, and one-lane fallbacks
+// for groups with one missing config.
 func BatchStats() (batches, lanes, fallbacks int64) {
 	return batchesIssued.Load(), batchLanes.Load(), batchFallbacks.Load()
 }

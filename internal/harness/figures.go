@@ -351,9 +351,9 @@ func record(ctx context.Context, load loader, arch sim.Config, ref bool) (*sim.R
 // everything the dynamic behaviour depends on — compiled program
 // identity (workload content, level, cores) and input — while timing
 // parameters stay out of it. load runs only to record a trace, or when
-// SlowSim, SetNoReplay or arch.NoReplay bypass the caches entirely.
+// SlowSim or SetNoReplay bypass the caches entirely.
 func simWithTrace(ctx context.Context, key string, load loader, arch sim.Config, ref bool) (*sim.Result, error) {
-	if SlowSim() || NoReplay() || arch.NoReplay {
+	if SlowSim() || NoReplay() {
 		w, comp, err := load(ctx)
 		if err != nil {
 			return nil, err

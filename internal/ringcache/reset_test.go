@@ -51,17 +51,19 @@ func driveRing(r *Ring, numSegs int, seed int64) ringSummary {
 // TestRingResetIndistinguishable is the pooling contract the simulator's
 // replay path leans on: a Ring that has been dirtied by an arbitrary op
 // sequence and Reset must be observationally identical to a freshly
-// constructed one — including across a segment-count change, which is
-// how the runner's per-segs ring pool reuses them.
+// constructed one — including across segment-count changes, which is
+// how the replay engine's one ring per lane serves every loop. viaSegs,
+// when set, is an intermediate Reset with its own dirtying traffic.
 func TestRingResetIndistinguishable(t *testing.T) {
 	cfg := DefaultConfig(8)
 	for _, tc := range []struct {
-		name               string
-		dirtySegs, useSegs int
+		name                        string
+		dirtySegs, viaSegs, useSegs int
 	}{
-		{"same-segs", 4, 4},
-		{"grow-segs", 2, 6},
-		{"shrink-segs", 6, 3},
+		{"same-segs", 4, 0, 4},
+		{"grow-segs", 2, 0, 6},
+		{"shrink-segs", 6, 0, 3},
+		{"shrink-then-regrow-segs", 6, 2, 5},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,6 +71,10 @@ func TestRingResetIndistinguishable(t *testing.T) {
 				fresh := New(cfg, tc.useSegs)
 				pooled := New(cfg, tc.dirtySegs)
 				driveRing(pooled, tc.dirtySegs, seed*977) // arbitrary dirtying traffic
+				if tc.viaSegs > 0 {
+					pooled.Reset(tc.viaSegs)
+					driveRing(pooled, tc.viaSegs, seed*31)
+				}
 				pooled.Reset(tc.useSegs)
 
 				want := driveRing(fresh, tc.useSegs, seed)

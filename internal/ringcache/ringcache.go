@@ -147,9 +147,10 @@ func New(cfg Config, numSegs int) *Ring {
 }
 
 // Reset restores the ring to the state New(cfg, numSegs) would produce,
-// reusing the existing allocations (arrays, maps, signal matrices). The
-// simulator pools rings per segment count across loop invocations, which
-// removes the dominant allocation in ring-cache runs.
+// reusing the existing allocations (arrays, maps, signal matrices, and
+// the rows of a larger segment count seen earlier). The simulator pools
+// rings across loop invocations, which removes the dominant allocation
+// in ring-cache runs.
 func (r *Ring) Reset(numSegs int) {
 	r.Stats = Stats{}
 	clear(r.ready)
@@ -160,10 +161,15 @@ func (r *Ring) Reset(numSegs int) {
 	for _, a := range r.arrays {
 		a.ResetAll()
 	}
-	if numSegs != len(r.sigSent) {
-		r.sigSent = make([][]int64, numSegs)
-		r.sigCount = make([][]int64, numSegs)
-		for s := range r.sigSent {
+	if cap(r.sigSent) < numSegs {
+		sent, count := make([][]int64, numSegs), make([][]int64, numSegs)
+		copy(sent, r.sigSent[:cap(r.sigSent)])
+		copy(count, r.sigCount[:cap(r.sigCount)])
+		r.sigSent, r.sigCount = sent, count
+	}
+	r.sigSent, r.sigCount = r.sigSent[:numSegs], r.sigCount[:numSegs]
+	for s := range r.sigSent {
+		if r.sigSent[s] == nil {
 			r.sigSent[s] = make([]int64, r.Cfg.Nodes)
 			r.sigCount[s] = make([]int64, r.Cfg.Nodes)
 		}

@@ -42,25 +42,12 @@ type Config struct {
 	// MaxSteps bounds total simulated instructions (0 = default 2^32).
 	MaxSteps int64
 
-	// NoReplay asks callers that cache traces (the harness) to bypass
-	// record/replay and run this configuration through the normal
-	// execution-driven path. sim.Run itself never consults it; it exists
-	// so a single figure cell can opt out when debugging, next to
-	// SlowStep which opts out of the fast stepper entirely.
-	NoReplay bool
-
 	// SlowStep selects the retained reference stepper: no pre-decoded
 	// instruction metadata, no pooled simulator state — every structure
 	// is allocated fresh, exactly as the original implementation did.
 	// Results are bit-identical to the default fast path; golden tests
 	// compare the two.
 	SlowStep bool
-
-	// TraceIters, when positive, prints per-iteration timing for the
-	// first N iterations of each loop invocation (debug aid; implies
-	// SlowStep). A Config field rather than a package global so that
-	// concurrent runs cannot race on it.
-	TraceIters int64
 }
 
 // effectiveMaxSteps resolves the step-budget default shared by every

@@ -1,27 +1,32 @@
 package sim
 
-// Batched retiming: one trace traversal re-times N architecture
-// configurations at once. The traversal — cursors, iteration
-// scheduling, segment scratch — is driven entirely by the recorded
-// stream, so it is identical for every config that can legally replay
-// the trace; only the timing state differs. ReplayBatch therefore keeps
-// one shared walker and a struct-of-arrays of per-config "lanes"
-// (scoreboards, ring, hierarchy, clocks), decodes each instruction
-// once, and advances every live lane under it.
+// The replay engine: one traversal of a recorded Trace re-times it under
+// N configurations, with no functional execution at all. Replay is its
+// one-lane case. The traversal — cursors, iteration scheduling, segment
+// scratch — is driven by the recorded stream alone, so it is shared;
+// each per-config "lane" owns only timing state (scoreboards, ring,
+// hierarchy, clocks). Every timing expression mirrors the fast stepper
+// (fast.go), and therefore the reference stepper.
 //
-// Per-lane results are bit-identical to N independent Replay calls —
-// including the failure paths. Budget exhaustion freezes exactly the
-// lanes whose MaxSteps ran out, at the same instruction solo Replay
-// stops at, with the same partial Result; the rest keep going. Context
-// polls stay on solo's step grid (multiples of ctxCheckEvery) so a
-// cancellation observed by the batch is observed at the same stream
-// position a solo replay would observe it. The golden equivalence tests
-// in replay_batch_test.go pin all of this.
+// Each lane's (Result, error) is bit-identical to a fresh Run under its
+// config, failure paths included. Budget checks sit where the steppers
+// put them (before every dynamic instruction and each loop dispatch), so
+// a lane whose MaxSteps runs out freezes at Run's instruction with Run's
+// partial Result while the others keep going, and context polls stay on
+// the steppers' ctxCheckEvery grid. replay_batch_test.go pins every lane
+// against Run.
+//
+// Replayers are pooled: a lane slot keeps its scoreboards while its core
+// model is unchanged and its ring while its ring configuration is, so a
+// steady-state call allocates only its Results. Every timing field is
+// reset per call and every pooled structure per loop, so reuse can never
+// change a cycle count.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"helixrc/internal/cpu"
 	"helixrc/internal/ir"
@@ -29,92 +34,125 @@ import (
 	"helixrc/internal/ringcache"
 )
 
-// errBatchDone is an internal sentinel: every lane has frozen, so the
-// traversal can stop early. It never escapes to callers — per-lane
-// errors are reported in the errs slice.
-var errBatchDone = errors.New("sim: batch drained")
+var (
+	// errBatchDone is an internal sentinel: every lane has frozen, so the
+	// traversal can stop early. It never escapes to callers.
+	errBatchDone      = errors.New("sim: batch drained")
+	errSlowStepReplay = errors.New("sim: cannot replay with SlowStep")
+	// errIterStream reports a loop whose recorded iterations do not match
+	// its round-robin schedule: too few, or some left over once every
+	// core has stopped. A recorded trace always matches.
+	errIterStream = errors.New("sim: replay iteration stream does not match the loop (trace/config mismatch)")
+)
+
+// Replay simulates the timing of a recorded run under arch. The trace
+// fixes the dynamic behaviour, so arch must agree with the recording
+// config on everything that shapes it: the core count (unless the trace
+// has no parallel loops, which makes it core-count independent) — and
+// implicitly the compiled program, which the caller keys the trace by.
+// SlowStep needs the real stepper and is rejected.
+//
+// Like Run, Replay polls ctx on the step-accounting path and returns
+// ctx.Err() with the partial Result when cancelled. It is ReplayBatch
+// over one lane and allocates only the returned Result.
+func Replay(ctx context.Context, tr *Trace, arch Config) (*Result, error) {
+	archs := [1]Config{arch}
+	var results [1]*Result
+	var errs [1]error
+	replayInto(ctx, tr, archs[:], results[:], errs[:])
+	return results[0], errs[0]
+}
 
 // ReplayBatch re-times tr under every config in archs with a single
 // trace traversal, returning per-config Results and errors (both
-// indexed like archs). Each (Result, error) pair is bit-identical to
-// what Replay(ctx, tr, archs[i]) returns: invalid configs get a nil
-// Result and the same validation error; configs whose MaxSteps runs out
-// mid-trace get ErrBudget with the same truncated partial Result; a
-// context cancellation freezes every still-live lane with ctx.Err() at
-// the same stream position solo replays would stop at.
-//
-// Because the traversal is shared, all valid configs must agree on the
-// core count; configs that disagree with the batch's core count are
-// rejected with the same error text Replay uses for a core-count
-// mismatch with the trace.
+// indexed like archs). Each (Result, error) pair is what Replay(ctx, tr,
+// archs[i]) returns: invalid configs get a nil Result and a validation
+// error; configs whose MaxSteps runs out mid-trace get ErrBudget with
+// the truncated partial Result; a context cancellation freezes every
+// still-live lane with ctx.Err(). Because the traversal is shared, all
+// valid configs must agree on the core count; a dissenting config gets
+// Replay's core-count mismatch error.
 func ReplayBatch(ctx context.Context, tr *Trace, archs []Config) ([]*Result, []error) {
+	results := make([]*Result, len(archs))
+	errs := make([]error, len(archs))
+	replayInto(ctx, tr, archs, results, errs)
+	return results, errs
+}
+
+// replayInto is the engine behind Replay and ReplayBatch: it fills the
+// caller's results and errs slots (indexed like archs) from a pooled
+// replayer.
+func replayInto(ctx context.Context, tr *Trace, archs []Config, results []*Result, errs []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]*Result, len(archs))
-	errs := make([]error, len(archs))
+	b, _ := replayerPool.Get().(*batchReplayer)
+	if b == nil {
+		b = &batchReplayer{}
+	}
+	b.ctx, b.tr = ctx, tr
+	b.cores, b.steps, b.check = 0, 0, 0
+	b.runCursor, b.addrCursor = 0, 0
 
-	b := &batchReplayer{ctx: ctx, tr: tr}
-	b.lanes = make([]batchLane, 0, len(archs))
+	lanes := b.lanes[:0]
 	for i, arch := range archs {
-		if arch.SlowStep || arch.TraceIters > 0 {
-			errs[i] = errors.New("sim: cannot replay with SlowStep or TraceIters")
+		if arch.SlowStep {
+			errs[i] = errSlowStepReplay
 			continue
 		}
 		if arch.Cores <= 0 {
 			arch.Cores = 16
 		}
-		if len(tr.loops) > 0 && arch.Cores != tr.cores {
-			errs[i] = fmt.Errorf("sim: trace recorded with %d cores cannot replay with %d", tr.cores, arch.Cores)
+		// A loop trace fixes the core count; a baseline trace takes the
+		// first valid lane's, because the lanes share one traversal.
+		want := b.cores
+		if len(tr.loops) > 0 {
+			want = tr.cores
+		}
+		if want != 0 && arch.Cores != want {
+			errs[i] = fmt.Errorf("sim: trace recorded with %d cores cannot replay with %d", want, arch.Cores)
 			continue
 		}
-		if b.cores == 0 {
-			b.cores = arch.Cores
-		} else if arch.Cores != b.cores {
-			errs[i] = fmt.Errorf("sim: trace recorded with %d cores cannot replay with %d", b.cores, arch.Cores)
-			continue
+		b.cores = arch.Cores
+		if len(lanes) < cap(lanes) {
+			lanes = lanes[:len(lanes)+1]
+		} else {
+			lanes = append(lanes, batchLane{})
 		}
-		b.lanes = append(b.lanes, newBatchLane(i, arch, tr))
+		lanes[len(lanes)-1].reset(i, arch, tr.maxRegs)
 	}
-	if len(b.lanes) == 0 {
-		return results, errs
-	}
-	b.live = make([]*batchLane, len(b.lanes))
-	groups := map[memProfile]int{}
-	for li := range b.lanes {
-		ln := &b.lanes[li]
-		b.live[li] = ln
-		if ln.arch.PerfectMem {
-			continue
+	b.lanes = lanes
+	if len(lanes) > 0 {
+		b.group()
+		b.run()
+		for li := range lanes {
+			ln := &lanes[li]
+			r := ln.res
+			results[ln.idx] = &r
+			errs[ln.idx] = ln.err
 		}
-		p := memProfile{
-			mem:    ln.arch.Mem,
-			anyDec: ln.decReg || ln.decMem || ln.decSync,
-			decReg: ln.decReg,
-			decMem: ln.decMem,
-		}
-		gid, ok := groups[p]
-		if !ok {
-			gid = len(b.groupLeader)
-			groups[p] = gid
-			b.groupLeader = append(b.groupLeader, ln)
-			ln.hier = hierFromPool(b.cores, ln.arch.Mem)
-		}
-		ln.memGroup = gid
 	}
-	b.groupLat = make([]int64, len(b.groupLeader))
-	b.run()
-	for li := range b.lanes {
-		ln := &b.lanes[li]
-		r := ln.res
-		results[ln.idx] = &r
-		errs[ln.idx] = ln.err
-	}
-	return results, errs
+	b.release()
 }
 
-// batchLane is the per-config timing state: everything a solo replayer
-// owns except the trace cursors and step accounting, which are shared.
+// replayerPool recycles replayers, lane slots included, across calls.
+var replayerPool sync.Pool
+
+// ringConfig resolves the ring configuration a replay of arch uses for
+// all its loops.
+func ringConfig(arch Config) ringcache.Config {
+	rc := arch.Ring
+	rc.Nodes = arch.Cores
+	if arch.PerfectMem {
+		rc.LinkLatency, rc.InjectLatency, rc.OwnerL1Latency = 0, 0, 0
+		rc.DataBandwidth, rc.SignalBandwidth = 0, 0
+		rc.ArrayBytes = 0
+	}
+	return rc
+}
+
+// batchLane is the per-config timing state: everything except the trace
+// cursors and step accounting, which are shared.
 type batchLane struct {
 	idx  int // position in the caller's archs slice
 	arch Config
@@ -128,10 +166,11 @@ type batchLane struct {
 	err      error
 
 	seqCore  *cpu.Core
+	core     *cpu.Core // the core running the current iteration
 	parCores []*cpu.Core
 	coreTime []int64
 	ringCfg  ringcache.Config
-	rings    map[int]*ringcache.Ring
+	ringBuf  *ringcache.Ring // the slot's one ring, reset for every loop
 	ring     *ringcache.Ring // active loop's ring (nil on conventional lanes)
 	convSig  []int64
 
@@ -146,25 +185,35 @@ type batchLane struct {
 	c2c, l1, branchCost     int64
 }
 
-func newBatchLane(idx int, arch Config, tr *Trace) batchLane {
-	ln := batchLane{
-		idx:        idx,
-		arch:       arch,
-		maxSteps:   arch.effectiveMaxSteps(),
-		ringCfg:    ringConfig(arch),
-		branchCost: int64(arch.Core.BranchCost),
-		c2c:        int64(arch.Mem.CacheToCache),
-		l1:         int64(arch.Mem.L1Latency),
-		decReg:     arch.DecoupleReg,
-		decMem:     arch.DecoupleMem,
-		decSync:    arch.DecoupleSync,
-		memGroup:   -1,
-		seqCore:    cpu.NewCore(arch.Core, tr.maxRegs),
+// reset points a lane slot at arch for one replay. Every timing field
+// starts fresh; the scoreboards survive while the core model is
+// unchanged and the ring while the ring configuration is.
+func (ln *batchLane) reset(idx int, arch Config, maxRegs int) {
+	if arch.Core != ln.arch.Core {
+		ln.seqCore = nil
+		clear(ln.parCores)
 	}
+	if rc := ringConfig(arch); rc != ln.ringCfg {
+		ln.ringCfg, ln.ringBuf = rc, nil
+	}
+	ln.idx, ln.arch = idx, arch
+	ln.hier, ln.core, ln.ring = nil, nil, nil
+	ln.maxSteps = arch.effectiveMaxSteps()
+	ln.now, ln.t, ln.start = 0, 0, 0
+	ln.res, ln.err = Result{}, nil
+	ln.memGroup = -1
+	ln.decReg, ln.decMem, ln.decSync = arch.DecoupleReg, arch.DecoupleMem, arch.DecoupleSync
+	ln.c2c, ln.l1 = int64(arch.Mem.CacheToCache), int64(arch.Mem.L1Latency)
 	if arch.PerfectMem {
 		ln.c2c = 0
 	}
-	return ln
+	ln.branchCost = int64(arch.Core.BranchCost)
+	if ln.seqCore == nil {
+		ln.seqCore = cpu.NewCore(arch.Core, maxRegs)
+	} else {
+		ln.seqCore.Grow(maxRegs)
+	}
+	ln.seqCore.Reset(0)
 }
 
 // memProfile identifies lanes whose hierarchy access sequences (and
@@ -176,6 +225,15 @@ type memProfile struct {
 	mem            memsys.Config
 	anyDec         bool
 	decReg, decMem bool
+}
+
+func (ln *batchLane) memProfile() memProfile {
+	return memProfile{
+		mem:    ln.arch.Mem,
+		anyDec: ln.decReg || ln.decMem || ln.decSync,
+		decReg: ln.decReg,
+		decMem: ln.decMem,
+	}
 }
 
 // latFor resolves one hierarchy access latency for a lane: group
@@ -210,22 +268,18 @@ func (ln *batchLane) convBuf(n int) {
 	}
 }
 
+// ringFor returns the slot's ring reset for a loop of numSegs segments.
 func (ln *batchLane) ringFor(numSegs int) *ringcache.Ring {
-	if ln.rings == nil {
-		ln.rings = map[int]*ringcache.Ring{}
+	if ln.ringBuf == nil {
+		ln.ringBuf = ringcache.New(ln.ringCfg, numSegs)
+	} else {
+		ln.ringBuf.Reset(numSegs)
 	}
-	if ring, ok := ln.rings[numSegs]; ok {
-		ring.Reset(numSegs)
-		return ring
-	}
-	ring := ringcache.New(ln.ringCfg, numSegs)
-	ln.rings[numSegs] = ring
-	return ring
+	return ln.ringBuf
 }
 
 // finish is the shared post-dispatch bookkeeping of one dynamic
-// instruction on one lane, mirroring the tail of replayIteration's
-// instruction loop.
+// instruction of a loop iteration on one lane.
 func (ln *batchLane) finish(issue int64, inSeg, added, branches bool) {
 	if added {
 		ln.res.Overheads.AddedInstr++
@@ -244,8 +298,7 @@ func (ln *batchLane) finish(issue int64, inSeg, added, branches bool) {
 
 // batchReplayer walks the trace once for all lanes. The stream-driven
 // state (cursors, step count, iteration scheduling, segment scratch) is
-// shared; live holds the indices of lanes still being advanced, in
-// stable order.
+// shared; live holds the lanes still being advanced, in stable order.
 type batchReplayer struct {
 	ctx   context.Context
 	tr    *Trace
@@ -257,7 +310,7 @@ type batchReplayer struct {
 	runCursor  int
 	addrCursor int
 
-	lanes []batchLane
+	lanes []batchLane  // this call's lanes; pooled slots beyond len
 	live  []*batchLane // still-advancing lanes, in stable lane order
 
 	// groupLeader[g] is the live lane owning group g's hierarchy (always
@@ -271,12 +324,61 @@ type batchReplayer struct {
 	scr     segScratch
 }
 
+// group fills live with every lane and sorts the lanes with a hierarchy
+// into memory-sharing groups, handing each group's first lane a pooled
+// hierarchy.
+func (b *batchReplayer) group() {
+	for li := range b.lanes {
+		ln := &b.lanes[li]
+		b.live = append(b.live, ln)
+		if ln.arch.PerfectMem {
+			continue
+		}
+		p := ln.memProfile()
+		ln.memGroup = len(b.groupLeader)
+		for g, leader := range b.groupLeader {
+			if leader.memProfile() == p {
+				ln.memGroup = g
+				break
+			}
+		}
+		if ln.memGroup == len(b.groupLeader) {
+			b.groupLeader = append(b.groupLeader, ln)
+			ln.hier = hierFromPool(b.cores, ln.arch.Mem)
+		}
+	}
+	if cap(b.groupLat) < len(b.groupLeader) {
+		b.groupLat = make([]int64, len(b.groupLeader))
+	}
+	b.groupLat = b.groupLat[:len(b.groupLeader)]
+}
+
+// release parks the replayer for reuse. Every hierarchy went back to
+// its pool when its lane froze or the walk ended. A parked replayer
+// keeps one set of scoreboards and one ring per lane of its last call,
+// never slots a larger earlier call left behind: rings can be large
+// (Figure 11d's 32 KB node arrays make a 2 MB ring at 16 cores), and a
+// replayer that stays hot would otherwise carry them indefinitely.
+// Dropping the other references keeps it from pinning a trace, a
+// context or an error.
+func (b *batchReplayer) release() {
+	clear(b.lanes[len(b.lanes):cap(b.lanes)])
+	b.ctx, b.tr = nil, nil
+	clear(b.live[:cap(b.live)])
+	b.live = b.live[:0]
+	clear(b.groupLeader[:cap(b.groupLeader)])
+	b.groupLeader = b.groupLeader[:0]
+	for li := range b.lanes {
+		b.lanes[li].err = nil
+	}
+	replayerPool.Put(b)
+}
+
 // freeze retires live[i]: the lane keeps its partial Result exactly as
-// a solo replay's error return would (no Cycles, no memory stats), and
-// stops being advanced. A frozen group leader hands its hierarchy to
-// the group's next live lane — whose own hierarchy, had it owned one,
-// would be in exactly this state — or back to the pool when none
-// remains.
+// Run's error return would (no Cycles, no memory stats), and stops
+// being advanced. A frozen group leader hands its hierarchy to the
+// group's next live lane — whose own hierarchy, had it owned one, would
+// be in exactly this state — or back to the pool when none remains.
 func (b *batchReplayer) freeze(i int, err error) {
 	ln := b.live[i]
 	ln.err = err
@@ -308,11 +410,11 @@ func (b *batchReplayer) freezeAll(err error) error {
 	return err
 }
 
-// sharedCheck is the batch form of checkStep, entered when steps
+// sharedCheck is the batch form of runner.checkStep, entered when steps
 // crosses the precomputed bound. Per-lane budget exhaustion is tested
 // before the context poll (checkStep's order), and the poll happens
-// only on solo's grid — multiples of ctxCheckEvery — so cancellation is
-// observed at the same stream positions a solo replay observes it.
+// only on the steppers' grid — multiples of ctxCheckEvery — so
+// cancellation is observed at the same stream positions Run observes it.
 func (b *batchReplayer) sharedCheck() error {
 	for i := 0; i < len(b.live); {
 		if b.steps >= b.live[i].maxSteps {
@@ -340,7 +442,8 @@ func (b *batchReplayer) sharedCheck() error {
 	return nil
 }
 
-// run walks the whole trace, mirroring replayer.run.
+// run walks the whole trace, mirroring runSequential: sequential spans
+// on core 0, each followed by at most one loop invocation.
 func (b *batchReplayer) run() {
 	tr := b.tr
 	for _, ev := range tr.events {
@@ -348,6 +451,8 @@ func (b *batchReplayer) run() {
 			return
 		}
 		if ev.loop >= 0 {
+			// The stepper's top-of-loop budget check fires once on the
+			// loop-header dispatch.
 			if b.steps >= b.check {
 				if err := b.sharedCheck(); err != nil {
 					return
@@ -377,9 +482,10 @@ func (b *batchReplayer) run() {
 }
 
 // seqSpan replays nruns block-runs of sequential code on every live
-// lane's core 0, mirroring replayer.seqSpan.
+// lane's core 0, mirroring runSequentialFast.
 func (b *batchReplayer) seqSpan(nruns int) error {
 	tr := b.tr
+	live := b.live
 	for k := 0; k < nruns; k++ {
 		run := tr.runs[b.runCursor]
 		b.runCursor++
@@ -388,6 +494,7 @@ func (b *batchReplayer) seqSpan(nruns int) error {
 				if err := b.sharedCheck(); err != nil {
 					return err
 				}
+				live = b.live
 			}
 			m := &tr.metas[off]
 			isMem := m.cls == clsShared || m.cls == clsPriv
@@ -396,7 +503,7 @@ func (b *batchReplayer) seqSpan(nruns int) error {
 				addr = tr.addrs[b.addrCursor]
 				b.addrCursor++
 			}
-			for _, ln := range b.live {
+			for _, ln := range live {
 				lat := m.lat
 				if isMem {
 					lat = b.latFor(ln, 0, addr, m.isStore)
@@ -415,13 +522,17 @@ func (b *batchReplayer) seqSpan(nruns int) error {
 	return nil
 }
 
-// replayLoop mirrors replayer.replayLoop with per-lane timing.
+// replayLoop mirrors runLoop's timing: startup, round-robin scheduling
+// driven by the recorded iteration statuses, drain, flush.
 func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 	n := b.cores
 	numSegs := int(lt.numSegs)
 
 	for _, ln := range b.live {
 		ln.res.LoopInvocations++
+		// Startup: thread wake + one broadcast store (2 cycles) per
+		// live-in slot. The stores themselves are functional and already
+		// in the past.
 		ln.start = ln.now + 12 + int64(n)/2 + 2*int64(lt.numSlots)
 		ln.ensurePerCore(n)
 		for c := 0; c < n; c++ {
@@ -459,7 +570,7 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 			continue
 		}
 		if iterIdx >= len(lt.iters) {
-			return b.freezeAll(errors.New("sim: replay iteration stream exhausted (trace/config mismatch)"))
+			return b.freezeAll(errIterStream)
 		}
 		it := &lt.iters[iterIdx]
 		iterIdx++
@@ -480,7 +591,11 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 			return b.freezeAll(errors.New("sim: replay loop runaway"))
 		}
 	}
+	if iterIdx != len(lt.iters) {
+		return b.freezeAll(errIterStream)
+	}
 
+	// End of loop: drain, flush.
 	for _, ln := range b.live {
 		end := ln.start
 		for c := 0; c < n; c++ {
@@ -523,8 +638,9 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 	return nil
 }
 
-// replayIteration mirrors replayer.replayIteration: shared segment
-// scratch and cursors, per-lane timing. Segment-entry transitions are
+// replayIteration mirrors runIterationFast minus everything functional:
+// no interpreter step, no register values, no validation. The segment
+// scratch and cursors are shared, and segment-entry transitions are
 // stream-driven, so they are hoisted out of the per-lane loops.
 func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 	tr := b.tr
@@ -533,7 +649,11 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 	ep := scr.epoch
 	activeSegs := 0
 
-	for _, ln := range b.live {
+	// live is reloaded only after sharedCheck, the one place that
+	// freezes lanes.
+	live := b.live
+	for _, ln := range live {
+		ln.core = ln.parCores[c]
 		ln.t = ln.coreTime[c]
 	}
 
@@ -545,6 +665,7 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 				if err := b.sharedCheck(); err != nil {
 					return err
 				}
+				live = b.live
 			}
 			m := &tr.metas[off]
 			added := m.added
@@ -558,8 +679,8 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 					activeSegs++
 				}
 				inSeg := activeSegs > 0
-				for _, ln := range b.live {
-					core := ln.parCores[c]
+				for _, ln := range live {
+					core := ln.core
 					iss, _ := core.IssueReg(ir.NoReg, ln.t, 0, 1)
 					var ready int64
 					if ln.decSync {
@@ -585,9 +706,8 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 					activeSegs--
 				}
 				inSeg := activeSegs > 0
-				for _, ln := range b.live {
-					core := ln.parCores[c]
-					iss, _ := core.IssueReg(ir.NoReg, ln.t, 0, 1)
+				for _, ln := range live {
+					iss, _ := ln.core.IssueReg(ir.NoReg, ln.t, 0, 1)
 					send := iss + 1
 					if ln.decSync {
 						ln.ring.Signal(s, c, send)
@@ -607,8 +727,8 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 				b.addrCursor++
 				slot := tr.slotAt(ai)
 				inSeg := activeSegs > 0
-				for _, ln := range b.live {
-					core := ln.parCores[c]
+				for _, ln := range live {
+					core := ln.core
 					dec := ln.decMem
 					if slot {
 						dec = ln.decReg
@@ -637,19 +757,17 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 				addr := tr.addrs[b.addrCursor]
 				b.addrCursor++
 				inSeg := activeSegs > 0
-				for _, ln := range b.live {
-					core := ln.parCores[c]
+				for _, ln := range live {
 					lat := b.latFor(ln, c, addr, m.isStore)
-					iss, _ := core.IssueReg(m.dst, ln.t, metaReady(core, m), lat)
+					iss, _ := ln.core.IssueReg(m.dst, ln.t, metaReady(ln.core, m), lat)
 					ln.res.Overheads.Memory += max(0, lat-ln.l1)
 					ln.finish(iss, inSeg, added, m.branches)
 				}
 
 			default:
 				inSeg := activeSegs > 0
-				for _, ln := range b.live {
-					core := ln.parCores[c]
-					iss, _ := core.IssueReg(m.dst, ln.t, metaReady(core, m), m.lat)
+				for _, ln := range live {
+					iss, _ := ln.core.IssueReg(m.dst, ln.t, metaReady(ln.core, m), m.lat)
 					ln.finish(iss, inSeg, added, m.branches)
 				}
 			}
@@ -657,7 +775,7 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 			b.steps++
 		}
 	}
-	for _, ln := range b.live {
+	for _, ln := range live {
 		ln.coreTime[c] = ln.t + 1
 	}
 	return nil

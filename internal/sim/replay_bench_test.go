@@ -30,8 +30,8 @@ func benchTrace(b *testing.B, name string, arch Config) *Trace {
 	return tr
 }
 
-// BenchmarkReplay is the single-config replay hot path: one trace
-// traversal re-timing a 16-core HELIX-RC run.
+// BenchmarkReplay is the single-config replay hot path: one one-lane
+// trace traversal re-timing a 16-core HELIX-RC run.
 func BenchmarkReplay(b *testing.B) {
 	tr := benchTrace(b, "164.gzip", HelixRC(16))
 	b.ReportAllocs()
@@ -127,7 +127,7 @@ func allocGuardTrace(t *testing.T) *Trace {
 	return allocTrace.tr
 }
 
-// TestReplayAllocs pins steady-state solo replay at (nearly) zero
+// TestReplayAllocs pins steady-state one-lane replay at (nearly) zero
 // allocations: the pooled replayer reuses its scoreboards, rings,
 // hierarchy and scratch, so each call should allocate only the returned
 // Result. A small slack absorbs sync.Pool's occasional cold Get.
@@ -147,7 +147,44 @@ func TestReplayAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 2 {
-		t.Errorf("solo Replay allocates %.1f objects/op, budget 2", allocs)
+		t.Errorf("Replay allocates %.1f objects/op, budget 2", allocs)
+	}
+}
+
+// TestReplayBatchAllocs pins steady-state batched replay at its result
+// slots: the two slices plus one Result per lane. The pooled replayer
+// keeps every lane's scoreboards and rings across calls, and the lanes
+// here repeat every core model and ring configuration they use, so
+// nothing else may allocate.
+func TestReplayBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	tr := allocGuardTrace(t)
+	ctx := context.Background()
+	ooo4 := HelixRC(16)
+	ooo4.Core = cpu.OoO4()
+	spread := []Config{HelixRC(16), Conventional(16), Abstract(16), ooo4}
+	for _, link := range []int{4, 8, 16, 32} {
+		a := HelixRC(16)
+		a.Ring.LinkLatency = link
+		spread = append(spread, a)
+	}
+	for _, n := range []int{3, 8} {
+		archs := spread[:n]
+		batch := func() {
+			_, errs := ReplayBatch(ctx, tr, archs)
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		batch() // warm the pools
+		budget := float64(2 + n)
+		if allocs := testing.AllocsPerRun(10, batch); allocs > budget {
+			t.Errorf("ReplayBatch over %d lanes allocates %.1f objects/op, budget %.0f", n, allocs, budget)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Fu
 		mem:       interp.NewMemory(prog),
 		headerMap: map[*ir.Block]*hcc.ParallelLoop{},
 		maxSteps:  arch.effectiveMaxSteps(),
-		slow:      arch.SlowStep || arch.TraceIters > 0,
+		slow:      arch.SlowStep,
 		rec:       rec,
 	}
 	if !arch.PerfectMem {
@@ -389,7 +389,6 @@ func (r *runner) runLoop(pl *hcc.ParallelLoop, ctx *interp.Context, seqCore *cpu
 			iter++
 			continue
 		}
-		tStart := coreTime[c]
 		var status int64
 		var err error
 		if r.rec != nil {
@@ -407,9 +406,6 @@ func (r *runner) runLoop(pl *hcc.ParallelLoop, ctx *interp.Context, seqCore *cpu
 		}
 		if r.rec != nil {
 			r.rec.endIter(status)
-		}
-		if r.arch.TraceIters > 0 && iter < r.arch.TraceIters {
-			fmt.Printf("iter %3d core %2d start=%6d end=%6d status=%d\n", iter, c, tStart, coreTime[c], status)
 		}
 		switch {
 		case status == 0:
@@ -523,7 +519,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 	sigCount := make(map[int]int, pl.NumSegs)
 	activeSegs := 0
 	var status int64 = -1
-	traceIters := r.arch.TraceIters
 
 	for !bctx.Done() {
 		if r.steps >= r.check {
@@ -554,9 +549,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 				}
 			}
 			core.Barrier(ready)
-			if traceIters > 0 && iter < traceIters {
-				fmt.Printf("  iter %3d core %2d wait seg %d at %d ready %d (stall %d)\n", iter, c, s, iss+1, ready, ready-(iss+1))
-			}
 			r.res.Overheads.DependenceWaiting += ready - (iss + 1)
 			r.res.Overheads.WaitSignal++
 			t = ready
@@ -581,9 +573,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 				}
 			}
 			sigCount[s]++
-			if traceIters > 0 && iter < traceIters {
-				fmt.Printf("  iter %3d core %2d signal seg %d at %d\n", iter, c, s, send)
-			}
 			r.res.Overheads.WaitSignal++
 			if waitDone[s] && activeSegs > 0 {
 				activeSegs--
@@ -650,9 +639,6 @@ func (r *runner) runIteration(pl *hcc.ParallelLoop, ring *ringcache.Ring,
 			issue = iss
 		}
 
-		if traceIters > 0 && iter >= 17 && iter < 19 {
-			fmt.Printf("    it%d c%d t=%-6d iss=%-6d %s\n", iter, c, t, issue, in.String())
-		}
 		if in.Origin < 0 && !in.Op.IsSync() {
 			r.res.Overheads.AddedInstr++
 		}

@@ -6,8 +6,8 @@ package sim
 // a flat pre-decoded metadata table), resolved memory addresses with
 // their shared-slot classification, iteration boundaries and statuses,
 // and live-in/last-value register snapshots for verification. A Trace is
-// immutable once finished; Replay (replay.go) re-times it under any
-// same-core-count Config without touching internal/interp.
+// immutable once finished; the replay engine (replay_batch.go) re-times
+// it under any same-core-count Config without touching internal/interp.
 //
 // What a trace may depend on from sim.Config: Cores, and nothing else.
 // The scheduling function (iteration -> core = iter mod n) and the loop
@@ -271,8 +271,8 @@ func sortRegVals(rv []regVal) {
 // same core count (or any core count for baseline traces) via Replay.
 // Recording requires the fast stepper; errors abort without a trace.
 func Record(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, args ...int64) (*Result, *Trace, error) {
-	if arch.SlowStep || arch.TraceIters > 0 {
-		return nil, nil, errors.New("sim: cannot record a trace with SlowStep or TraceIters")
+	if arch.SlowStep {
+		return nil, nil, errors.New("sim: cannot record a trace with SlowStep")
 	}
 	if arch.Cores <= 0 {
 		arch.Cores = 16

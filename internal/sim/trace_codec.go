@@ -244,8 +244,9 @@ func encRegVals(e *enc, rv []regVal) {
 }
 
 // DecodeTrace deserializes a trace. Any corruption (checksum,
-// truncation, malformed section) or format-version mismatch returns an
-// error — callers degrade to re-recording.
+// truncation, malformed section), format-version mismatch, or structure
+// the replay engine cannot walk (see walkable) returns an error —
+// callers degrade to re-recording.
 func DecodeTrace(data []byte) (*Trace, error) {
 	d := open(data, traceMagic, TraceFormatVersion)
 	t := &Trace{}
@@ -322,7 +323,121 @@ func DecodeTrace(data []byte) (*Trace, error) {
 	if err := d.done(); err != nil {
 		return nil, err
 	}
+	if !walkable(t) {
+		return nil, errCodec
+	}
 	return t, nil
+}
+
+// Caps on the trace fields that size replay state. Every recorded SPEC
+// analogue has maxRegs and numRegs <= 95 and numSegs <= 3, and the CLIs
+// accept at most 1,024 cores. Under these caps one replay lane of an
+// accepted trace allocates at most 8 MB of loop scoreboards (cores x
+// numRegs x 8 bytes) and 1 MB of ring signal tables (numSegs x cores x
+// 16 bytes).
+const (
+	maxTraceCores = 1024
+	maxTraceRegs  = 1024
+	maxTraceSegs  = 64
+)
+
+// walkable reports whether the replay engine can walk t without
+// indexing outside a slice: the caps above hold, every block-run lies
+// inside metas, the events reference each loop exactly once and in
+// order, the span and iteration run counts are non-negative and cover
+// runs exactly, the memory operations need at most len(addrs)
+// addresses, and every class, register and segment index fits what it
+// indexes. Replay consumes runs in this order, and fails a loop whose
+// iterations do not match its schedule before reading past them.
+func walkable(t *Trace) bool {
+	if t.cores < 1 || t.cores > maxTraceCores || t.maxRegs < 0 || t.maxRegs > maxTraceRegs {
+		return false
+	}
+	w := traceWalk{t: t}
+	next := 0 // the loop the next loop event must reference
+	for _, ev := range t.events {
+		if !w.span(ev.runs, t.maxRegs, -1) {
+			return false
+		}
+		if ev.loop == -1 {
+			continue
+		}
+		if int(ev.loop) != next || next >= len(t.loops) {
+			return false
+		}
+		next++
+		lp := &t.loops[ev.loop]
+		if lp.numRegs < 0 || lp.numRegs > maxTraceRegs || lp.numSegs < 0 || lp.numSegs > maxTraceSegs {
+			return false
+		}
+		for _, it := range lp.iters {
+			if !w.span(it.runs, int(lp.numRegs), int(lp.numSegs)) {
+				return false
+			}
+		}
+	}
+	return next == len(t.loops) && w.run == len(t.runs) && w.mem <= int64(len(t.addrs))
+}
+
+// traceWalk is walkable's cursor over the block-runs.
+type traceWalk struct {
+	t   *Trace
+	run int   // next block-run
+	mem int64 // memory operations so far
+}
+
+// span checks the next n block-runs against a scoreboard of regs
+// registers and, when segs >= 0, a loop of segs segments.
+func (w *traceWalk) span(n int32, regs, segs int) bool {
+	if n < 0 || int(n) > len(w.t.runs)-w.run {
+		return false
+	}
+	for _, r := range w.t.runs[w.run : w.run+int(n)] {
+		if uint64(r.off)+uint64(r.n) > uint64(len(w.t.metas)) {
+			return false
+		}
+		for i := range w.t.metas[r.off : r.off+r.n] {
+			m := &w.t.metas[int(r.off)+i]
+			switch m.cls {
+			case clsShared, clsPriv:
+				w.mem++
+			case clsWait, clsSignal:
+				if segs >= 0 && (m.seg < 0 || int(m.seg) >= segs) {
+					return false
+				}
+			case clsOther:
+			default:
+				return false
+			}
+			if !m.regsBelow(regs) {
+				return false
+			}
+		}
+	}
+	w.run += int(n)
+	return true
+}
+
+// regsBelow reports whether every register the engine reads or writes
+// for m (see metaReady and IssueReg) indexes a scoreboard of n entries.
+func (m *instrMeta) regsBelow(n int) bool {
+	in := func(r ir.Reg) bool { return r >= 0 && int(r) < n }
+	if m.dst != ir.NoReg && !in(m.dst) {
+		return false
+	}
+	for k := 0; k < int(min(m.nuses, 2)); k++ {
+		if !in(m.uses[k]) {
+			return false
+		}
+	}
+	if m.nuses >= 2 {
+		for _, r := range m.more {
+			if !in(r) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func decRegVals(d *dec) []regVal {
@@ -396,16 +511,16 @@ const ConfigFingerprintScheme = "simcfg1"
 // is a flat value (ints and bools all the way down), so the derivation
 // hashes the %+v rendering under a scheme tag: adding, removing or
 // renaming a field changes every fingerprint, which is exactly the safe
-// direction for cache keys. Execution-strategy switches — SlowStep,
-// NoReplay, TraceIters — are normalized out: they select how a result
-// is computed, not what it is (the golden tests pin all three paths
-// bit-identical).
+// direction for cache keys: persisted entries miss once and are
+// recomputed. The execution-strategy switch SlowStep is normalized out:
+// it selects how a result is computed, not what it is (the golden tests
+// pin both steppers bit-identical).
 //
 // Result keys derive it for every lookup, and reflection is slow, so the
 // string is memoized per normalized Config (Config is comparable); the
 // fmt rendering stays the only derivation.
 func (c Config) Fingerprint() string {
-	c.SlowStep, c.NoReplay, c.TraceIters = false, false, 0
+	c.SlowStep = false
 	configFingerprints.RLock()
 	fp, ok := configFingerprints.m[c]
 	configFingerprints.RUnlock()

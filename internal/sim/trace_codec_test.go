@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"helixrc/internal/hcc"
+	"helixrc/internal/ir"
 )
 
 // recordMixed records one real trace (the golden mixed workload under
@@ -147,8 +148,8 @@ func TestResultCodecRoundTrip(t *testing.T) {
 }
 
 // TestConfigFingerprint pins the fingerprint's two properties: it
-// separates timing-relevant configs and normalizes execution-strategy
-// switches (which pick how a result is computed, not what it is).
+// separates timing-relevant configs and normalizes the execution-strategy
+// switch SlowStep (which picks how a result is computed, not what it is).
 func TestConfigFingerprint(t *testing.T) {
 	base := HelixRC(16)
 	if base.Fingerprint() != HelixRC(16).Fingerprint() {
@@ -174,13 +175,125 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 	slow := base
 	slow.SlowStep = true
-	noreplay := base
-	noreplay.NoReplay = true
-	traced := base
-	traced.TraceIters = 99
-	for name, c := range map[string]Config{"slowstep": slow, "noreplay": noreplay, "traceiters": traced} {
-		if c.Fingerprint() != base.Fingerprint() {
-			t.Errorf("%s changed the fingerprint; strategy switches must be normalized out", name)
+	if slow.Fingerprint() != base.Fingerprint() {
+		t.Error("SlowStep changed the fingerprint; the strategy switch must be normalized out")
+	}
+}
+
+// TestDecodeTraceRejectsUnwalkable: a checksum-valid trace whose
+// structure the replay engine cannot walk must fail to decode, not
+// decode into a trace that panics on replay. Each case edits one field
+// of a real recorded trace and re-encodes it.
+func TestDecodeTraceRejectsUnwalkable(t *testing.T) {
+	_, tr := recordMixed(t)
+	firstMem := -1
+	for i := range tr.metas {
+		if tr.metas[i].cls == clsPriv || tr.metas[i].cls == clsShared {
+			firstMem = i
+			break
 		}
 	}
+	firstWait := -1
+	for i := range tr.metas {
+		if tr.metas[i].cls == clsWait {
+			firstWait = i
+			break
+		}
+	}
+	if firstMem < 0 || firstWait < 0 || len(tr.loops) == 0 {
+		t.Fatal("recorded trace lacks a memory op, a wait or a loop")
+	}
+	cases := []struct {
+		name string
+		edit func(c *Trace)
+	}{
+		{"run outside metas", func(c *Trace) { c.runs[0].off = 1 << 30 }},
+		{"run overflows metas", func(c *Trace) { c.runs[0].n = ^uint32(0) }},
+		{"huge maxRegs", func(c *Trace) { c.maxRegs = 1 << 40 }},
+		{"no cores", func(c *Trace) { c.cores = 0 }},
+		{"too many cores", func(c *Trace) { c.cores = maxTraceCores + 1 }},
+		{"loop index out of range", func(c *Trace) { c.events[0].loop = int32(len(c.loops)) }},
+		{"loop referenced twice", func(c *Trace) {
+			for i := range c.events {
+				if c.events[i].loop > 0 {
+					c.events[i].loop = 0
+					return
+				}
+			}
+			c.events[len(c.events)-1].loop = 0
+		}},
+		{"negative span", func(c *Trace) { c.events[0].runs = -1 }},
+		{"negative iteration runs", func(c *Trace) { c.loops[0].iters[0].runs = -1 }},
+		{"runs left over", func(c *Trace) { c.runs = append(c.runs, blockRun{}) }},
+		{"too few addresses", func(c *Trace) { c.addrs = c.addrs[:len(c.addrs)-1] }},
+		{"unknown class", func(c *Trace) { c.metas[0].cls = clsPriv + 1 }},
+		{"register outside scoreboard", func(c *Trace) { c.metas[firstMem].dst = ir.Reg(c.maxRegs + 1000) }},
+		{"negative register", func(c *Trace) { c.metas[0].nuses, c.metas[0].uses[0] = 1, -2 }},
+		{"segment outside loop", func(c *Trace) { c.metas[firstWait].seg = maxTraceSegs }},
+		{"huge numSegs", func(c *Trace) { c.loops[0].numSegs = maxTraceSegs + 1 }},
+		{"negative numRegs", func(c *Trace) { c.loops[0].numRegs = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cloneTrace(tr)
+			tc.edit(c)
+			data, err := EncodeTrace(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeTrace(data)
+			if err == nil {
+				// Replaying it is what the check prevents: this panics in
+				// an engine without it.
+				Replay(context.Background(), got, HelixRC(got.cores))
+				t.Fatal("decoded an unwalkable trace")
+			}
+			if !errors.Is(err, errCodec) {
+				t.Fatalf("err = %v, want errCodec", err)
+			}
+		})
+	}
+}
+
+// cloneTrace deep-copies the slices a test may edit.
+func cloneTrace(tr *Trace) *Trace {
+	c := *tr
+	c.metas = append([]instrMeta(nil), tr.metas...)
+	c.runs = append([]blockRun(nil), tr.runs...)
+	c.addrs = append([]int64(nil), tr.addrs...)
+	c.events = append([]traceEvent(nil), tr.events...)
+	c.loops = append([]loopTrace(nil), tr.loops...)
+	for i := range c.loops {
+		c.loops[i].iters = append([]iterTrace(nil), tr.loops[i].iters...)
+	}
+	return &c
+}
+
+// FuzzDecodeTrace feeds DecodeTrace mutated trace bodies, resealed with
+// a fresh checksum so the mutations reach the structural checks.
+// Decoding must never panic, and every trace it accepts must replay
+// under the HELIX-RC and conventional platforms at its core count
+// without panicking. The seed is one small recorded trace.
+func FuzzDecodeTrace(f *testing.F) {
+	pm, fm := buildMixed(f, 24)
+	comp := compileFor(f, pm, fm, hcc.V3, 24)
+	_, tr, err := Record(context.Background(), pm, comp, fm, HelixRC(16), 24)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := EncodeTrace(tr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data[:len(data)-sha256.Size])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := sha256.Sum256(body)
+		got, err := DecodeTrace(append(body[:len(body):len(body)], sum[:]...))
+		if err != nil {
+			return
+		}
+		for _, arch := range []Config{HelixRC(got.cores), Conventional(got.cores)} {
+			Replay(context.Background(), got, arch)
+		}
+	})
 }

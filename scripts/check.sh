@@ -17,6 +17,9 @@ test -z "$(gofmt -l .)"
 # Hard wall-clock bound: a hung cancellation path fails the gate instead
 # of wedging it.
 go test -race -timeout 10m ./...
+# The allocation and retention guards skip themselves under the race
+# detector (its instrumentation allocates), so they run again without it.
+go test -count=1 -run 'Allocs|Retention' ./internal/sim ./internal/interp ./internal/mem
 
 # End-to-end determinism smoke: one small figure, hash-compared against
 # the checked-in benchmark report (exercises the record/replay path).
