@@ -28,12 +28,12 @@ bench-shard-smoke:
 # Regenerate one small figure and verify its output hash against the
 # checked-in benchmark report — a fast end-to-end determinism gate —
 # then pin the replay/codec hot paths, the interpreter's memory image,
-# the training profiler and the cache arrays: allocation guards plus one
-# iteration of each microbenchmark.
+# the training profiler, the cache arrays and liveness: allocation
+# guards plus one iteration of each microbenchmark.
 bench-smoke:
 	go run ./cmd/helix-bench -only fig9 -verify BENCH_2026-08-05.json >/dev/null
 	@echo "bench-smoke: fig9 output hash matches BENCH_2026-08-05.json"
-	go test ./internal/sim ./internal/interp ./internal/mem -count=1 -run 'Allocs' -bench 'ProfilerSPEC' -benchtime 1x
+	go test ./internal/sim ./internal/interp ./internal/mem ./internal/cfg -count=1 -run 'Allocs' -bench 'ProfilerSPEC' -benchtime 1x
 	go test ./internal/sim -run '^$$' -bench 'Replay|Trace' -benchtime 1x
 
 # Sweep the full design space (ring latency x signal depth x cores x

@@ -16,10 +16,14 @@
 //
 // Every (family, scenario) pair is recorded exactly once per (cores,
 // tier) trace identity; the (link, signals) lanes of the grid are pure
-// timing and are served by one batched trace replay per recording
-// (sim.ReplayBatch). A 36-point grid over two scenarios therefore costs
-// twelve recordings plus two baselines, not 72 simulations — which is
-// what makes grid reshaping cheap enough to iterate on.
+// timing and are served by batched trace replay (sim.ReplayBatch). A
+// 36-point grid over two scenarios therefore costs twelve recordings
+// plus two baselines, not 72 simulations — which is what makes grid
+// reshaping cheap enough to iterate on. Alias tiers often compile to
+// the same program, so a solo sweep retimes once per distinct trace:
+// tiers of one (scenario, cores) whose recordings are byte-identical
+// share one traversal. Sharded workers retime each claimed recording
+// on its own.
 //
 // The sweep runs on the same cached, sharded machinery as helix-bench
 // (internal/drive): -cachedir persists recordings across runs, -remote
@@ -164,8 +168,9 @@ func plan(o *drive.Options, sf *sweepFlags, runs []familyRun) *drive.Plan {
 			// Phase A: warm the store. Sharded, the content-keyed unit
 			// plan is identical on every worker and the claims partition
 			// the recordings; solo, the prefetch batches every timing lane
-			// of a recording into one trace traversal. Either way each
-			// (scenario, cores, tier) is recorded exactly once.
+			// of the tiers that share a distinct trace into one traversal.
+			// Either way each (scenario, cores, tier) is recorded exactly
+			// once.
 			if claims == nil {
 				harness.PrefetchSweep(ctx, scenarioNames, level, sf.grid)
 				return

@@ -3,11 +3,21 @@ package harness
 // Batched retiming. The sweep figures (7, 8, 9, 10, 11) evaluate one
 // recorded trace under many timing configs; replaying it once per cell
 // walks the same instruction stream N times. prefetchRetimes instead
-// groups a figure's cells by trace — (workload, level, cores, input) —
-// and retimes every missing config of a group in one traversal with
-// sim.ReplayBatch, publishing each lane's Result to the harness result
-// store. The figure's cells then run unchanged: their simWithTrace
-// calls hit the result tier and never touch the trace.
+// groups a figure's cells by trace — (workload, level, cores, alias
+// tier, input) — and retimes every missing config of a group in one
+// traversal with sim.ReplayBatch, publishing each lane's Result to the
+// harness result store. The figure's cells then run unchanged: their
+// simWithTrace calls hit the result tier and never touch the trace.
+//
+// Groups that share their (workload, cores, input) and differ only in
+// level or alias tier — twins — can compile to the same program and so
+// record byte-identical traces: the explore grid's alias tiers rarely
+// change what HCC emits. A twin still loads or records its own trace
+// under its own key, but its retime is deferred until every group of
+// the call has its trace; deferred groups whose traces have the same
+// sim.Trace.Digest then share one traversal over the union of their
+// missing configs, and each lane's Result is published under every
+// such group's key. A group without a twin records and retimes at once.
 //
 // The prefetch pool is sized by GOMAXPROCS independently of the
 // engine's -parallel setting, so trace *recording* — the dominant cost
@@ -16,8 +26,9 @@ package harness
 // sequentially. Figures stay byte-identical at any parallelism: the
 // prefetch only warms caches with Results that are bit-identical to
 // what each cell would have computed solo (sim.ReplayBatch's contract,
-// enforced by the equivalence tests), and the cells still assemble in
-// index order.
+// enforced by the equivalence tests; a Result is a function of the
+// trace's content and the config alone), and the cells still assemble
+// in index order.
 //
 // Prefetching is best-effort: any error is dropped and the affected
 // cells recompute solo, attributing the failure properly. It is
@@ -27,11 +38,13 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"helixrc/internal/artifact"
 	"helixrc/internal/hcc"
 	"helixrc/internal/sim"
 )
@@ -55,10 +68,16 @@ type retimeGroup struct {
 	archs []sim.Config
 }
 
-// prefetchRetimes warms the result caches for the groups' cells,
-// recording missing traces in parallel and retiming each trace's
-// missing configs in one batched traversal. Best-effort; see the
-// package comment above for the skip conditions.
+// store is the tier the group's lanes publish into.
+func (g *retimeGroup) store() *artifact.Store[*sim.Result] {
+	if g.baseline {
+		return seqStore
+	}
+	return resStore
+}
+
+// prefetchRetimes warms the result caches for the groups' cells; see
+// the package comment above for the steps and the skip conditions.
 func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
 	if len(groups) == 0 || SlowSim() || NoReplay() || CellTimeout() > 0 {
 		return
@@ -66,16 +85,183 @@ func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w := runtime.GOMAXPROCS(0)
-	if w > len(groups) {
-		w = len(groups)
+	retime(ctx, groups)
+}
+
+// prefetchGroup is RunPlan's per-unit path: the same steps over one
+// group, which has no twin to wait for.
+func prefetchGroup(ctx context.Context, g *retimeGroup) {
+	retime(ctx, []retimeGroup{*g})
+}
+
+// retime peek-filters every group's configs once, loads or records the
+// trace of every group with configs missing, retimes the groups without
+// a twin at once, and then retimes the deferred twins one traversal per
+// distinct trace.
+func retime(ctx context.Context, groups []retimeGroup) {
+	peeked := make([]*pendingGroup, len(groups))
+	fanOut(ctx, len(groups), func(i int) { peeked[i] = peekGroup(ctx, &groups[i]) })
+
+	// A twin shares its (workload, cores, input) with another group that
+	// has configs missing. Baseline traces are keyed by input alone, so
+	// baseline groups have no twins.
+	type input struct {
+		name  string
+		ref   bool
+		cores int
 	}
-	if w <= 1 {
-		for i := range groups {
-			if ctx.Err() != nil {
-				return
+	inputOf := func(g *retimeGroup) input { return input{g.name, g.ref, g.archs[0].Cores} }
+	var pend []*pendingGroup
+	sharing := map[input]int{}
+	for _, p := range peeked {
+		if p != nil {
+			pend = append(pend, p)
+			if !p.g.baseline {
+				sharing[inputOf(p.g)]++
 			}
-			prefetchGroup(ctx, &groups[i])
+		}
+	}
+
+	deferred := make([]*pendingGroup, len(pend))
+	fanOut(ctx, len(pend), func(i int) {
+		p := pend[i]
+		if !p.load(ctx) {
+			return
+		}
+		if p.g.baseline || sharing[inputOf(p.g)] < 2 {
+			retimeLanes(ctx, p.tr, []*pendingGroup{p})
+			return
+		}
+		p.digest = p.tr.Digest()
+		deferred[i] = p
+	})
+
+	var sets [][]*pendingGroup
+	setOf := map[[sha256.Size]byte]int{}
+	for _, p := range deferred {
+		if p == nil {
+			continue
+		}
+		k, ok := setOf[p.digest]
+		if !ok {
+			k = len(sets)
+			setOf[p.digest] = k
+			sets = append(sets, nil)
+		}
+		sets[k] = append(sets[k], p)
+	}
+	fanOut(ctx, len(sets), func(i int) { retimeLanes(ctx, sets[i][0].tr, sets[i]) })
+}
+
+// pendingGroup is a group with configs missing from its store: its
+// keys, the missing configs, and — once loaded or recorded — its trace
+// and, for a deferred twin, the trace's digest.
+type pendingGroup struct {
+	g       *retimeGroup
+	tkey    string
+	keyOf   func(sim.Config) string
+	missing []sim.Config
+	tr      *sim.Trace
+	digest  [sha256.Size]byte
+}
+
+// peekGroup derives g's keys and peeks each config's Result once; nil
+// when every Result is cached or the keys cannot be derived.
+func peekGroup(ctx context.Context, g *retimeGroup) *pendingGroup {
+	if len(g.archs) == 0 {
+		return nil
+	}
+	tkey, keyOf, err := groupKeys(ctx, g)
+	if err != nil {
+		return nil
+	}
+	p := &pendingGroup{g: g, tkey: tkey, keyOf: keyOf}
+	for _, arch := range g.archs {
+		if _, ok := g.store().Peek(keyOf(arch)); !ok {
+			p.missing = append(p.missing, arch)
+		}
+	}
+	if len(p.missing) == 0 {
+		return nil
+	}
+	return p
+}
+
+// load loads or records p's trace, compiling only to record. The
+// recording lane's Result is exact and published directly, so that
+// config leaves p.missing. It reports whether configs remain to retime.
+func (p *pendingGroup) load(ctx context.Context) bool {
+	g := p.g
+	load := compiledLoader(g.name, g.level, g.archs[0].Cores, g.tier)
+	if g.baseline {
+		load = baselineLoader(g.name)
+	}
+	var recorded *sim.Result
+	tr, err := traceStore.Get(ctx, p.tkey, func(cctx context.Context) (*sim.Trace, error) {
+		res, tr, err := record(cctx, load, p.missing[0], g.ref)
+		recorded = res
+		return tr, err
+	})
+	if err != nil {
+		return false
+	}
+	if recorded != nil {
+		g.store().Put(p.keyOf(p.missing[0]), recorded)
+		p.missing = p.missing[1:]
+	}
+	p.tr = tr
+	return len(p.missing) > 0
+}
+
+// retimeLanes retimes the missing configs of groups whose traces are
+// byte-identical (tr is any one of them) in one ReplayBatch over their
+// union, deduplicated by config fingerprint, and publishes each lane's
+// Result under every such group's key for that config. A one-lane
+// traversal is counted as a fallback rather than a batch, so the
+// counters keep separating real batching from one-lane retimes.
+func retimeLanes(ctx context.Context, tr *sim.Trace, members []*pendingGroup) {
+	var lanes []sim.Config
+	laneOf := map[string]int{}
+	for _, p := range members {
+		for _, arch := range p.missing {
+			if _, ok := laneOf[arch.Fingerprint()]; !ok {
+				laneOf[arch.Fingerprint()] = len(lanes)
+				lanes = append(lanes, arch)
+			}
+		}
+	}
+	if len(lanes) == 1 {
+		batchFallbacks.Add(1)
+	} else {
+		batchesIssued.Add(1)
+		batchLanes.Add(int64(len(lanes)))
+	}
+	results, errs := sim.ReplayBatch(ctx, tr, lanes)
+	// Partial Results (budget, cancellation, per-lane validation) are
+	// never cached: the cell recomputes and surfaces the error itself.
+	ok := func(i int) bool { return errs[i] == nil && results[i] != nil }
+	for i := range lanes {
+		if ok(i) {
+			traceReplays.Add(1)
+		}
+	}
+	for _, p := range members {
+		for _, arch := range p.missing {
+			if i := laneOf[arch.Fingerprint()]; ok(i) {
+				p.g.store().Put(p.keyOf(arch), results[i])
+			}
+		}
+	}
+}
+
+// fanOut runs f(0..n-1) on the prefetch pool — up to GOMAXPROCS
+// goroutines — and returns when every started call has finished. Items
+// not yet started when ctx is cancelled are skipped.
+func fanOut(ctx context.Context, n int, f func(i int)) {
+	w := min(runtime.GOMAXPROCS(0), n)
+	if w <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			f(i)
 		}
 		return
 	}
@@ -87,10 +273,10 @@ func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(groups) || ctx.Err() != nil {
+				if i >= n || ctx.Err() != nil {
 					return
 				}
-				prefetchGroup(ctx, &groups[i])
+				f(i)
 			}
 		}()
 	}
@@ -128,83 +314,4 @@ func groupKeys(ctx context.Context, g *retimeGroup) (tkey string, keyOf func(sim
 		return resultKey(tkey, arch)
 	}
 	return tkey, keyOf, nil
-}
-
-// prefetchGroup serves one group: peek-filter the configs whose
-// Results are already cached, record the trace if needed (compiling
-// only then; the recording lane's Result is exact and published
-// directly), then retime the remaining configs in one ReplayBatch. A
-// group with a single straggler is counted as a fallback rather than a
-// batch, so the counters keep separating real batching from one-lane
-// retimes.
-func prefetchGroup(ctx context.Context, g *retimeGroup) {
-	if len(g.archs) == 0 {
-		return
-	}
-	tkey, keyOf, err := groupKeys(ctx, g)
-	if err != nil {
-		return
-	}
-	cached := func(arch sim.Config) bool {
-		if g.baseline {
-			_, ok := seqStore.Peek(keyOf(arch))
-			return ok
-		}
-		_, ok := resStore.Peek(keyOf(arch))
-		return ok
-	}
-	put := func(arch sim.Config, res *sim.Result) {
-		if g.baseline {
-			seqStore.Put(keyOf(arch), res)
-		} else {
-			resStore.Put(keyOf(arch), res)
-		}
-	}
-
-	var missing []sim.Config
-	for _, arch := range g.archs {
-		if !cached(arch) {
-			missing = append(missing, arch)
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-
-	load := compiledLoader(g.name, g.level, g.archs[0].Cores, g.tier)
-	if g.baseline {
-		load = baselineLoader(g.name)
-	}
-	var recorded *sim.Result
-	tr, err := traceStore.Get(ctx, tkey, func(cctx context.Context) (*sim.Trace, error) {
-		res, tr, err := record(cctx, load, missing[0], g.ref)
-		recorded = res
-		return tr, err
-	})
-	if err != nil {
-		return
-	}
-	if recorded != nil {
-		put(missing[0], recorded)
-		missing = missing[1:]
-	}
-
-	if len(missing) == 0 {
-		return
-	}
-	if len(missing) == 1 {
-		batchFallbacks.Add(1)
-	} else {
-		batchesIssued.Add(1)
-		batchLanes.Add(int64(len(missing)))
-	}
-	results, errs := sim.ReplayBatch(ctx, tr, missing)
-	for i, arch := range missing {
-		// Partial Results (budget, cancellation, per-lane validation) are
-		// never cached: the cell recomputes and surfaces the error itself.
-		if errs[i] == nil && results[i] != nil {
-			traceReplays.Add(1)
-			put(arch, results[i])
-		}
-	}
 }

@@ -108,7 +108,9 @@ func SetQuiet() { SetLogger(log.New(io.Discard, "", 0)) }
 
 // traceRecordings / traceReplays count how harness simulations were
 // served: by recording a fresh trace (full execution) or by replaying a
-// cached one. Cumulative across ResetCaches; helix-bench reports them.
+// cached one. A batched traversal counts each lane it retimed once,
+// however many twin groups' keys the lane's Result is published under.
+// Cumulative across ResetCaches; helix-bench reports them.
 var (
 	traceRecordings atomic.Int64
 	traceReplays    atomic.Int64
@@ -139,8 +141,8 @@ func ProfileStats() int64 { return profiles.Load() }
 
 // batchesIssued / batchLanes / batchFallbacks count how the batched
 // retimer served sweep figures: traversals of two or more lanes issued,
-// total configs retimed across them, and one-lane traversals for groups
-// with only one config missing from the result cache.
+// lanes actually retimed across them (a traversal shared by twin groups
+// retimes each distinct config once), and one-lane traversals.
 // Cumulative across ResetCaches; helix-bench reports them.
 var (
 	batchesIssued  atomic.Int64
@@ -149,8 +151,7 @@ var (
 )
 
 // BatchStats returns the cumulative batched-retiming counters:
-// batches issued, configs retimed across them, and one-lane fallbacks
-// for groups with one missing config.
+// batches issued, lanes retimed across them, and one-lane fallbacks.
 func BatchStats() (batches, lanes, fallbacks int64) {
 	return batchesIssued.Load(), batchLanes.Load(), batchFallbacks.Load()
 }

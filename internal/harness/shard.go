@@ -182,12 +182,8 @@ type WorkUnit struct {
 // complete reports whether every Result this unit produces is already
 // available (memory or disk tier).
 func (u *WorkUnit) complete() bool {
-	st := resStore
-	if u.group.baseline {
-		st = seqStore
-	}
 	for _, k := range u.resultKeys {
-		if _, ok := st.Peek(k); !ok {
+		if _, ok := u.group.store().Peek(k); !ok {
 			return false
 		}
 	}

@@ -7,11 +7,12 @@ package harness
 // behaviour; the last two are pure timing. The grid therefore groups
 // into one recorded trace per (cores, tier) — plus one sequential
 // baseline per scenario — and every (link, signals) lane of a group is
-// served by a single batched trace traversal. That replay economy is
-// what makes a 36-point grid cost four recordings, and it reuses the
-// exact machinery of the paper figures: the same stores, the same key
-// grammar (with a tier component the paper path never sets), the same
-// claims-based sharding.
+// served by a single batched trace traversal, shared with every other
+// tier of the same cores whose recorded trace is byte-identical (see
+// batch.go). That replay economy is what makes a 36-point grid cost
+// four recordings, and it reuses the exact machinery of the paper
+// figures: the same stores, the same key grammar (with a tier component
+// the paper path never sets), the same claims-based sharding.
 
 import (
 	"context"
@@ -104,7 +105,8 @@ func PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []Swee
 
 // PrefetchSweep warms the result caches for a sweep in-process (the
 // solo, claimless path): records each missing trace and batch-retimes
-// its timing lanes. Best-effort, like prefetchRetimes.
+// the timing lanes once per distinct trace. Best-effort, like
+// prefetchRetimes.
 func PrefetchSweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) {
 	var groups []retimeGroup
 	for _, name := range names {

@@ -330,8 +330,10 @@ func isCounted(g *cfg.Graph, loop *cfg.Loop, classes map[ir.Reg]induction.Info) 
 func liveOutRegs(fn *ir.Function, g *cfg.Graph, loop *cfg.Loop) map[ir.Reg]bool {
 	lv := cfg.ComputeLiveness(g)
 	out := map[ir.Reg]bool{}
+	var regs []ir.Reg
 	for _, e := range loop.Exits {
-		for r := range lv.LiveIn[e.To.Index] {
+		regs = lv.LiveInRegs(regs[:0], e.To)
+		for _, r := range regs {
 			out[r] = true
 		}
 	}

@@ -55,21 +55,28 @@ func driveRing(r *Ring, numSegs int, seed int64) ringSummary {
 // how the replay engine's one ring per lane serves every loop. viaSegs,
 // when set, is an intermediate Reset with its own dirtying traffic.
 func TestRingResetIndistinguishable(t *testing.T) {
-	cfg := DefaultConfig(8)
+	cfg8, cfg128 := DefaultConfig(8), DefaultConfig(128)
+	unbounded128 := cfg128
+	unbounded128.ArrayBytes = 0
 	for _, tc := range []struct {
 		name                        string
+		cfg                         Config
 		dirtySegs, viaSegs, useSegs int
 	}{
-		{"same-segs", 4, 0, 4},
-		{"grow-segs", 2, 0, 6},
-		{"shrink-segs", 6, 0, 3},
-		{"shrink-then-regrow-segs", 6, 2, 5},
+		{"same-segs", cfg8, 4, 0, 4},
+		{"grow-segs", cfg8, 2, 0, 6},
+		{"shrink-segs", cfg8, 6, 0, 3},
+		{"shrink-then-regrow-segs", cfg8, 6, 2, 5},
+		{"128-node-same-segs", cfg128, 4, 0, 4},
+		{"128-node-shrink-then-regrow-segs", cfg128, 6, 2, 5},
+		{"128-node-unbounded-same-segs", unbounded128, 4, 0, 4},
+		{"128-node-unbounded-shrink-then-regrow-segs", unbounded128, 6, 2, 5},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
-				fresh := New(cfg, tc.useSegs)
-				pooled := New(cfg, tc.dirtySegs)
+				fresh := New(tc.cfg, tc.useSegs)
+				pooled := New(tc.cfg, tc.dirtySegs)
 				driveRing(pooled, tc.dirtySegs, seed*977) // arbitrary dirtying traffic
 				if tc.viaSegs > 0 {
 					pooled.Reset(tc.viaSegs)

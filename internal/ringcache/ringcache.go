@@ -112,9 +112,16 @@ type Ring struct {
 	// sigCount[seg][from] counts signals sent (for sanity checks).
 	sigCount [][]int64
 	dirty    map[int64]bool
-	// seen tracks which nodes have a copy when arrays are unbounded
-	// (bitmask per address; node counts are <= 64).
-	seen map[int64]uint64
+	// seen tracks which nodes have a copy when arrays are unbounded: a
+	// presence bitmask of (Nodes+63)/64 words per address, word w of
+	// address a stored under seenKey{a, w}.
+	seen map[seenKey]uint64
+}
+
+// seenKey names one 64-node word of an address's presence bitmask.
+type seenKey struct {
+	addr int64
+	word int
 }
 
 // New builds a ring for a loop with numSegs segments.
@@ -125,7 +132,7 @@ func New(cfg Config, numSegs int) *Ring {
 		dataSlots: slotAlloc{perCycle: cfg.DataBandwidth},
 		sigSlots:  slotAlloc{perCycle: cfg.SignalBandwidth},
 		dirty:     map[int64]bool{},
-		seen:      map[int64]uint64{},
+		seen:      map[seenKey]uint64{},
 	}
 	if cfg.ArrayBytes > 0 {
 		for i := 0; i < cfg.Nodes; i++ {
@@ -211,7 +218,9 @@ func (r *Ring) Store(core int, addr int64, t int64) int64 {
 			}
 		}
 	} else {
-		r.seen[addr] = ^uint64(0)
+		for w := 0; w < (r.Cfg.Nodes+63)/64; w++ {
+			r.seen[seenKey{addr, w}] = ^uint64(0)
+		}
 	}
 	return inj
 }
@@ -225,7 +234,7 @@ func (r *Ring) Load(core int, addr int64, t int64) int64 {
 	if r.arrays != nil {
 		present = r.arrays[core].Lookup(addr)
 	} else {
-		present = r.seen[addr]&(1<<uint(core)) != 0
+		present = r.seen[seenKey{addr, core / 64}]&(1<<uint(core%64)) != 0
 	}
 	if vs, ok := r.ready[addr]; ok {
 		// The value is (or will be) circulating: it reaches this node at
@@ -255,7 +264,7 @@ func (r *Ring) Load(core int, addr int64, t int64) int64 {
 			r.Stats.Evictions++
 		}
 	} else {
-		r.seen[addr] |= 1 << uint(core)
+		r.seen[seenKey{addr, core / 64}] |= 1 << uint(core%64)
 	}
 	return done
 }

@@ -66,6 +66,39 @@ func TestLoadMissGoesToOwner(t *testing.T) {
 	}
 }
 
+// TestUnboundedPresencePastNode64 pins the unbounded-array presence
+// bitmask on a ring wider than one 64-bit word: every node, including
+// 64 and above, hits on its second load of an address, and a node's
+// copy is its own, not that of the node 64 below it.
+func TestUnboundedPresencePastNode64(t *testing.T) {
+	cfg := DefaultConfig(128)
+	cfg.ArrayBytes = 0
+	for _, node := range []int{5, 63, 64, 100, 127} {
+		r := New(cfg, 1)
+		r.Load(node, 800, 10)
+		r.Load(node, 800, 100)
+		if r.Stats.LoadHits != 1 || r.Stats.LoadMisses != 1 {
+			t.Errorf("node %d: two loads of one address read %d hits and %d misses, want 1 and 1",
+				node, r.Stats.LoadHits, r.Stats.LoadMisses)
+		}
+		// The node one word away shares the bit position, not the copy.
+		other, hits := (node+64)%128, r.Stats.LoadHits
+		r.Load(other, 800, 200)
+		if r.Stats.LoadHits != hits {
+			t.Errorf("node %d hit on node %d's copy", other, node)
+		}
+	}
+	// A store circulates the value past every node of every word.
+	r := New(cfg, 1)
+	r.Store(3, 900, 10)
+	for _, node := range []int{0, 64, 100, 127} {
+		r.Load(node, 900, 1000)
+	}
+	if r.Stats.LoadHits != 4 || r.Stats.LoadMisses != 0 {
+		t.Errorf("loads after a store read %d hits and %d misses, want 4 and 0", r.Stats.LoadHits, r.Stats.LoadMisses)
+	}
+}
+
 func TestArrayEviction(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.ArrayBytes = 64 // 8 words per node

@@ -235,6 +235,15 @@ func EncodeTrace(t *Trace) ([]byte, error) {
 	return e.seal(), nil
 }
 
+// Digest identifies a trace by content: the SHA-256 of its canonical
+// EncodeTrace body, which is the checksum EncodeTrace seals it with.
+// Traces with equal digests retime identically under every Config,
+// whether they were recorded or decoded from a tier.
+func (t *Trace) Digest() [sha256.Size]byte {
+	data, _ := EncodeTrace(t)
+	return [sha256.Size]byte(data[len(data)-sha256.Size:])
+}
+
 func encRegVals(e *enc, rv []regVal) {
 	e.u32(uint32(len(rv)))
 	for _, v := range rv {

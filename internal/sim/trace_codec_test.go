@@ -75,6 +75,17 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	if string(data3) != string(data) {
 		t.Error("decode(encode) does not reproduce the encoding")
 	}
+	// A trace read back from a tier keeps its digest, so it still merges
+	// with a freshly recorded twin; a trace of a different run does not.
+	if got.Digest() != tr.Digest() {
+		t.Error("decoded trace has a different Digest than the original")
+	}
+	if want := [sha256.Size]byte(data[len(data)-sha256.Size:]); tr.Digest() != want {
+		t.Error("Digest is not the SHA-256 of the EncodeTrace body")
+	}
+	if other := allocGuardTrace(t); other.Digest() == tr.Digest() {
+		t.Error("traces of two different runs share a Digest")
+	}
 }
 
 // TestTraceCodecCorruption: every single-bit flip in a sample of

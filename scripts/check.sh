@@ -19,7 +19,7 @@ test -z "$(gofmt -l .)"
 go test -race -timeout 10m ./...
 # The allocation and retention guards skip themselves under the race
 # detector (its instrumentation allocates), so they run again without it.
-go test -count=1 -run 'Allocs|Retention' ./internal/sim ./internal/interp ./internal/mem
+go test -count=1 -run 'Allocs|Retention' ./internal/sim ./internal/interp ./internal/mem ./internal/cfg
 
 # End-to-end determinism smoke: one small figure, hash-compared against
 # the checked-in benchmark report (exercises the record/replay path).
@@ -62,6 +62,11 @@ go run ./scripts -enforce -budgets perf/shard_budgets.json "$shardreport"
 go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 -links 1,8 -signals 0 \
   -workers 2 -quiet -verify EXPLORE_2026-08-07.json -jsonfile "$explorereport" >/dev/null
 go run ./scripts -enforce -budgets perf/explore_budgets.json "$explorereport"
+# The same sweep solo: RunPlan units never merge, but the in-process
+# prefetch does, and the two tiers of each scenario here record one
+# trace, so this hash-verifies a merged batched retime.
+go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 -links 1,8 -signals 0 \
+  -quiet -verify EXPLORE_2026-08-07.json >/dev/null
 
 # Differential fuzzing smoke: a fixed-seed sweep of generated loop
 # programs cross-checked through interp, HCC parallelization, the sim
