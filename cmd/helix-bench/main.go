@@ -7,8 +7,6 @@
 //	helix-bench -only fig7         # one experiment
 //	helix-bench -parallel 1        # sequential (reference ordering)
 //	helix-bench -json              # also append a report to BENCH_<date>.json
-//	helix-bench -slowsim           # use the retained reference simulator stepper
-//	helix-bench -noreplay          # disable the trace record/replay fast path
 //	helix-bench -verify FILE       # compare output hashes against a BENCH_*.json
 //	helix-bench -timeout 10m       # bound the whole run's wall clock
 //	helix-bench -celltimeout 30s   # bound each experiment cell (partial figures)
@@ -21,9 +19,8 @@
 // Experiment names: fig1 fig2 fig3 fig4 table1 fig7 fig8 fig9 fig10
 // fig11a fig11b fig11c fig11d fig12 tlp.
 //
-// Figure output is byte-identical at every -parallel level, with or
-// without -slowsim/-noreplay, and at every -workers count; only
-// wall-clock changes.
+// Figure output is byte-identical at every -parallel level and at
+// every -workers count; only wall-clock changes.
 //
 // -workers N forks N copies of this binary that share nothing but the
 // cache substrate. By default that is a cache directory (a temporary
@@ -77,8 +74,6 @@ func main() {
 	drive.RegisterFlags(&o, "evaluation", "BENCH")
 	flag.StringVar(&only, "only", "", "run a single experiment (e.g. fig7)")
 	flag.IntVar(&o.Cores, "cores", 16, "core count for the headline experiments")
-	flag.BoolVar(&o.SlowSim, "slowsim", false, "use the retained reference simulator stepper (identical output, slower)")
-	flag.BoolVar(&o.NoReplay, "noreplay", false, "disable the trace record/replay fast path (identical output, slower)")
 	flag.DurationVar(&o.CellTimeout, "celltimeout", 0, "bound each experiment cell; slow cells degrade to zero values in a flagged partial figure (0 = none)")
 	flag.Parse()
 
@@ -107,12 +102,6 @@ func plan(o *drive.Options, only string) *drive.Plan {
 	childArgs := []string{"-cores", strconv.Itoa(o.Cores)}
 	if only != "" {
 		childArgs = append(childArgs, "-only", only)
-	}
-	if o.SlowSim {
-		childArgs = append(childArgs, "-slowsim")
-	}
-	if o.NoReplay {
-		childArgs = append(childArgs, "-noreplay")
 	}
 	if o.CellTimeout > 0 {
 		childArgs = append(childArgs, "-celltimeout", o.CellTimeout.String())

@@ -189,8 +189,6 @@ type Report struct {
 	Workers int `json:"workers,omitempty"`
 	// Shard marks a partial report written by one worker ("2/4").
 	Shard       string       `json:"shard,omitempty"`
-	SlowSim     bool         `json:"slow_sim"`
-	NoReplay    bool         `json:"no_replay,omitempty"`
 	Cores       int          `json:"cores"`
 	TotalMillis float64      `json:"total_wall_ms"`
 	Experiments []Experiment `json:"experiments"`
@@ -365,8 +363,6 @@ func Merge(parts []Report, order []string) (Report, error) {
 		Timestamp: first.Timestamp,
 		Parallel:  first.Parallel,
 		Workers:   len(parts),
-		SlowSim:   first.SlowSim,
-		NoReplay:  first.NoReplay,
 		Cores:     first.Cores,
 		Replay:    &Replay{},
 	}
@@ -382,9 +378,9 @@ func Merge(parts []Report, order []string) (Report, error) {
 		if worker == "" {
 			worker = fmt.Sprintf("%d/%d", i+1, len(parts))
 		}
-		if p.SlowSim != merged.SlowSim || p.NoReplay != merged.NoReplay || p.Cores != merged.Cores || p.Parallel != merged.Parallel {
-			return Report{}, fmt.Errorf("benchreport: worker %s ran a different configuration (slowsim=%v noreplay=%v cores=%d parallel=%d) than worker %s",
-				worker, p.SlowSim, p.NoReplay, p.Cores, p.Parallel, first.Shard)
+		if p.Cores != merged.Cores || p.Parallel != merged.Parallel {
+			return Report{}, fmt.Errorf("benchreport: worker %s ran a different configuration (cores=%d parallel=%d) than worker %s",
+				worker, p.Cores, p.Parallel, first.Shard)
 		}
 		w := WorkerRun{Worker: worker, TotalMillis: p.TotalMillis, Replay: p.Replay}
 		for _, e := range p.Experiments {

@@ -140,10 +140,6 @@ func TestMergeRejectsMixedConfig(t *testing.T) {
 	if _, err := Merge([]Report{a, b}, order); err == nil {
 		t.Fatal("mixed -cores across workers must fail the merge")
 	}
-	c := Report{Shard: "2/2", Cores: 16, SlowSim: true}
-	if _, err := Merge([]Report{a, c}, order); err == nil {
-		t.Fatal("mixed -slowsim across workers must fail the merge")
-	}
 }
 
 func TestMergeUnknownExperiment(t *testing.T) {
@@ -172,20 +168,15 @@ func TestMergeDivergenceNamesWorkers(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsMixedParallelAndNoReplay completes the config-
-// consistency matrix: Cores and SlowSim are covered above; a worker
-// that ran with a different -parallel or with the replay fast path
-// disabled also poisons the merged wall-clocks and must be rejected.
-func TestMergeRejectsMixedParallelAndNoReplay(t *testing.T) {
+// TestMergeRejectsMixedParallel completes the config-consistency
+// matrix: Cores is covered above; a worker that ran with a different
+// -parallel also poisons the merged wall-clocks and must be rejected.
+func TestMergeRejectsMixedParallel(t *testing.T) {
 	order := []string{"fig9"}
 	a := Report{Shard: "1/2", Cores: 16, Parallel: 1}
 	b := Report{Shard: "2/2", Cores: 16, Parallel: 4}
 	if _, err := Merge([]Report{a, b}, order); err == nil {
 		t.Fatal("mixed -parallel across workers must fail the merge")
-	}
-	c := Report{Shard: "2/2", Cores: 16, Parallel: 1, NoReplay: true}
-	if _, err := Merge([]Report{a, c}, order); err == nil {
-		t.Fatal("mixed -noreplay across workers must fail the merge")
 	}
 }
 

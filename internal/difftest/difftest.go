@@ -5,8 +5,8 @@
 //  1. functional: HCC-parallelized simulated execution returns the same
 //     value as the sequential reference interpreter, at every compiler
 //     level and core count (wait/signal placement soundness);
-//  2. fast == slow: the pre-decoded fast stepper and the retained
-//     reference stepper (Config.SlowStep) produce bit-identical
+//  2. fast == reference: the pre-decoded fast stepper (sim.Run) and the
+//     retained reference stepper (sim.Reference) produce bit-identical
 //     sim.Result structs;
 //  3. replay == execute: a recorded trace replayed under any
 //     configuration matches a fresh execution-driven run under that
@@ -329,9 +329,7 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 			if ff != nil {
 				return ff
 			}
-			slowLimited := limited
-			slowLimited.SlowStep = true
-			partialSlow, errSlow := sim.Run(ctx, ps, comps, fs, slowLimited, args...)
+			partialSlow, errSlow := sim.Reference(ctx, ps, comps, fs, limited, args...)
 			partialReplay, errReplay := sim.Replay(ctx, tr, limited)
 			if !errors.Is(errFast, sim.ErrBudget) || !errors.Is(errSlow, sim.ErrBudget) || !errors.Is(errReplay, sim.ErrBudget) {
 				return fail("budget", "%s: MaxSteps=%d want ErrBudget from all paths, got fast=%v slow=%v replay=%v",
@@ -360,9 +358,7 @@ func runBothWays(ctx context.Context, compile func() (*ir.Program, *hcc.Compiled
 	if ff != nil {
 		return ff
 	}
-	slowCfg := cfg
-	slowCfg.SlowStep = true
-	slow, err := sim.Run(ctx, ps, comps, fs, slowCfg, args...)
+	slow, err := sim.Reference(ctx, ps, comps, fs, cfg, args...)
 	if err != nil {
 		return fail("fast-slow", "%s: reference stepper failed: %v", tag, err)
 	}

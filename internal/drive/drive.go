@@ -42,8 +42,8 @@ import (
 
 // Options is the shared orchestration flag surface. RegisterFlags
 // registers the flags every tool shares; the per-tool fields (Cores,
-// SlowSim, NoReplay, CellTimeout) are bound by the tools that expose
-// them and reported as zero values by the ones that don't.
+// CellTimeout) are bound by the tools that expose them and reported as
+// zero values by the ones that don't.
 type Options struct {
 	Parallel    int
 	Workers     int
@@ -63,8 +63,6 @@ type Options struct {
 
 	// Tool-bound fields (not registered by RegisterFlags).
 	Cores       int
-	SlowSim     bool
-	NoReplay    bool
 	CellTimeout time.Duration
 }
 
@@ -177,8 +175,6 @@ func newClaims(o *Options) artifact.Claims {
 // single-process mode, or one -shard worker of a sharded run.
 func runLocal(ctx context.Context, o *Options, p *Plan) int {
 	harness.SetParallelism(o.Parallel)
-	harness.SetSlowSim(o.SlowSim)
-	harness.SetNoReplay(o.NoReplay)
 	harness.SetCacheBudget(o.CacheBudget << 20)
 	harness.SetCellTimeout(o.CellTimeout)
 	if o.Quiet {

@@ -67,8 +67,6 @@ func appendLocalReport(o *Options, p *Plan, claims artifact.Claims, reports []be
 		Timestamp:   time.Now().Format(time.RFC3339),
 		Parallel:    harness.Parallelism(),
 		Shard:       o.Shard,
-		SlowSim:     o.SlowSim,
-		NoReplay:    o.NoReplay,
 		Cores:       o.Cores,
 		TotalMillis: float64(total.Microseconds()) / 1e3,
 		Experiments: reports,

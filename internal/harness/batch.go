@@ -32,9 +32,9 @@ package harness
 //
 // Prefetching is best-effort: any error is dropped and the affected
 // cells recompute solo, attributing the failure properly. It is
-// skipped entirely when replay is bypassed (SlowSim, NoReplay) or when
-// per-cell deadlines are active — a batched traversal serves many
-// cells, so it must not be accounted against any single cell's clock.
+// skipped entirely when per-cell deadlines are active — a batched
+// traversal serves many cells, so it must not be accounted against any
+// single cell's clock.
 
 import (
 	"context"
@@ -79,7 +79,7 @@ func (g *retimeGroup) store() *artifact.Store[*sim.Result] {
 // prefetchRetimes warms the result caches for the groups' cells; see
 // the package comment above for the steps and the skip conditions.
 func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
-	if len(groups) == 0 || SlowSim() || NoReplay() || CellTimeout() > 0 {
+	if len(groups) == 0 || CellTimeout() > 0 {
 		return
 	}
 	if ctx == nil {

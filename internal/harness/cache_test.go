@@ -11,6 +11,7 @@ import (
 
 	"helixrc/internal/hcc"
 	"helixrc/internal/sim"
+	"helixrc/internal/workloads"
 )
 
 // withCacheDir points the harness stores at a fresh disk tier for one
@@ -267,21 +268,14 @@ func TestConfigFingerprintMemo(t *testing.T) {
 	}
 	distinct := map[sim.Config]bool{}
 	for _, a := range archs {
-		norm := a
-		norm.SlowStep = false
-		sum := sha256.Sum256(fmt.Appendf(nil, "%s %+v", sim.ConfigFingerprintScheme, norm))
+		sum := sha256.Sum256(fmt.Appendf(nil, "%s %+v", sim.ConfigFingerprintScheme, a))
 		want := hex.EncodeToString(sum[:])
 		for range 2 { // the second call is always a memo hit
 			if got := a.Fingerprint(); got != want {
 				t.Fatalf("Fingerprint(%+v) = %s, want %s", a, got, want)
 			}
 		}
-		slow := a
-		slow.SlowStep = true
-		if got := slow.Fingerprint(); got != want {
-			t.Fatalf("SlowStep changed the fingerprint of %+v", a)
-		}
-		distinct[norm] = true
+		distinct[a] = true
 	}
 	if len(distinct) < 100 {
 		t.Errorf("only %d distinct configs checked; the enumeration lost its variants", len(distinct))
@@ -289,8 +283,10 @@ func TestConfigFingerprintMemo(t *testing.T) {
 }
 
 // TestTLPCachedMatchesUncached pins that persisting the TLP cells does
-// not change them: the TLPResult served from the result tier equals
-// the one the reference stepper computes with the store bypassed.
+// not change them: each of the 12 cells, served from the disk tier into
+// a fresh memory tier without a single compile, equals the reference
+// stepper's run of a fresh compile under the abstract machine's
+// communication-free loop selection.
 func TestTLPCachedMatchesUncached(t *testing.T) {
 	withCacheDir(t)
 	ctx := context.Background()
@@ -298,22 +294,39 @@ func TestTLPCachedMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetCaches()
-	cached, err := TLP(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	SetSlowSim(true)
-	defer SetSlowSim(false)
 	comp0 := CompileStats()
-	ref, err := TLP(ctx)
-	if err != nil {
-		t.Fatal(err)
+	cells := 0
+	for _, name := range workloads.IntNames() {
+		for _, level := range []hcc.Level{hcc.V2, hcc.V3} {
+			served, err := tlpRun(ctx, name, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells++
+			w, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{
+				Level: level, Cores: 16, TrainArgs: w.TrainArgs, SelectLatency: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := sim.Reference(ctx, w.Prog, comp, w.Entry, sim.Abstract(16), w.RefArgs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *served != *ref {
+				t.Errorf("%s/L%d: served TLP cell differs from the reference stepper:\nserved %+v\nref    %+v", name, level, served, ref)
+			}
+		}
 	}
-	if CompileStats() == comp0 {
-		t.Error("SlowSim TLP compiled nothing; it must bypass the result tier")
+	if cells != 12 {
+		t.Errorf("checked %d TLP cells, want 12", cells)
 	}
-	if *cached != *ref {
-		t.Errorf("cached TLP differs from uncached:\ncached %+v\nref    %+v", cached, ref)
+	// hcc.Compile above bypasses the harness counter; only tlpRun counts.
+	if n := CompileStats() - comp0; n != 0 {
+		t.Errorf("warm TLP cells compiled %d times, want 0", n)
 	}
 }

@@ -42,11 +42,6 @@ import (
 // parallelism is the configured worker count; <= 0 means GOMAXPROCS.
 var parallelism atomic.Int32
 
-// slowSim routes every harness simulation through the retained
-// reference stepper (sim.Config.SlowStep) — used to measure the
-// fast-path speedup with identical outputs.
-var slowSim atomic.Bool
-
 // SetParallelism sets the worker count used by the experiment engine.
 // n <= 0 restores the default (GOMAXPROCS). Safe to call concurrently,
 // but intended to be set before generating figures.
@@ -59,25 +54,6 @@ func Parallelism() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// SetSlowSim toggles the reference simulator stepper for all harness
-// runs (the figures are byte-identical either way; only wall-clock
-// changes).
-func SetSlowSim(v bool) { slowSim.Store(v) }
-
-// SlowSim reports whether the reference stepper is selected.
-func SlowSim() bool { return slowSim.Load() }
-
-// noReplay disables the trace record/replay fast path for all harness
-// simulations, forcing every cell through execution-driven simulation.
-var noReplay atomic.Bool
-
-// SetNoReplay toggles the record/replay bypass (figures are
-// byte-identical either way; only wall-clock changes).
-func SetNoReplay(v bool) { noReplay.Store(v) }
-
-// NoReplay reports whether record/replay is disabled.
-func NoReplay() bool { return noReplay.Load() }
 
 // cellTimeoutNS is the per-cell wall-clock deadline in nanoseconds;
 // <= 0 disables it.

@@ -350,16 +350,8 @@ func record(ctx context.Context, load loader, arch sim.Config, ref bool) (*sim.R
 // the result tier and never touch the trace. The trace key must pin
 // everything the dynamic behaviour depends on — compiled program
 // identity (workload content, level, cores) and input — while timing
-// parameters stay out of it. load runs only to record a trace, or when
-// SlowSim or SetNoReplay bypass the caches entirely.
+// parameters stay out of it. load runs only to record a trace.
 func simWithTrace(ctx context.Context, key string, load loader, arch sim.Config, ref bool) (*sim.Result, error) {
-	if SlowSim() || NoReplay() {
-		w, comp, err := load(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run(ctx, w.Prog, comp, w.Entry, applySlow(arch), args(w, ref)...)
-	}
 	return resStore.Get(ctx, resultKey(key, arch), func(rctx context.Context) (*sim.Result, error) {
 		var recorded *sim.Result
 		tr, err := traceStore.Get(rctx, key, func(cctx context.Context) (*sim.Trace, error) {

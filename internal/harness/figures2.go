@@ -315,8 +315,7 @@ func (r *TLPResult) Format() string {
 // execution-driven on the abstract machine over the ref input. The
 // Result is a pure function of content, so it persists in the result
 // tier under its own key grammar (res/tlp/...) and a warm run neither
-// compiles nor simulates; SlowSim and SetNoReplay bypass the store,
-// as they do for every other simulated cell.
+// compiles nor simulates.
 func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, error) {
 	arch := sim.Abstract(16)
 	run := func(ctx context.Context) (*sim.Result, error) {
@@ -337,10 +336,7 @@ func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, err
 		if err != nil {
 			return nil, err
 		}
-		return sim.Run(ctx, w.Prog, comp, w.Entry, applySlow(arch), w.RefArgs...)
-	}
-	if SlowSim() || NoReplay() {
-		return run(ctx)
+		return sim.Run(ctx, w.Prog, comp, w.Entry, arch, w.RefArgs...)
 	}
 	fp, err := workloadFingerprint(ctx, name)
 	if err != nil {

@@ -2,45 +2,43 @@ package harness
 
 import (
 	"context"
-	"strings"
+	"crypto/sha256"
+	"fmt"
 	"testing"
+
+	"helixrc/internal/benchreport"
 )
 
-// TestReplayMatchesNoReplayFigures pins the tentpole's acceptance
-// criterion at the harness level: a figure generated through the
-// record/replay path is byte-identical to one generated with replay
-// disabled (full execution-driven simulation per cell).
-func TestReplayMatchesNoReplayFigures(t *testing.T) {
+// TestReplayedFiguresMatchReference pins the record/replay path at the
+// harness level: Figures 10 and 11c, generated from cold caches through
+// recording, batched retiming and replay, hash-match the checked-in
+// reference report.
+func TestReplayedFiguresMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure generation")
 	}
-	gen := func() string {
-		ResetCaches()
-		var sb strings.Builder
-		f10, err := Figure10(context.Background(), 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb.WriteString(f10.Format())
-		f11, err := Figure11(context.Background(), "signals")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb.WriteString(f11.Format())
-		return sb.String()
+	want, err := benchreport.ExpectedHashes("../../BENCH_2026-08-07.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	SetNoReplay(true)
-	want := gen()
-	SetNoReplay(false)
+	ResetCaches()
 	defer ResetCaches()
-	got := gen()
-
-	if got != want {
-		t.Errorf("replayed figures differ from execution-driven figures:\n--- noreplay ---\n%s\n--- replay ---\n%s", want, got)
+	rec0, reps0 := ReplayStats()
+	for _, name := range []string{"fig10", "fig11c"} {
+		e, ok := FindExperiment(name, 16)
+		if !ok {
+			t.Fatalf("unknown experiment %s", name)
+		}
+		out, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want[name] {
+			t.Errorf("%s output hash %s, want %s:\n%s", name, got, want[name], out)
+		}
 	}
 	rec, reps := ReplayStats()
-	if rec == 0 || reps == 0 {
-		t.Errorf("expected both recordings and replays, got %d/%d", rec, reps)
+	if rec == rec0 || reps == reps0 {
+		t.Errorf("expected both recordings and replays, got %d/%d", rec-rec0, reps-reps0)
 	}
 }

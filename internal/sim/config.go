@@ -41,13 +41,6 @@ type Config struct {
 
 	// MaxSteps bounds total simulated instructions (0 = default 2^32).
 	MaxSteps int64
-
-	// SlowStep selects the retained reference stepper: no pre-decoded
-	// instruction metadata, no pooled simulator state — every structure
-	// is allocated fresh, exactly as the original implementation did.
-	// Results are bit-identical to the default fast path; golden tests
-	// compare the two.
-	SlowStep bool
 }
 
 // effectiveMaxSteps resolves the step-budget default shared by every

@@ -20,9 +20,10 @@ package sim
 //     pooled across runs (mem.Hierarchy.Reset + sync.Pool), replacing
 //     the dominant allocations in profile traces.
 //
-// The golden test in fast_test.go asserts Result equality against the
-// reference stepper; the harness determinism test asserts byte-identical
-// figure output.
+// The golden tests in fast_test.go assert Result equality against the
+// reference stepper (Reference) on synthetic kernels and every SPEC
+// analogue; the harness determinism test asserts byte-identical figure
+// output.
 
 import (
 	"fmt"

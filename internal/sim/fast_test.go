@@ -4,39 +4,25 @@ import (
 	"context"
 	"testing"
 
+	"helixrc/internal/cpu"
 	"helixrc/internal/hcc"
+	"helixrc/internal/ir"
 	"helixrc/internal/workloads"
 )
 
-// runBoth runs the same simulation on the fast path and the retained
-// reference stepper and asserts bit-identical Results — every cycle
-// count, overhead category, ring statistic and memory statistic.
-func runBoth(t *testing.T, name string, build func(arch Config) (*Result, error)) {
-	t.Helper()
-	fast, err := build(Config{})
-	if err != nil {
-		t.Fatalf("%s: fast: %v", name, err)
-	}
-	slow, err := build(Config{SlowStep: true})
-	if err != nil {
-		t.Fatalf("%s: slow: %v", name, err)
-	}
-	if *fast != *slow {
-		t.Errorf("%s: fast and slow steppers diverge:\nfast: %+v\nslow: %+v", name, fast, slow)
-	}
-	if fast.Cycles != slow.Cycles {
-		t.Errorf("%s: Cycles %d != %d", name, fast.Cycles, slow.Cycles)
-	}
+// simCase is one simulation: a program compiled by HCC (comp is nil for
+// the sequential baseline), the platform and the input.
+type simCase struct {
+	name  string
+	prog  *ir.Program
+	comp  *hcc.Compiled
+	entry *ir.Function
+	arch  Config
+	args  []int64
 }
 
-// withSlow copies arch with the SlowStep flag from sel.
-func withSlow(arch, sel Config) Config {
-	arch.SlowStep = sel.SlowStep
-	return arch
-}
-
-func TestFastMatchesSlowGolden(t *testing.T) {
-	// Synthetic kernels across every machine flavor.
+// goldenCases are synthetic kernels across every machine flavor.
+func goldenCases(t *testing.T) []simCase {
 	pm, fm := buildMixed(t, 600)
 	compM := compileFor(t, pm, fm, hcc.V3, 600)
 	pc, fc := buildChase(t, 500)
@@ -44,32 +30,39 @@ func TestFastMatchesSlowGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cases := []struct {
-		name string
-		run  func(sel Config) (*Result, error)
-	}{
-		{"mixed/helixrc", func(sel Config) (*Result, error) {
-			return Run(context.Background(), pm, compM, fm, withSlow(HelixRC(16), sel), 600)
-		}},
-		{"mixed/conventional", func(sel Config) (*Result, error) {
-			return Run(context.Background(), pm, compM, fm, withSlow(Conventional(16), sel), 600)
-		}},
-		{"mixed/abstract", func(sel Config) (*Result, error) {
-			return Run(context.Background(), pm, compM, fm, withSlow(Abstract(16), sel), 600)
-		}},
-		{"mixed/baseline", func(sel Config) (*Result, error) {
-			return Run(context.Background(), pm, nil, fm, withSlow(Conventional(16), sel), 600)
-		}},
-		{"chase/helixrc", func(sel Config) (*Result, error) {
-			return Run(context.Background(), pc, compC, fc, withSlow(HelixRC(16), sel))
-		}},
+	return []simCase{
+		{"mixed/helixrc", pm, compM, fm, HelixRC(16), []int64{600}},
+		{"mixed/conventional", pm, compM, fm, Conventional(16), []int64{600}},
+		{"mixed/abstract", pm, compM, fm, Abstract(16), []int64{600}},
+		{"mixed/baseline", pm, nil, fm, Conventional(16), []int64{600}},
+		{"chase/helixrc", pc, compC, fc, HelixRC(16), nil},
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			runBoth(t, tc.name, func(sel Config) (*Result, error) { return tc.run(sel) })
-		})
+}
+
+// runBoth runs c on the fast stepper (Run) and the retained reference
+// stepper (Reference) and asserts bit-identical Results — every cycle
+// count, overhead category, ring statistic and memory statistic.
+func runBoth(t *testing.T, c simCase) {
+	t.Helper()
+	fast, err := Run(context.Background(), c.prog, c.comp, c.entry, c.arch, c.args...)
+	if err != nil {
+		t.Fatalf("%s: fast: %v", c.name, err)
+	}
+	ref, err := Reference(context.Background(), c.prog, c.comp, c.entry, c.arch, c.args...)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", c.name, err)
+	}
+	if *fast != *ref {
+		t.Errorf("%s: fast and reference steppers diverge:\nfast: %+v\nref:  %+v", c.name, fast, ref)
+	}
+	if fast.Cycles != ref.Cycles {
+		t.Errorf("%s: Cycles %d != %d", c.name, fast.Cycles, ref.Cycles)
+	}
+}
+
+func TestFastMatchesSlowGolden(t *testing.T) {
+	for _, tc := range goldenCases(t) {
+		t.Run(tc.name, func(t *testing.T) { runBoth(t, tc) })
 	}
 }
 
@@ -84,35 +77,65 @@ func TestFastMatchesSlowWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct {
+	for _, tc := range []simCase{
+		{"helixrc", w.Prog, comp, w.Entry, HelixRC(16), w.RefArgs},
+		{"conventional", w.Prog, comp, w.Entry, Conventional(16), w.RefArgs},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runBoth(t, tc) })
+	}
+}
+
+// TestRunMatchesReferenceAllWorkloads extends the equality to every
+// SPEC analogue, compiled at V1 and V3 for 16 cores, on every machine
+// flavor the figures simulate plus an out-of-order core. The harness
+// serves every figure from the fast stepper, so this is what ties the
+// figures to the reference stepper.
+func TestRunMatchesReferenceAllWorkloads(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("all-workload reference sweep; scripts/check.sh runs it without -race")
+	}
+	ooo := HelixRC(16)
+	ooo.Core = cpu.OoO4()
+	archs := []struct {
 		name string
 		arch Config
 	}{
 		{"helixrc", HelixRC(16)},
 		{"conventional", Conventional(16)},
-	} {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			runBoth(t, cfg.name, func(sel Config) (*Result, error) {
-				return Run(context.Background(), w.Prog, comp, w.Entry, withSlow(cfg.arch, sel), w.RefArgs...)
-			})
-		})
+		{"abstract", Abstract(16)},
+		{"ooo4", ooo},
+	}
+	for _, name := range workloads.Names() {
+		for _, level := range []hcc.Level{hcc.V1, hcc.V3} {
+			w, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := hcc.Compile(w.Prog, w.Entry, hcc.Options{Level: level, Cores: 16, TrainArgs: w.TrainArgs})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, level, err)
+			}
+			for _, a := range archs {
+				tc := simCase{name + "/" + level.String() + "/" + a.name, w.Prog, comp, w.Entry, a.arch, w.RefArgs}
+				t.Run(tc.name, func(t *testing.T) { runBoth(t, tc) })
+			}
+		}
 	}
 }
 
 // BenchmarkSimHotLoop measures the simulator hot loop on a small INT
 // workload at 16 cores — the fast path with pre-decoded metadata.
 func BenchmarkSimHotLoop(b *testing.B) {
-	benchmarkHotLoop(b, Config{})
+	benchmarkHotLoop(b, Run)
 }
 
 // BenchmarkSimHotLoopSlow is the same workload on the retained
 // reference stepper, for before/after comparison.
 func BenchmarkSimHotLoopSlow(b *testing.B) {
-	benchmarkHotLoop(b, Config{SlowStep: true})
+	benchmarkHotLoop(b, Reference)
 }
 
-func benchmarkHotLoop(b *testing.B, sel Config) {
+func benchmarkHotLoop(b *testing.B, simulate func(context.Context, *ir.Program, *hcc.Compiled, *ir.Function, Config, ...int64) (*Result, error)) {
 	w, err := workloads.Get("181.mcf")
 	if err != nil {
 		b.Fatal(err)
@@ -121,12 +144,10 @@ func benchmarkHotLoop(b *testing.B, sel Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch := HelixRC(16)
-	arch.SlowStep = sel.SlowStep
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), w.Prog, comp, w.Entry, arch, w.RefArgs...)
+		res, err := simulate(context.Background(), w.Prog, comp, w.Entry, HelixRC(16), w.RefArgs...)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,8 +37,7 @@ import (
 var (
 	// errBatchDone is an internal sentinel: every lane has frozen, so the
 	// traversal can stop early. It never escapes to callers.
-	errBatchDone      = errors.New("sim: batch drained")
-	errSlowStepReplay = errors.New("sim: cannot replay with SlowStep")
+	errBatchDone = errors.New("sim: batch drained")
 	// errIterStream reports a loop whose recorded iterations do not match
 	// its round-robin schedule: too few, or some left over once every
 	// core has stopped. A recorded trace always matches.
@@ -50,7 +49,6 @@ var (
 // config on everything that shapes it: the core count (unless the trace
 // has no parallel loops, which makes it core-count independent) — and
 // implicitly the compiled program, which the caller keys the trace by.
-// SlowStep needs the real stepper and is rejected.
 //
 // Like Run, Replay polls ctx on the step-accounting path and returns
 // ctx.Err() with the partial Result when cancelled. It is ReplayBatch
@@ -96,10 +94,6 @@ func replayInto(ctx context.Context, tr *Trace, archs []Config, results []*Resul
 
 	lanes := b.lanes[:0]
 	for i, arch := range archs {
-		if arch.SlowStep {
-			errs[i] = errSlowStepReplay
-			continue
-		}
 		if arch.Cores <= 0 {
 			arch.Cores = 16
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -26,8 +25,8 @@ func runnerFor(prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, args ..
 
 // laneRejection returns the error text the engine must reject archs[i]
 // with, or "" for a lane it serves. Run cannot be the reference for
-// these lanes: it executes rather than replays, so it accepts SlowStep
-// and any core count.
+// these lanes: it executes rather than replays, so it accepts any core
+// count.
 func laneRejection(tr *Trace, archs []Config, i int) string {
 	batchCores := 0
 	for j, a := range archs[:i+1] {
@@ -36,8 +35,6 @@ func laneRejection(tr *Trace, archs []Config, i int) string {
 		}
 		reject := ""
 		switch {
-		case a.SlowStep:
-			reject = "sim: cannot replay with SlowStep"
 		case len(tr.loops) > 0 && a.Cores != tr.cores:
 			reject = fmt.Sprintf("sim: trace recorded with %d cores cannot replay with %d", tr.cores, a.Cores)
 		case batchCores != 0 && a.Cores != batchCores:
@@ -318,28 +315,10 @@ func TestReplayBatchMixedCores(t *testing.T) {
 	}
 }
 
-func TestReplayBatchRejectsSlowStep(t *testing.T) {
-	pm, fm := buildMixed(t, 100)
-	_, tr, err := Record(context.Background(), pm, nil, fm, Conventional(16), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := Conventional(16)
-	slow.SlowStep = true
-	results, errs := ReplayBatch(context.Background(), tr, []Config{slow, Conventional(16)})
-	if errs[0] == nil || results[0] != nil {
-		t.Errorf("SlowStep lane not rejected (err=%v)", errs[0])
-	} else if !strings.Contains(errs[0].Error(), "SlowStep") {
-		t.Errorf("SlowStep lane error = %q", errs[0])
-	}
-	if errs[1] != nil || results[1] == nil {
-		t.Fatalf("valid lane failed: %v", errs[1])
-	}
-}
-
 func TestReplayBatchEmpty(t *testing.T) {
-	pm, fm := buildMixed(t, 100)
-	_, tr, err := Record(context.Background(), pm, nil, fm, Conventional(16), 100)
+	pm, fm := buildMixed(t, 200)
+	comp := compileFor(t, pm, fm, hcc.V3, 200)
+	_, tr, err := Record(context.Background(), pm, comp, fm, HelixRC(16), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +326,9 @@ func TestReplayBatchEmpty(t *testing.T) {
 	if len(results) != 0 || len(errs) != 0 {
 		t.Errorf("empty batch returned %d/%d entries", len(results), len(errs))
 	}
-	// A batch where every lane fails validation must not touch the trace.
-	slow := Conventional(16)
-	slow.SlowStep = true
-	results, errs = ReplayBatch(context.Background(), tr, []Config{slow})
+	// A batch where every lane fails validation must not touch the trace:
+	// a loop trace fixes its core count.
+	results, errs = ReplayBatch(context.Background(), tr, []Config{HelixRC(8)})
 	if results[0] != nil || errs[0] == nil {
 		t.Errorf("all-invalid batch: results[0]=%v errs[0]=%v", results[0], errs[0])
 	}

@@ -10,88 +10,33 @@ import (
 	"helixrc/internal/workloads"
 )
 
-// checkRecordReplay records under recArch and asserts three-way Result
-// equality: reference stepper == recorded run == replayed trace.
-func checkRecordReplay(t *testing.T, name string, build func(arch Config) (*Result, *Trace, error), recArch Config) *Trace {
+// checkRecordReplay records c and asserts three-way Result equality:
+// reference stepper == recorded run == replayed trace.
+func checkRecordReplay(t *testing.T, c simCase) {
 	t.Helper()
-	slowArch := recArch
-	slowArch.SlowStep = true
-	slow, _, err := build(slowArch)
+	ref, err := Reference(context.Background(), c.prog, c.comp, c.entry, c.arch, c.args...)
 	if err != nil {
-		t.Fatalf("%s: slow: %v", name, err)
+		t.Fatalf("%s: reference: %v", c.name, err)
 	}
-	recorded, tr, err := build(recArch)
+	recorded, tr, err := Record(context.Background(), c.prog, c.comp, c.entry, c.arch, c.args...)
 	if err != nil {
-		t.Fatalf("%s: record: %v", name, err)
+		t.Fatalf("%s: record: %v", c.name, err)
 	}
-	if *recorded != *slow {
-		t.Errorf("%s: recording run diverges from reference:\nrec:  %+v\nslow: %+v", name, recorded, slow)
+	if *recorded != *ref {
+		t.Errorf("%s: recording run diverges from reference:\nrec: %+v\nref: %+v", c.name, recorded, ref)
 	}
-	replayed, err := Replay(context.Background(), tr, recArch)
+	replayed, err := Replay(context.Background(), tr, c.arch)
 	if err != nil {
-		t.Fatalf("%s: replay: %v", name, err)
+		t.Fatalf("%s: replay: %v", c.name, err)
 	}
 	if *replayed != *recorded {
-		t.Errorf("%s: replay diverges from recording:\nreplay: %+v\nrec:    %+v", name, replayed, recorded)
+		t.Errorf("%s: replay diverges from recording:\nreplay: %+v\nrec:    %+v", c.name, replayed, recorded)
 	}
-	return tr
 }
 
 func TestReplayMatchesRunGolden(t *testing.T) {
-	pm, fm := buildMixed(t, 600)
-	compM := compileFor(t, pm, fm, hcc.V3, 600)
-	pc, fc := buildChase(t, 500)
-	compC, err := hcc.Compile(pc, fc, hcc.Options{Level: hcc.V3, Cores: 16, MinSpeedup: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		arch Config
-		run  func(arch Config) (*Result, *Trace, error)
-	}{
-		{"mixed/helixrc", HelixRC(16), func(arch Config) (*Result, *Trace, error) {
-			if arch.SlowStep {
-				res, err := Run(context.Background(), pm, compM, fm, arch, 600)
-				return res, nil, err
-			}
-			return Record(context.Background(), pm, compM, fm, arch, 600)
-		}},
-		{"mixed/conventional", Conventional(16), func(arch Config) (*Result, *Trace, error) {
-			if arch.SlowStep {
-				res, err := Run(context.Background(), pm, compM, fm, arch, 600)
-				return res, nil, err
-			}
-			return Record(context.Background(), pm, compM, fm, arch, 600)
-		}},
-		{"mixed/abstract", Abstract(16), func(arch Config) (*Result, *Trace, error) {
-			if arch.SlowStep {
-				res, err := Run(context.Background(), pm, compM, fm, arch, 600)
-				return res, nil, err
-			}
-			return Record(context.Background(), pm, compM, fm, arch, 600)
-		}},
-		{"mixed/baseline", Conventional(16), func(arch Config) (*Result, *Trace, error) {
-			if arch.SlowStep {
-				res, err := Run(context.Background(), pm, nil, fm, arch, 600)
-				return res, nil, err
-			}
-			return Record(context.Background(), pm, nil, fm, arch, 600)
-		}},
-		{"chase/helixrc", HelixRC(16), func(arch Config) (*Result, *Trace, error) {
-			if arch.SlowStep {
-				res, err := Run(context.Background(), pc, compC, fc, arch)
-				return res, nil, err
-			}
-			return Record(context.Background(), pc, compC, fc, arch)
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			checkRecordReplay(t, tc.name, tc.run, tc.arch)
-		})
+	for _, tc := range goldenCases(t) {
+		t.Run(tc.name, func(t *testing.T) { checkRecordReplay(t, tc) })
 	}
 }
 
@@ -128,9 +73,7 @@ func TestReplayCrossConfig(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			slowArch := tc.arch
-			slowArch.SlowStep = true
-			want, err := Run(context.Background(), pm, comp, fm, slowArch, 600)
+			want, err := Reference(context.Background(), pm, comp, fm, tc.arch, 600)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,8 +116,8 @@ func TestTraceConfigInvariance(t *testing.T) {
 }
 
 // TestReplayAllWorkloads chains replay equivalence through the fast
-// stepper on every workload analogue (the fast==slow golden tests close
-// the loop to the reference stepper without re-running it here).
+// stepper on every workload analogue (TestRunMatchesReferenceAllWorkloads
+// closes the loop to the reference stepper without re-running it here).
 func TestReplayAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-workload replay sweep")
@@ -241,20 +184,6 @@ func TestReplayCoresMismatch(t *testing.T) {
 	}
 	if *got != *want {
 		t.Errorf("baseline cross-core replay diverges:\nreplay: %+v\nfresh:  %+v", got, want)
-	}
-}
-
-func TestReplayRejectsSlowStep(t *testing.T) {
-	pm, fm := buildMixed(t, 100)
-	if _, _, err := Record(context.Background(), pm, nil, fm, Config{SlowStep: true}, 100); err == nil {
-		t.Error("Record with SlowStep should fail")
-	}
-	_, tr, err := Record(context.Background(), pm, nil, fm, Conventional(16), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(context.Background(), tr, Config{SlowStep: true}); err == nil {
-		t.Error("Replay with SlowStep should fail")
 	}
 }
 

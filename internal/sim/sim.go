@@ -33,21 +33,32 @@ const ctxCheckEvery = 1 << 16
 // bounded by ctxCheckEvery simulated instructions of delay. A nil ctx is
 // treated as context.Background().
 //
-// Two steppers implement the same timing model. The default fast path
-// pre-decodes per-instruction metadata once per block and pools simulator
-// state (ring, hierarchy, contexts, register files) across invocations;
-// Config.SlowStep selects the retained reference stepper, which
-// re-derives everything per dynamic instruction. Both produce
+// Run uses the fast stepper, which pre-decodes per-instruction metadata
+// once per block and pools simulator state (ring, hierarchy, contexts,
+// register files) across invocations. Reference is the same timing
+// model on the retained reference stepper; the two produce
 // bit-identical Results.
 func Run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, args ...int64) (*Result, error) {
-	res, _, err := run(ctx, prog, comp, entry, arch, nil, args)
+	res, _, err := run(ctx, prog, comp, entry, arch, false, nil, args)
 	return res, err
 }
 
-// run is the shared implementation behind Run and Record. rec, when
-// non-nil, receives the dynamic trace (fast path only); the returned int
-// is the register-file width, which Replay needs for the sequential core.
-func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, rec *recorder, args []int64) (*Result, int, error) {
+// Reference is Run on the retained reference stepper: no pre-decoded
+// instruction metadata and no pooled state, so it re-derives operand
+// sets, latencies and traffic classes on every dynamic instruction and
+// allocates every structure fresh, exactly as the original
+// implementation did. It is the oracle the fast stepper, Record and
+// the replay engine are tested against, not a production path.
+func Reference(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, args ...int64) (*Result, error) {
+	res, _, err := run(ctx, prog, comp, entry, arch, true, nil, args)
+	return res, err
+}
+
+// run is the shared implementation behind Run, Reference and Record.
+// slow selects the reference stepper. rec, when non-nil, receives the
+// dynamic trace (fast path only); the returned int is the register-file
+// width, which Replay needs for the sequential core.
+func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, slow bool, rec *recorder, args []int64) (*Result, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -60,7 +71,7 @@ func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Fu
 		mem:       interp.NewMemory(prog),
 		headerMap: map[*ir.Block]*hcc.ParallelLoop{},
 		maxSteps:  arch.effectiveMaxSteps(),
-		slow:      arch.SlowStep,
+		slow:      slow,
 		rec:       rec,
 	}
 	if !arch.PerfectMem {
@@ -502,7 +513,7 @@ func (r *runner) runLoop(pl *hcc.ParallelLoop, ctx *interp.Context, seqCore *cpu
 }
 
 // runIteration simulates one iteration functionally and in time. This is
-// the retained reference stepper (Config.SlowStep): it re-derives operand
+// the retained reference stepper (Reference): it re-derives operand
 // sets, latencies and traffic classes on every dynamic instruction and
 // allocates its bookkeeping fresh. runIterationFast must match it
 // bit-for-bit.

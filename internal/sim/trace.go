@@ -20,7 +20,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 
 	"helixrc/internal/hcc"
 	"helixrc/internal/ir"
@@ -269,16 +268,13 @@ func sortRegVals(rv []regVal) {
 // recording a Trace of the dynamic behaviour. The returned Result is
 // bit-identical to Run's; the Trace replays under any Config with the
 // same core count (or any core count for baseline traces) via Replay.
-// Recording requires the fast stepper; errors abort without a trace.
+// Errors abort without a trace.
 func Record(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Function, arch Config, args ...int64) (*Result, *Trace, error) {
-	if arch.SlowStep {
-		return nil, nil, errors.New("sim: cannot record a trace with SlowStep")
-	}
 	if arch.Cores <= 0 {
 		arch.Cores = 16
 	}
 	rec := newRecorder()
-	res, maxRegs, err := run(ctx, prog, comp, entry, arch, rec, args)
+	res, maxRegs, err := run(ctx, prog, comp, entry, arch, false, rec, args)
 	if err != nil {
 		return res, nil, err
 	}

@@ -521,15 +521,12 @@ const ConfigFingerprintScheme = "simcfg1"
 // hashes the %+v rendering under a scheme tag: adding, removing or
 // renaming a field changes every fingerprint, which is exactly the safe
 // direction for cache keys: persisted entries miss once and are
-// recomputed. The execution-strategy switch SlowStep is normalized out:
-// it selects how a result is computed, not what it is (the golden tests
-// pin both steppers bit-identical).
+// recomputed.
 //
 // Result keys derive it for every lookup, and reflection is slow, so the
-// string is memoized per normalized Config (Config is comparable); the
-// fmt rendering stays the only derivation.
+// string is memoized per Config (Config is comparable); the fmt
+// rendering stays the only derivation.
 func (c Config) Fingerprint() string {
-	c.SlowStep = false
 	configFingerprints.RLock()
 	fp, ok := configFingerprints.m[c]
 	configFingerprints.RUnlock()
@@ -549,7 +546,7 @@ func (c Config) Fingerprint() string {
 	return fp
 }
 
-// configFingerprints memoizes Fingerprint per normalized Config, up to
+// configFingerprints memoizes Fingerprint per Config, up to
 // maxConfigFingerprints configs (a sweep uses a few hundred; the cap
 // only bounds a long-lived process fed arbitrary configs).
 var configFingerprints struct {

@@ -61,12 +61,6 @@ func describe(r run) string {
 		tag = r.Timestamp
 	}
 	extras := ""
-	if r.SlowSim {
-		extras += " slowsim"
-	}
-	if r.NoReplay {
-		extras += " noreplay"
-	}
 	if r.Workers > 0 {
 		extras += fmt.Sprintf(" workers=%d", r.Workers)
 	}
@@ -167,9 +161,7 @@ type budgetFile struct {
 // enforceBudgets gates the last run of reportPath against the budget
 // file: every family's summed wall-clock must stay under its ceiling
 // and the run's cumulative allocation under the cap. A missing
-// experiment, an interrupted/partial/failed run, or a run with the
-// fast path disabled (slowsim/noreplay — the budgets assume it) all
-// fail the gate.
+// experiment or an interrupted/partial/failed run fails the gate.
 func enforceBudgets(budgetsPath, reportPath string) {
 	data, err := os.ReadFile(budgetsPath)
 	if err != nil {
@@ -187,10 +179,6 @@ func enforceBudgets(budgetsPath, reportPath string) {
 	if r.Interrupted || r.Partial || r.Error != "" {
 		fatalf("last run of %s is incomplete (interrupted=%v partial=%v error=%q); budgets need a full run",
 			reportPath, r.Interrupted, r.Partial, r.Error)
-	}
-	if r.SlowSim || r.NoReplay {
-		fatalf("last run of %s disabled the replay fast path (slowsim=%v noreplay=%v); budgets assume it",
-			reportPath, r.SlowSim, r.NoReplay)
 	}
 	wall := map[string]float64{}
 	for _, e := range r.Experiments {

@@ -18,8 +18,10 @@ test -z "$(gofmt -l .)"
 # of wedging it.
 go test -race -timeout 10m ./...
 # The allocation and retention guards skip themselves under the race
-# detector (its instrumentation allocates), so they run again without it.
-go test -count=1 -run 'Allocs|Retention' ./internal/sim ./internal/interp ./internal/mem ./internal/cfg
+# detector (its instrumentation allocates), so they run again without it,
+# as does the all-workload fast-vs-reference stepper sweep (too slow
+# under -race).
+go test -count=1 -run 'Allocs|Retention|RunMatchesReference' ./internal/sim ./internal/interp ./internal/mem ./internal/cfg
 
 # End-to-end determinism smoke: one small figure, hash-compared against
 # the checked-in benchmark report (exercises the record/replay path).
