@@ -36,14 +36,13 @@
 // expire after -lease and are stolen, so the evaluation completes as
 // long as one worker survives; a dead -remote daemon degrades every
 // lookup to a cache miss and every claim to uncoordinated (duplicated,
-// still byte-identical) work. Because experiments cannot overlap
-// inside one process (the analysis passes mutate workload state),
-// -workers replaces in-process parallelism: children default to
-// -parallel 1; pass -parallel explicitly to run hybrid. For manual or
-// multi-machine sharding, run each worker yourself with -shard i/n
-// against a shared -cachedir or -remote, a common fresh -runid and a
-// per-worker -jsonfile, then merge the partial reports with
-// `go run ./scripts -merge`.
+// still byte-identical) work. -workers replaces in-process
+// parallelism: children default to -parallel 1, so N workers do not
+// oversubscribe the host; pass -parallel explicitly to run hybrid. For
+// manual or multi-machine sharding, run each worker yourself with
+// -shard i/n against a shared -cachedir or -remote, a common fresh
+// -runid and a per-worker -jsonfile, then merge the partial reports
+// with `go run ./scripts -merge`.
 //
 // SIGINT/SIGTERM (and -timeout expiry) cancel in-flight work: workers
 // drain, the run stops after the current cells return, and -json still

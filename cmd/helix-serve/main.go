@@ -57,7 +57,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		addrFile     = flag.String("addrfile", "", "write the bound address to this file once listening (for scripts; \":0\" picks a free port)")
-		concurrency  = flag.Int("concurrency", 2, "jobs executed at once (figure jobs additionally serialize on the experiment lock)")
+		concurrency  = flag.Int("concurrency", 2, "jobs executed at once, of every kind")
 		queueDepth   = flag.Int("queue", 64, "admitted-but-not-running job bound; submissions beyond it shed with 429")
 		defDeadline  = flag.Duration("deadline", 0, "default per-job deadline for requests that set none (0 = unbounded)")
 		maxDeadline  = flag.Duration("maxdeadline", 0, "clamp requested deadlines to this (0 = no clamp)")

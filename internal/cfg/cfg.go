@@ -23,9 +23,9 @@ type Graph struct {
 	idom []*ir.Block
 }
 
-// New builds the CFG for fn. The function must be verified.
+// New builds the CFG for fn. The function must be verified, so every
+// Block.Index is the block's position; New only reads fn.
 func New(fn *ir.Function) *Graph {
-	fn.Renumber()
 	n := len(fn.Blocks)
 	g := &Graph{
 		Fn:       fn,

@@ -350,7 +350,7 @@ func runOne(ctx context.Context, o *Options, e Experiment, wantSHA map[string]st
 		WallMillis:   float64(wall.Microseconds()) / 1e3,
 		OutputSHA256: sha,
 		Output:       out,
-		Partial:      strings.Contains(out, "PARTIAL FIGURE:"),
+		Partial:      harness.IsPartial(out),
 	}, nil
 }
 

@@ -77,9 +77,9 @@ func runParent(ctx context.Context, o *Options, p *Plan) int {
 	if err != nil {
 		log.Fatalf("resolving own binary: %v", err)
 	}
-	// Experiments cannot overlap within one process, so process-level
-	// sharding is the parallelism; children run their cells sequentially
-	// unless the user explicitly asked for hybrid with -parallel.
+	// The workers are the parallelism: children run their cells
+	// sequentially, so N workers do not oversubscribe the host, unless
+	// the user explicitly asked for hybrid with -parallel.
 	childPar := o.Parallel
 	if childPar == 0 {
 		childPar = 1

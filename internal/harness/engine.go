@@ -32,6 +32,7 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,6 +176,9 @@ func (p *Partials) Cells() []string {
 	return append([]string(nil), p.cells...)
 }
 
+// partialMarker opens the note Note appends to a partial figure.
+const partialMarker = "PARTIAL FIGURE:"
+
 // Note renders the degradation report appended to a partial figure, or
 // "" when every cell completed (so complete figures stay byte-identical
 // to runs without a collector).
@@ -183,9 +187,13 @@ func (p *Partials) Note() string {
 	if len(cells) == 0 {
 		return ""
 	}
-	return fmt.Sprintf("PARTIAL FIGURE: %d cell(s) timed out after %v and hold zero values: %v\n",
-		len(cells), CellTimeout(), cells)
+	return fmt.Sprintf("%s %d cell(s) timed out after %v and hold zero values: %v\n",
+		partialMarker, len(cells), CellTimeout(), cells)
 }
+
+// IsPartial reports whether a rendered experiment output carries the
+// note of a partial figure.
+func IsPartial(out string) bool { return strings.Contains(out, partialMarker) }
 
 type partialsKey struct{}
 

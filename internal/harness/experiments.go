@@ -9,17 +9,6 @@ type Experiment struct {
 	Run  func(ctx context.Context) (string, error)
 }
 
-// Experiments returns the full evaluation in presentation order. Each
-// experiment internally fans its cells across the engine's worker pool
-// (SetParallelism); the experiments themselves run one at a time so
-// that the analysis passes (which mutate workload functions) never
-// overlap across figures.
-//
-// Every Run installs a Partials collector before generating its figure:
-// with SetCellTimeout active, cells that exceed their deadline degrade
-// into zero values and the rendered output ends with a PARTIAL FIGURE
-// note naming them. When every cell completes the note is empty, so
-// output is byte-identical to a run without deadlines.
 // FindExperiment resolves one experiment of the canonical list by
 // name. The second return is false for an unknown name; the server
 // validates figure-job requests with it at admission time so a typo is
@@ -33,6 +22,15 @@ func FindExperiment(name string, cores int) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// Experiments returns the full evaluation in presentation order. Each
+// experiment internally fans its cells across the engine's worker pool
+// (SetParallelism).
+//
+// Every Run installs a Partials collector before generating its figure:
+// with SetCellTimeout active, cells that exceed their deadline degrade
+// into zero values and the rendered output ends with a PARTIAL FIGURE
+// note naming them. When every cell completes the note is empty, so
+// output is byte-identical to a run without deadlines.
 func Experiments(cores int) []Experiment {
 	// degrade wraps a generator so timed-out cells mark the figure
 	// partial instead of failing it.

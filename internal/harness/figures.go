@@ -513,9 +513,8 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 	}
 	sums := make([]float64, len(alias.Tiers))
 	counts := make([]int, len(alias.Tiers))
-	// One cell per workload, not per (workload, tier): the CFG/DDG
-	// analyses mutate the workload's functions (cfg.New renumbers
-	// blocks), so all tiers of one workload must stay on one goroutine.
+	// One cell per workload, not per (workload, tier): the five tiers
+	// share one CFG per loop function.
 	names := workloads.IntNames()
 	cell := func(i int) string { return fmt.Sprintf("%s/L%d/alias", names[i], hcc.V3) }
 	rows, err := parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) ([]float64, error) {
@@ -606,8 +605,8 @@ func (r *Figure3Result) Format() string {
 // the CINT2000 analogues.
 func Figure3(ctx context.Context) (*Figure3Result, error) {
 	out := &Figure3Result{ByClass: map[string]int{}}
-	// One cell per workload (the analyses mutate the workload's
-	// functions); integer partial counts merge order-independently.
+	// One cell per workload; integer partial counts merge
+	// order-independently.
 	names := workloads.IntNames()
 	cell := func(i int) string { return fmt.Sprintf("%s/L%d/census", names[i], hcc.V3) }
 	parts, err := parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) (*Figure3Result, error) {
@@ -904,6 +903,25 @@ func Figure7(ctx context.Context, cores int) (*FigureResult, error) {
 	return f, nil
 }
 
+// figure8Configs lists Figure 8's decoupling configs, one per series:
+// HCCv2 code on conventional hardware, then HCCv3 code with register
+// communication decoupled, plus synchronization, plus memory, and all
+// three (HELIX-RC). Shared with the shard planner's experimentGroups.
+func figure8Configs(cores int) []sim.Config {
+	variant := func(reg, syncD, mem bool) sim.Config {
+		c := sim.HelixRC(cores)
+		c.DecoupleReg, c.DecoupleSync, c.DecoupleMem = reg, syncD, mem
+		return c
+	}
+	return []sim.Config{
+		sim.Conventional(cores),     // HCCv2 runs below
+		variant(true, false, false), // decoupled register communication
+		variant(true, true, false),  // + synchronization
+		variant(true, false, true),  // reg + memory
+		variant(true, true, true),   // all (HELIX-RC)
+	}
+}
+
 // Figure8 breaks down the benefit of decoupling each communication class
 // (registers, synchronization, memory) for the CINT2000 analogues.
 func Figure8(ctx context.Context, cores int) (*FigureResult, error) {
@@ -914,18 +932,7 @@ func Figure8(ctx context.Context, cores int) (*FigureResult, error) {
 		},
 		Notes: "Paper shape: register decoupling alone helps little; sync and memory decoupling dominate.",
 	}
-	variant := func(reg, syncD, mem bool) sim.Config {
-		c := sim.HelixRC(cores)
-		c.DecoupleReg, c.DecoupleSync, c.DecoupleMem = reg, syncD, mem
-		return c
-	}
-	configs := []sim.Config{
-		sim.Conventional(cores),     // HCCv2 runs below
-		variant(true, false, false), // decoupled register communication
-		variant(true, true, false),  // + synchronization
-		variant(true, false, true),  // reg + memory
-		variant(true, true, true),   // all (HELIX-RC)
-	}
+	configs := figure8Configs(cores)
 	names := workloads.IntNames()
 	// One batched retime per workload covers the four decoupling
 	// variants: they share the HCCv3 trace.

@@ -2,11 +2,10 @@ package harness
 
 // Sharded evaluation. A full evaluation's dominant cost is recording
 // dynamic traces; everything downstream (batched retiming, the cells
-// themselves) replays or reads caches. Experiments cannot overlap
-// inside one process — the analysis passes mutate workload functions
-// (see Experiments) — but they can overlap across processes, so
-// helix-bench -workers N forks N worker processes that share nothing
-// but a cache directory and partition the work through it:
+// themselves) replays or reads caches. Those artifacts are
+// content-addressed and process-independent, so helix-bench -workers N
+// forks N worker processes that share nothing but a cache directory
+// and partition the work through it:
 //
 //   - PlanUnits enumerates every experiment's trace groups as stable
 //     content-keyed work units (one unit per recorded trace, its key
@@ -90,18 +89,7 @@ func experimentGroups(exp string, cores int) []retimeGroup {
 		}
 		return groups
 	case "fig8":
-		variant := func(reg, syncD, mem bool) sim.Config {
-			c := sim.HelixRC(cores)
-			c.DecoupleReg, c.DecoupleSync, c.DecoupleMem = reg, syncD, mem
-			return c
-		}
-		configs := []sim.Config{
-			sim.Conventional(cores),     // HCCv2 runs below
-			variant(true, false, false), // decoupled register communication
-			variant(true, true, false),  // + synchronization
-			variant(true, false, true),  // reg + memory
-			variant(true, true, true),   // all (HELIX-RC)
-		}
+		configs := figure8Configs(cores)
 		names := workloads.IntNames()
 		groups := make([]retimeGroup, 0, 3*len(names))
 		for _, name := range names {

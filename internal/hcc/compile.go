@@ -64,9 +64,9 @@ type flow struct {
 	forests map[*ir.Function]*cfg.Forest
 }
 
-// prepare numbers the program's instructions, verifies it and computes
-// its control-flow structure (which renumbers every function's blocks
-// positionally).
+// prepare numbers the program's instructions, verifies it (which checks
+// that every function's blocks are numbered positionally) and computes
+// its control-flow structure.
 func prepare(prog *ir.Program) (*flow, error) {
 	prog.AssignUIDs()
 	if err := prog.Verify(); err != nil {

@@ -357,7 +357,6 @@ func placeSync(body *ir.Function, level Level, numSegs int, pl *ParallelLoop) {
 			}
 		}
 	}
-	body.Renumber()
 }
 
 // dominatesRunningRets reports whether w dominates every return block on a

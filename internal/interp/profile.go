@@ -25,9 +25,10 @@ func canonPair(a, b int32) DepPair {
 
 // LoopKey names a loop by position rather than by pointer: Fn is the
 // function's index in Program.Funcs and Header the header block's
-// Block.Index. cfg.New numbers blocks positionally and AssignUIDs is
-// deterministic, so the key names the same loop in every fresh build of
-// the same program content, and one profile serves them all.
+// Block.Index. Every block constructor numbers blocks positionally
+// (ir.Program.Verify checks it) and AssignUIDs is deterministic, so the
+// key names the same loop in every fresh build of the same program
+// content, and one profile serves them all.
 type LoopKey struct {
 	Fn, Header int32
 }

@@ -173,6 +173,26 @@ func TestVerifyCatchesBranchMidBlock(t *testing.T) {
 	}
 }
 
+func TestVerifyCatchesMisnumberedBlock(t *testing.T) {
+	p := NewProgram("t")
+	f := p.NewFunction("bad", 0)
+	b := NewBuilder(p, f)
+	a, c := b.NewBlock("a"), b.NewBlock("c")
+	b.Br(a)
+	b.SetBlock(a).Br(c)
+	b.SetBlock(c).RetVoid()
+	if err := p.Verify(); err != nil {
+		t.Fatalf("well-formed program rejected: %v", err)
+	}
+	// Swap two blocks without renumbering them: analyses index side
+	// tables by Block.Index, so a stale position must not verify.
+	f.Blocks[1], f.Blocks[2] = f.Blocks[2], f.Blocks[1]
+	err := p.Verify()
+	if err == nil || !strings.Contains(err.Error(), "position") {
+		t.Fatalf("verify should reject a block whose Index is not its position, got %v", err)
+	}
+}
+
 func TestGlobalLayout(t *testing.T) {
 	p := NewProgram("t")
 	ty := p.NewType("arr")

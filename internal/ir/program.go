@@ -66,13 +66,6 @@ func (f *Function) NewReg() Reg {
 	return r
 }
 
-// Renumber refreshes Block.Index after structural edits.
-func (f *Function) Renumber() {
-	for i, b := range f.Blocks {
-		b.Index = i
-	}
-}
-
 // String dumps the function in a readable listing.
 func (f *Function) String() string {
 	var sb strings.Builder
@@ -224,9 +217,10 @@ func (p *Program) SiteOfGlobal(s Site) *Global {
 	return nil
 }
 
-// Verify checks structural invariants: every block is terminated, branch
-// targets belong to the function, register indices are in range, and call
-// instructions name a callee or an extern summary.
+// Verify checks structural invariants: every block's Index is its
+// position, every block is terminated, branch targets belong to the
+// function, register indices are in range, and call instructions name a
+// callee or an extern summary.
 func (p *Program) Verify() error {
 	for _, f := range p.Funcs {
 		if len(f.Blocks) == 0 {
@@ -236,7 +230,10 @@ func (p *Program) Verify() error {
 		for _, b := range f.Blocks {
 			inFunc[b] = true
 		}
-		for _, b := range f.Blocks {
+		for i, b := range f.Blocks {
+			if b.Index != i {
+				return fmt.Errorf("ir: %s.%s has Index %d at position %d", f.Name, b.Name, b.Index, i)
+			}
 			if len(b.Instrs) == 0 || b.Terminator() == nil {
 				return fmt.Errorf("ir: %s.%s is not terminated", f.Name, b.Name)
 			}

@@ -8,6 +8,7 @@ package server
 //     served by the daemon is byte-identical to the batch harness;
 //   - a warm daemon serves a repeated figure with ZERO recordings and
 //     ZERO replays (the two-tier store does all the work);
+//   - figure jobs run concurrently, like every other job kind;
 //   - cancellation mid-figure yields a Partial-flagged result and does
 //     not poison the memo tier — an identical resubmission produces
 //     the full, correct figure;
@@ -115,6 +116,26 @@ func await(t *testing.T, base, id string) jobView {
 	}
 }
 
+// awaitRunning polls until the job is running. It fails if the job
+// finishes first (too fast for the test) or never starts.
+func awaitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		cur, _ := getJob(t, base, id)
+		if cur.Status == StatusRunning {
+			return
+		}
+		if cur.Status.terminal() {
+			t.Fatalf("job %s finished (%s) before it was seen running", id, cur.Status)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started running", id)
+		}
+		time.Sleep(500 * time.Microsecond)
+	}
+}
+
 // cancelJob issues DELETE /jobs/{id}.
 func cancelJob(t *testing.T, base, id string) (jobView, int) {
 	t.Helper()
@@ -157,8 +178,7 @@ func directFigure(t *testing.T, name string, cores int) (string, string) {
 // of the same experiment.
 func TestE2ESubmitPollResultAllKinds(t *testing.T) {
 	withTestCache(t)
-	// Render the reference figure first (sequentially — experiments
-	// must never overlap in-process).
+	// Render the reference figure through the batch harness first.
 	wantOut, wantSHA := directFigure(t, "fig9", 16)
 
 	_, ts := newTestServer(t, Config{Concurrency: 2})
@@ -323,6 +343,44 @@ func TestE2EWarmTLPZeroCompiles(t *testing.T) {
 	}
 }
 
+// TestE2EFigureJobsOverlap pins that figure jobs run at the configured
+// concurrency: with a cold fig11a running on one of two workers, a warm
+// fig9 submitted after it finishes first, with the bytes it served
+// before.
+func TestE2EFigureJobsOverlap(t *testing.T) {
+	withTestCache(t)
+	_, ts := newTestServer(t, Config{Concurrency: 2})
+
+	submit := func(exp string) string {
+		v, code, _ := postJob(t, ts.URL, fmt.Sprintf(`{"kind":"figure","experiment":%q}`, exp))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d", exp, code)
+		}
+		return v.ID
+	}
+	first := await(t, ts.URL, submit("fig9"))
+	if first.Status != StatusDone || first.Result == nil {
+		t.Fatalf("first fig9 ended %s (%s)", first.Status, first.Error)
+	}
+
+	cold := submit("fig11a")
+	awaitRunning(t, ts.URL, cold)
+
+	warm := await(t, ts.URL, submit("fig9"))
+	if warm.Status != StatusDone || warm.Result == nil {
+		t.Fatalf("warm fig9 ended %s (%s)", warm.Status, warm.Error)
+	}
+	if cur, _ := getJob(t, ts.URL, cold); cur.Status.terminal() {
+		t.Errorf("cold job already done (%s) when the warm fig9 finished: figure jobs ran one at a time", cur.Status)
+	}
+	if warm.Result.OutputSHA256 != first.Result.OutputSHA256 {
+		t.Errorf("warm fig9 hash %s != first %s", warm.Result.OutputSHA256, first.Result.OutputSHA256)
+	}
+	if v := await(t, ts.URL, cold); v.Status != StatusDone {
+		t.Fatalf("cold fig11a ended %s (%s)", v.Status, v.Error)
+	}
+}
+
 // TestE2ECancelMidFigureDoesNotPoison cancels a figure job mid-run and
 // pins the two halves of the cancellation contract: the canceled job
 // ends canceled with a Partial-flagged result (never mistakable for
@@ -340,20 +398,7 @@ func TestE2ECancelMidFigureDoesNotPoison(t *testing.T) {
 
 	// Wait until the job is actually running (a cold fig1 takes long
 	// enough that this cannot race completion), then cancel.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		cur, _ := getJob(t, ts.URL, id)
-		if cur.Status == StatusRunning {
-			break
-		}
-		if cur.Status.terminal() {
-			t.Fatalf("job finished (%s) before cancel could land; figure too fast for this test", cur.Status)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
+	awaitRunning(t, ts.URL, id)
 	if _, code := cancelJob(t, ts.URL, id); code != http.StatusOK {
 		t.Fatalf("cancel: HTTP %d", code)
 	}

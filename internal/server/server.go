@@ -11,7 +11,7 @@
 //	GET    /metrics    snapshot (benchreport.Serve shape)
 //	GET    /healthz    liveness/readiness
 //
-// Three service concerns shape the implementation:
+// Two service concerns shape the implementation:
 //
 //   - Admission control: a bounded queue (queue.go) with a fixed
 //     worker count. A full queue sheds with 429 + Retry-After instead
@@ -19,15 +19,8 @@
 //     Per-request deadlines are clamped to the server maximum and run
 //     from admission, so queue wait spends the same budget run time
 //     does — exactly the context plumbing the harness already honors.
-//   - Experiment exclusivity: the harness contract (see DESIGN.md §9)
-//     is that experiments never overlap in-process, because compiler
-//     analysis passes mutate shared workload function state. The
-//     server encodes that as a RWMutex: figure jobs hold it
-//     exclusively, compile/simulate jobs (pure cached-store reads
-//     plus read-only simulation) share it. Configured concurrency
-//     therefore applies fully to compile/simulate traffic, while
-//     figure jobs serialize among themselves — admission, queueing
-//     and shedding are unaffected.
+//     Every job kind runs at the configured concurrency: the analyses
+//     behind a figure only read the cached programs they share.
 //   - Observability: every endpoint and every job kind feeds a
 //     log-bucketed latency histogram (metrics.go); /metrics renders
 //     p50/p95/p99, error and shed counts, queue gauges, and the
@@ -42,8 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,7 +48,6 @@ import (
 // Config sizes the daemon. Zero values take the documented defaults.
 type Config struct {
 	// Concurrency is the job-execution worker count (default 2).
-	// Figure jobs additionally serialize on the experiment lock.
 	Concurrency int
 	// QueueDepth bounds admitted-but-not-running jobs (default 64);
 	// submissions beyond it shed with 429.
@@ -100,10 +90,6 @@ type Server struct {
 
 	httpMetrics *metricSet // per-endpoint HTTP latencies
 	jobMetrics  *metricSet // per-kind job execution latencies
-
-	// expMu encodes the experiments-never-overlap contract: figure
-	// jobs exclusive, compile/simulate shared.
-	expMu sync.RWMutex
 
 	start     time.Time
 	baseStats artifact.Stats
@@ -443,18 +429,15 @@ func (s *Server) finishJob(j *Job, res *JobResult, err error) {
 	s.jobs.finish(j)
 }
 
-// execute dispatches one job under the experiment-exclusivity lock
-// discipline.
+// execute dispatches one job to the harness.
 func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 	if err := ctx.Err(); err != nil {
-		// Deadline spent in the queue: fail before taking locks.
+		// Deadline spent in the queue: fail before doing any work.
 		return nil, fmt.Errorf("before start (queued %v): %w", time.Since(j.submitted).Round(time.Millisecond), err)
 	}
 	req := &j.Req
 	switch j.Kind {
 	case JobCompile:
-		s.expMu.RLock()
-		defer s.expMu.RUnlock()
 		_, comp, err := harness.CachedCompile(ctx, req.Workload, hcc.Level(req.Level), req.Cores)
 		if err != nil {
 			return nil, err
@@ -462,8 +445,6 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 		return &JobResult{Coverage: comp.Coverage, Loops: len(comp.Loops)}, nil
 
 	case JobSimulate:
-		s.expMu.RLock()
-		defer s.expMu.RUnlock()
 		arch := req.arch()
 		par, comp, err := harness.CachedRun(ctx, req.Workload, hcc.Level(req.Level), arch, req.Ref)
 		if err != nil {
@@ -490,8 +471,6 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown experiment %q", req.Experiment)
 		}
-		s.expMu.Lock()
-		defer s.expMu.Unlock()
 		out, err := e.Run(ctx)
 		if err != nil {
 			return nil, err
@@ -499,7 +478,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 		return &JobResult{
 			Output:       out,
 			OutputSHA256: fmt.Sprintf("%x", sha256.Sum256([]byte(out))),
-			Partial:      strings.Contains(out, "PARTIAL FIGURE:"),
+			Partial:      harness.IsPartial(out),
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown job kind %q", j.Kind)
