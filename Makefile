@@ -16,14 +16,19 @@ test:
 bench:
 	go run ./cmd/helix-bench -json
 
-# Sharded-evaluation smoke: two worker processes race over one small
-# figure's work units through the shared claim directory, the parent
-# merges their partial reports, and the merged figure hash is verified
-# against the checked-in report — proving the claim/lease/merge path
-# end to end (zero duplicate recordings, byte-identical output).
+# Sharded-evaluation smoke: two -shard worker processes
+# (scripts/shard2.sh) race over one small figure's work units through a
+# shared claim directory, each verifies the figure it renders against
+# the checked-in report, and `scripts -merge` reassembles their partial
+# reports under the shard budget — the claim/lease/merge path end to
+# end (zero duplicate recordings, byte-identical output).
 bench-shard-smoke:
-	go run ./cmd/helix-bench -workers 2 -only fig9 -verify BENCH_2026-08-05.json >/dev/null
-	@echo "bench-shard-smoke: 2-worker fig9 merged hash matches BENCH_2026-08-05.json"
+	rm -f .smoke-shard.json .smoke-shard.json.lock; rm -rf .smoke-shard-cache
+	scripts/shard2.sh .smoke-shard.json go run ./cmd/helix-bench -only fig9 -quiet -cachedir .smoke-shard-cache \
+	  -verify BENCH_2026-08-05.json
+	go run ./scripts -enforce -budgets perf/shard_budgets.json .smoke-shard.json
+	@echo "bench-shard-smoke: 2-worker fig9 matches BENCH_2026-08-05.json"
+	rm -f .smoke-shard.json .smoke-shard.json.lock; rm -rf .smoke-shard-cache
 
 # Regenerate one small figure and verify its output hash against the
 # checked-in benchmark report — a fast end-to-end determinism gate —
@@ -42,15 +47,19 @@ bench-smoke:
 explore:
 	go run ./cmd/helix-explore -json
 
-# Exploration smoke: two worker processes claim-partition a tiny
-# pointer-chase sweep over a shared cache, the parent merges their
-# partial reports, and the merged heatmap + frontier hash must match
-# the checked-in solo reference — the sweep's replay economy and its
-# sharded determinism in one gate.
+# Exploration smoke: two -shard worker processes claim-partition a tiny
+# pointer-chase sweep over a shared cache, each worker's heatmap +
+# frontier must match the checked-in solo reference, and `scripts
+# -merge` reassembles the sweep's partial reports under the explore
+# budget — the sweep's replay economy and its sharded determinism in
+# one gate.
 explore-smoke:
-	go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 -links 1,8 -signals 0 \
-	  -workers 2 -quiet -verify EXPLORE_2026-08-07.json >/dev/null
+	rm -f .smoke-explore.json .smoke-explore.json.lock; rm -rf .smoke-explore-cache
+	scripts/shard2.sh .smoke-explore.json go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 \
+	  -links 1,8 -signals 0 -quiet -cachedir .smoke-explore-cache -verify EXPLORE_2026-08-07.json
+	go run ./scripts -enforce -budgets perf/explore_budgets.json .smoke-explore.json
 	@echo "explore-smoke: 2-worker pointer-chase sweep matches EXPLORE_2026-08-07.json"
+	rm -f .smoke-explore.json .smoke-explore.json.lock; rm -rf .smoke-explore-cache
 
 # Run the evaluation daemon on :8080 with a persistent cache.
 serve:
@@ -72,19 +81,20 @@ serve-smoke:
 	go run ./scripts/slocheck -budgets perf/serve_slo_budgets.json .smoke-serve.json
 	rm -f .smoke-serve.json .smoke-serve.json.lock .smoke-serve.addr .smoke-helix-serve; rm -rf .smoke-serve-cache
 
-# Multi-machine smoke: a helix-serve blob backend plus two workers with
-# disjoint scratch caches (no -cachedir) that share recordings and work
-# claims only through the daemon — the merged figure hash must match
-# the checked-in solo reference, and the budget gate fails if the
-# remote tier stopped engaging. The same sequence scripts/check.sh runs.
+# Multi-machine smoke: a helix-serve blob backend plus two -shard
+# workers with disjoint caches (-remote, no -cachedir) that share
+# recordings and work claims only through the daemon — each worker's
+# figure hash must match the checked-in solo reference, and the budget
+# gate fails if the remote tier stopped engaging. The same sequence
+# scripts/check.sh runs.
 remote-smoke:
 	rm -f .smoke-remote.json .smoke-remote.addr; rm -rf .smoke-remote-blobs
 	go build -o .smoke-helix-serve ./cmd/helix-serve
 	./.smoke-helix-serve -addr 127.0.0.1:0 -addrfile .smoke-remote.addr -blobdir .smoke-remote-blobs -quiet & \
 	pid=$$!; \
 	for i in $$(seq 1 50); do [ -s .smoke-remote.addr ] && break; sleep 0.1; done; \
-	go run ./cmd/helix-bench -workers 2 -only fig9 -quiet -remote "http://$$(cat .smoke-remote.addr)" \
-	  -verify BENCH_2026-08-05.json -jsonfile .smoke-remote.json >/dev/null || { kill $$pid; exit 1; }; \
+	scripts/shard2.sh .smoke-remote.json go run ./cmd/helix-bench -only fig9 -quiet \
+	  -remote "http://$$(cat .smoke-remote.addr)" -verify BENCH_2026-08-05.json || { kill $$pid; exit 1; }; \
 	kill -TERM $$pid; wait $$pid
 	go run ./scripts -enforce -budgets perf/remote_budgets.json .smoke-remote.json
 	@echo "remote-smoke: 2 disjoint-cache workers over the blob backend match BENCH_2026-08-05.json"

@@ -10,8 +10,8 @@
 //	helix-explore -cores 2,4 -links 1,32  # reshape the grid
 //	helix-explore -json                   # append a report to EXPLORE_<date>.json
 //	helix-explore -verify FILE            # compare output hashes against a report
-//	helix-explore -workers 4              # shard the sweep over 4 processes
-//	helix-explore -workers 2 -remote http://host:8080  # share through helix-serve
+//	helix-explore -shard 1/2 -runid r1 -cachedir .cache -jsonfile part1.json
+//	                                      # worker 1 of a 2-process sweep
 //	helix-explore -emitpack               # regenerate scenarios/*.json and exit
 //
 // Every (family, scenario) pair is recorded exactly once per (cores,
@@ -19,19 +19,21 @@
 // timing and are served by batched trace replay (sim.ReplayBatch). A
 // 36-point grid over two scenarios therefore costs twelve recordings
 // plus two baselines, not 72 simulations — which is what makes grid
-// reshaping cheap enough to iterate on. Alias tiers often compile to
-// the same program, so a solo sweep retimes once per distinct trace:
-// tiers of one (scenario, cores) whose recordings are byte-identical
-// share one traversal. Sharded workers retime each claimed recording
-// on its own.
+// reshaping cheap enough to iterate on. The sweep plans its work units
+// (harness.PlanSweep) and executes them before any family renders
+// (harness.RunPlan). Alias tiers often compile to the same program, so
+// a solo sweep retimes once per distinct trace: tiers of one (scenario,
+// cores) whose recordings are byte-identical share one traversal.
+// Sharded workers retime each claimed recording on its own.
 //
 // The sweep runs on the same cached, sharded machinery as helix-bench
 // (internal/drive): -cachedir persists recordings across runs, -remote
-// shares them through a helix-serve blob backend, and -workers N forks
-// N claim-coordinated workers whose merged report is byte-identical to
-// a solo run. Scenario packs are loaded from -pack (default scenarios/
-// in the working directory); -emitpack regenerates the default packs
-// after a deliberate generator change.
+// shares them through a helix-serve blob backend, and -shard i/n
+// workers started with a common -runid claim-partition the sweep; their
+// partial reports, merged by `go run ./scripts -merge`, are
+// byte-identical to a solo run. Scenario packs are loaded from -pack
+// (default scenarios/ in the working directory); -emitpack regenerates
+// the default packs after a deliberate generator change.
 package main
 
 import (
@@ -46,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"helixrc/internal/artifact"
 	"helixrc/internal/benchreport"
 	"helixrc/internal/cliutil"
 	"helixrc/internal/drive"
@@ -110,12 +111,12 @@ func main() {
 		}
 	}
 
-	os.Exit(drive.Run(&o, plan(&o, &sf, runs)))
+	os.Exit(drive.Run(&o, plan(&sf, runs)))
 }
 
 // plan describes the sweep to the shared orchestrator: one experiment
-// per family, the phase-A warm-up, and the Explore report section.
-func plan(o *drive.Options, sf *sweepFlags, runs []familyRun) *drive.Plan {
+// per family, the sweep's work units, and the Explore report section.
+func plan(sf *sweepFlags, runs []familyRun) *drive.Plan {
 	level := hcc.Level(sf.level)
 	var scenarioNames []string
 	for _, fr := range runs {
@@ -129,9 +130,10 @@ func plan(o *drive.Options, sf *sweepFlags, runs []familyRun) *drive.Plan {
 	exps := make([]drive.Experiment, len(runs))
 	for i, fr := range runs {
 		fr := fr
+		name := harness.ExploreName(fr.family)
 		exps[i] = drive.Experiment{
-			Name:     experimentName(fr.family),
-			ClaimKey: harness.ExperimentClaimKey(experimentName(fr.family), 0),
+			Name:     name,
+			ClaimKey: harness.ExperimentClaimKey(name, 0),
 			Run: func(ctx context.Context) (string, error) {
 				fam, err := sweepFamily(ctx, sf, level, fr)
 				if err != nil {
@@ -143,55 +145,21 @@ func plan(o *drive.Options, sf *sweepFlags, runs []familyRun) *drive.Plan {
 		}
 	}
 
-	childArgs := []string{
-		"-pack", sf.packDir,
-		"-level", strconv.Itoa(sf.level),
-		"-cores", sf.coresList,
-		"-tiers", sf.tiersList,
-		"-links", sf.linksList,
-		"-signals", sf.signalsList,
-	}
-	if sf.family != "" {
-		childArgs = append(childArgs, "-family", sf.family)
-	}
-
 	return &drive.Plan{
-		What:             "explore",
-		Units:            "famil(ies)",
-		IncompleteWhat:   "sweep",
-		ReportPrefix:     "EXPLORE",
-		TempCachePattern: "helix-explore-cache-*",
-		Experiments:      exps,
-		MergeOrder:       experimentOrder(runs),
-		ChildArgs:        childArgs,
-		Warm: func(ctx context.Context, claims artifact.Claims) {
-			// Phase A: warm the store. Sharded, the content-keyed unit
-			// plan is identical on every worker and the claims partition
-			// the recordings; solo, the prefetch batches every timing lane
-			// of the tiers that share a distinct trace into one traversal.
-			// Either way each (scenario, cores, tier) is recorded exactly
-			// once.
-			if claims == nil {
-				harness.PrefetchSweep(ctx, scenarioNames, level, sf.grid)
-				return
-			}
-			units, err := harness.PlanSweep(ctx, scenarioNames, level, sf.grid)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "shard %s: planning sweep units: %v (continuing uncoordinated)\n", o.Shard, err)
-				return
-			}
-			harness.RunPlan(ctx, units, claims)
+		What:           "explore",
+		Units:          "famil(ies)",
+		IncompleteWhat: "sweep",
+		ReportPrefix:   "EXPLORE",
+		Experiments:    exps,
+		Work: func(ctx context.Context) ([]harness.WorkUnit, error) {
+			return harness.PlanSweep(ctx, scenarioNames, level, sf.grid)
 		},
 		Attach: func(r *benchreport.Report) {
 			if len(fams) > 0 {
 				r.Explore = &benchreport.Explore{Families: fams}
 			}
 		},
-		Banner: func(total time.Duration, workers int) string {
-			if workers > 0 {
-				return fmt.Sprintf("Sweep complete in %.1fs (%d worker processes): %d families × %d design points.",
-					total.Seconds(), workers, len(runs), len(sf.grid))
-			}
+		Banner: func(total time.Duration) string {
 			return fmt.Sprintf("Sweep complete in %.1fs: %d families × %d design points.",
 				total.Seconds(), len(runs), len(sf.grid))
 		},
@@ -200,7 +168,7 @@ func plan(o *drive.Options, sf *sweepFlags, runs []familyRun) *drive.Plan {
 
 // sweepFamily sweeps one family: every (scenario × grid point) cell,
 // the geomean across scenarios per point, and the frontier. After the
-// phase-A warm-up the cells are pure cache reads, so ParMap here costs
+// plan has run the cells are pure cache reads, so ParMap here costs
 // memory lookups, not simulation.
 func sweepFamily(ctx context.Context, sf *sweepFlags, level hcc.Level, fr familyRun) (benchreport.ExploreFamily, error) {
 	ns := len(fr.scenarios)
@@ -324,8 +292,8 @@ type familyRun struct {
 }
 
 // selectFamilies loads the packs and applies the -family filter. The
-// result is sorted by family name, which is the canonical experiment
-// order a merged sharded report must reassemble.
+// result is in canonical report order (harness.ReportOrder, by family
+// name), the order a merged sharded report reassembles.
 func selectFamilies(sf *sweepFlags) ([]scenarios.Pack, []familyRun, error) {
 	packs, err := scenarios.LoadDir(sf.packDir)
 	if err != nil {
@@ -341,7 +309,8 @@ func selectFamilies(sf *sweepFlags) ([]scenarios.Pack, []familyRun, error) {
 			want[string(f)] = true
 		}
 	}
-	var runs []familyRun
+	byName := map[string]familyRun{}
+	var names []string
 	for _, p := range packs {
 		if sf.family != "" && !want[p.Family] {
 			continue
@@ -351,7 +320,12 @@ func selectFamilies(sf *sweepFlags) ([]scenarios.Pack, []familyRun, error) {
 		for _, m := range p.Scenarios {
 			fr.scenarios = append(fr.scenarios, m.Name)
 		}
-		runs = append(runs, fr)
+		name := harness.ExploreName(p.Family)
+		if _, dup := byName[name]; dup {
+			return nil, nil, fmt.Errorf("two packs in %s hold family %s", sf.packDir, p.Family)
+		}
+		byName[name] = fr
+		names = append(names, name)
 	}
 	if len(want) > 0 {
 		var missing []string
@@ -361,20 +335,12 @@ func selectFamilies(sf *sweepFlags) ([]scenarios.Pack, []familyRun, error) {
 		sort.Strings(missing)
 		return nil, nil, fmt.Errorf("no pack in %s for family %s", sf.packDir, strings.Join(missing, ", "))
 	}
-	if len(runs) == 0 {
+	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("no families selected from %s", sf.packDir)
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].family < runs[j].family })
-	return packs, runs, nil
-}
-
-// experimentName is the report name of one family's sweep.
-func experimentName(family string) string { return "explore:" + family }
-
-func experimentOrder(runs []familyRun) []string {
-	names := make([]string, len(runs))
-	for i, fr := range runs {
-		names[i] = experimentName(fr.family)
+	var runs []familyRun
+	for _, name := range harness.ReportOrder(names) {
+		runs = append(runs, byName[name])
 	}
-	return names
+	return packs, runs, nil
 }

@@ -60,19 +60,6 @@ func CheckOneOf(name, v string, allowed ...string) error {
 	return fmt.Errorf("-%s %q: accepted values are %s", name, v, strings.Join(allowed, ", "))
 }
 
-// MaxWorkers bounds a -workers flag: forking more worker processes
-// than this is a typo, not a cluster.
-const MaxWorkers = 256
-
-// CheckWorkers validates a -workers flag (worker process count; 0 runs
-// the evaluation in this process).
-func CheckWorkers(workers int) error {
-	if workers < 0 || workers > MaxWorkers {
-		return fmt.Errorf("-workers %d: accepted range is 0..%d (0 = run in this process, N = fork N worker processes)", workers, MaxWorkers)
-	}
-	return nil
-}
-
 // CheckRemote validates a -remote flag (helix-serve blob backend base
 // URL): http(s), a host, no query/fragment. Trailing slashes are
 // trimmed so path concatenation is uniform.

@@ -1,22 +1,21 @@
-// Package drive is the shared solo/worker/parent orchestration behind
-// cmd/helix-bench and cmd/helix-explore. Both tools reduce to the same
-// shape — plan a list of named, deterministic, claim-partitionable
-// experiments, then evaluate them in one of three modes — so the modes
-// live here once:
+// Package drive is the shared orchestration behind cmd/helix-bench and
+// cmd/helix-explore. Both tools reduce to the same shape — plan the
+// trace work of a list of named, deterministic, claim-partitionable
+// experiments, execute that plan, then render the experiments — in one
+// of two modes, so the modes live here once:
 //
-//   - solo: run every experiment in-process, in order.
+//   - solo: execute the whole plan in one harness.RunPlan call, then
+//     render every experiment in-process, in order.
 //   - worker (-shard i/n): coordinate with sibling workers through an
 //     artifact.Claims substrate — atomic claim files in a shared
 //     -cachedir, or the claim table of a -remote helix-serve daemon
-//     when workers share no filesystem — and append a partial report.
-//   - parent (-workers N): fork N workers of the host binary, merge
-//     their partial reports deterministically, verify, and report.
+//     when workers share no filesystem — and append a partial report;
+//     `go run ./scripts -merge` reassembles the partial reports.
 //
 // The flag surface (RegisterFlags), shard/runid validation, claimer
-// construction, child fork+monitor, partial-report merge and hash
-// verification are all here; the tools contribute only their planning
-// (which experiments exist, how to warm the caches, which extra flags
-// their workers need) through a Plan.
+// construction, plan execution and hash verification are all here; the
+// tools contribute only their planning (which experiments exist and
+// which work units they need) through a Plan.
 package drive
 
 import (
@@ -46,7 +45,6 @@ import (
 // zero values by the ones that don't.
 type Options struct {
 	Parallel    int
-	Workers     int
 	Shard       string
 	RunID       string
 	Lease       time.Duration
@@ -71,7 +69,6 @@ type Options struct {
 // prefix names the default report file ("BENCH", "EXPLORE").
 func RegisterFlags(o *Options, what, prefix string) {
 	flag.IntVar(&o.Parallel, "parallel", 0, "in-process worker count (0 = all CPUs, 1 = sequential)")
-	flag.IntVar(&o.Workers, "workers", 0, fmt.Sprintf("shard the %s over N worker processes sharing the cache (0 = this process only)", what))
 	flag.StringVar(&o.Shard, "shard", "", "run as worker i of n (\"i/n\"); requires -runid, -jsonfile, and -cachedir or -remote")
 	flag.StringVar(&o.RunID, "runid", "", fmt.Sprintf("work-claiming scope for -shard workers; pick a fresh value per %s", what))
 	flag.DurationVar(&o.Lease, "lease", time.Minute, "work-claim lease: a crashed worker's claims become stealable after this long")
@@ -99,7 +96,7 @@ type Experiment struct {
 
 // Plan is what a tool contributes to a run: the selected experiments
 // in canonical order, the wording of its messages, and hooks for
-// cache warming, worker flags, and report sections.
+// planning the work units and adding report sections.
 type Plan struct {
 	// What names the report in messages ("benchmark", "explore");
 	// Units the experiment plural ("experiment(s)", "famil(ies)");
@@ -107,37 +104,24 @@ type Plan struct {
 	What, Units, IncompleteWhat string
 	// ReportPrefix names the default report file ("BENCH", "EXPLORE").
 	ReportPrefix string
-	// TempCachePattern names parent-owned temporary cache dirs.
-	TempCachePattern string
 	// Experiments is the selected work, in canonical order.
 	Experiments []Experiment
-	// MergeOrder fixes the experiment order of a merged report; it must
-	// contain every name a worker can produce (supersets are fine).
-	MergeOrder []string
-	// Warm optionally pre-populates the artifact stores before the
-	// experiments run (phase A). claims is nil in solo mode.
-	Warm func(ctx context.Context, claims artifact.Claims)
-	// ChildArgs are the tool-specific flags forwarded to every forked
-	// worker (the shared flags are forwarded by the parent itself).
-	ChildArgs []string
+	// Work optionally plans the trace work units of the selected
+	// experiments; harness.RunPlan executes them before the first
+	// experiment renders.
+	Work func(ctx context.Context) ([]harness.WorkUnit, error)
 	// Attach optionally adds tool-specific sections to a local report.
 	Attach func(r *benchreport.Report)
-	// Banner renders the completion message of a clean run (workers is
-	// 0 for solo runs); return "" to stay quiet.
-	Banner func(total time.Duration, workers int) string
+	// Banner renders the completion message of a clean solo run; return
+	// "" to stay quiet.
+	Banner func(total time.Duration) string
 }
 
-// Run validates the options and dispatches the requested mode,
+// Run validates the options and executes the plan in this process,
 // returning the process exit code. It owns the signal contract:
 // SIGINT/SIGTERM (and -timeout expiry) cancel in-flight work — workers
 // drain, reports are still written, flagged interrupted.
 func Run(o *Options, p *Plan) int {
-	if err := cliutil.CheckWorkers(o.Workers); err != nil {
-		log.Fatal(err)
-	}
-	if o.Workers > 0 && o.Shard != "" {
-		log.Fatal("-workers and -shard are mutually exclusive (the parent forks the shards itself)")
-	}
 	if o.Remote != "" {
 		base, err := cliutil.CheckRemote(o.Remote)
 		if err != nil {
@@ -153,10 +137,6 @@ func Run(o *Options, p *Plan) int {
 		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
 		defer cancel()
 	}
-
-	if o.Workers > 0 {
-		return runParent(ctx, o, p)
-	}
 	return runLocal(ctx, o, p)
 }
 
@@ -171,8 +151,8 @@ func newClaims(o *Options) artifact.Claims {
 	return artifact.NewClaimer(filepath.Join(o.CacheDir, "claims", o.RunID), owner, o.Lease)
 }
 
-// runLocal executes the plan in this process: the default
-// single-process mode, or one -shard worker of a sharded run.
+// runLocal executes the plan in this process: the default solo mode,
+// or one -shard worker of a sharded run.
 func runLocal(ctx context.Context, o *Options, p *Plan) int {
 	harness.SetParallelism(o.Parallel)
 	harness.SetCacheBudget(o.CacheBudget << 20)
@@ -206,12 +186,17 @@ func runLocal(ctx context.Context, o *Options, p *Plan) int {
 
 	start := time.Now()
 
-	// Phase A: warm the shared store. Sharded, the content-keyed unit
-	// plan is identical on every worker, so the claims partition the
-	// recordings; each worker ends with every Result either local or
-	// one tier read away.
-	if p.Warm != nil {
-		p.Warm(ctx, claims)
+	// Execute the plan before any experiment renders. Solo, RunPlan
+	// retimes every selected experiment's units in one batched call.
+	// Sharded, the content-keyed unit plan is identical on every worker,
+	// so the claims partition the recordings; each worker ends with every
+	// Result either local or one tier read away.
+	if p.Work != nil {
+		if units, err := p.Work(ctx); err != nil {
+			log.Printf("planning work units: %v (continuing without the plan)", err)
+		} else {
+			harness.RunPlan(ctx, units, claims)
+		}
 	}
 
 	reports, mismatches, interrupted, runErr := runExperiments(ctx, o, p, claims, wantSHA)
@@ -236,7 +221,7 @@ func runLocal(ctx context.Context, o *Options, p *Plan) int {
 		return 1
 	}
 	if o.Shard == "" && p.Banner != nil {
-		if b := p.Banner(total, 0); b != "" {
+		if b := p.Banner(total); b != "" {
 			fmt.Println(strings.Repeat("=", 60))
 			fmt.Println(b)
 		}

@@ -8,6 +8,10 @@ package harness
 // traversal with sim.ReplayBatch, publishing each lane's Result to the
 // harness result store. The figure's cells then run unchanged: their
 // simWithTrace calls hit the result tier and never touch the trace.
+// Solo, RunPlan hands the groups of a whole plan (every selected
+// experiment's, or a sweep's) to the same retime call before the first
+// figure renders, so the figures' own prefetches then only peek; under
+// -shard each claimed unit goes through retime on its own.
 //
 // Groups that share their (workload, cores, input) and differ only in
 // level or alias tier — twins — can compile to the same program and so
@@ -86,12 +90,6 @@ func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
 		ctx = context.Background()
 	}
 	retime(ctx, groups)
-}
-
-// prefetchGroup is RunPlan's per-unit path: the same steps over one
-// group, which has no twin to wait for.
-func prefetchGroup(ctx context.Context, g *retimeGroup) {
-	retime(ctx, []retimeGroup{*g})
 }
 
 // retime peek-filters every group's configs once, loads or records the

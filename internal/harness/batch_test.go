@@ -72,7 +72,9 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 // trace — counted here independently, by hashing every group's encoded
 // trace — over the union of the groups' missing configs, and every cell
 // must read exactly the Result a cold solo run computes. Merging two
-// different traces would serve some tier another tier's timings.
+// different traces would serve some tier another tier's timings. The
+// same holds when the grid's units are planned (PlanSweep) and executed
+// without a claimer (RunPlan), as a solo helix-explore does.
 func TestPrefetchRetimesMergesTwinTraces(t *testing.T) {
 	ctx := context.Background()
 	var names []string
@@ -142,36 +144,50 @@ func TestPrefetchRetimesMergesTwinTraces(t *testing.T) {
 		t.Fatalf("%d tiered groups hold %d distinct traces; the grid no longer tells merging from not merging", tiered, len(distinct))
 	}
 
-	ResetCaches()
-	b0, l0, f0 := BatchStats()
-	prefetchRetimes(ctx, groups)
-	b1, l1, f1 := BatchStats()
-	if got := b1 - b0; got != int64(len(distinct)) {
-		t.Errorf("prefetch issued %d batches, want one per distinct trace: %d", got, len(distinct))
-	}
-	// Each group's recording serves its first config; the other
-	// len(grid)/10 - 1 timing lanes of a (cores, tier) are the same for
-	// every tier, so a merged batch retimes them once.
-	if got, lanes := l1-l0, int64(len(distinct)*(len(grid)/10-1)); got != lanes {
-		t.Errorf("prefetch retimed %d lanes, want %d", got, lanes)
-	}
-	if f1 != f0 {
-		t.Errorf("prefetch issued %d one-lane fallbacks, want 0", f1-f0)
-	}
-	rec0, _ := ReplayStats()
-	for _, name := range names {
-		for _, c := range grid {
-			res, err := runOnTier(ctx, name, hcc.V3, c.Tier, c.Arch(), true)
+	for _, warm := range []struct {
+		name string
+		run  func()
+	}{
+		{"prefetchRetimes", func() { prefetchRetimes(ctx, groups) }},
+		{"RunPlan", func() {
+			units, err := PlanSweep(ctx, names, hcc.V3, grid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if *res != *want[name][c] {
-				t.Errorf("%s %+v: prefetched result differs from solo:\nwant %+v\ngot  %+v", name, c, want[name][c], res)
+			RunPlan(ctx, units, nil)
+		}},
+	} {
+		ResetCaches()
+		b0, l0, f0 := BatchStats()
+		warm.run()
+		b1, l1, f1 := BatchStats()
+		if got := b1 - b0; got != int64(len(distinct)) {
+			t.Errorf("%s issued %d batches, want one per distinct trace: %d", warm.name, got, len(distinct))
+		}
+		// Each group's recording serves its first config; the other
+		// len(grid)/10 - 1 timing lanes of a (cores, tier) are the same for
+		// every tier, so a merged batch retimes them once.
+		if got, lanes := l1-l0, int64(len(distinct)*(len(grid)/10-1)); got != lanes {
+			t.Errorf("%s retimed %d lanes, want %d", warm.name, got, lanes)
+		}
+		if f1 != f0 {
+			t.Errorf("%s issued %d one-lane fallbacks, want 0", warm.name, f1-f0)
+		}
+		rec0, _ := ReplayStats()
+		for _, name := range names {
+			for _, c := range grid {
+				res, err := runOnTier(ctx, name, hcc.V3, c.Tier, c.Arch(), true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *res != *want[name][c] {
+					t.Errorf("%s: %s %+v: warmed result differs from solo:\nwant %+v\ngot  %+v", warm.name, name, c, want[name][c], res)
+				}
 			}
 		}
-	}
-	if rec1, _ := ReplayStats(); rec1 != rec0 {
-		t.Errorf("cells recorded %d traces after prefetch, want 0", rec1-rec0)
+		if rec1, _ := ReplayStats(); rec1 != rec0 {
+			t.Errorf("%s: cells recorded %d traces after the warm-up, want 0", warm.name, rec1-rec0)
+		}
 	}
 }
 

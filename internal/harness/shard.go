@@ -1,29 +1,30 @@
 package harness
 
-// Sharded evaluation. A full evaluation's dominant cost is recording
+// Evaluation plans. A full evaluation's dominant cost is recording
 // dynamic traces; everything downstream (batched retiming, the cells
-// themselves) replays or reads caches. Those artifacts are
-// content-addressed and process-independent, so helix-bench -workers N
-// forks N worker processes that share nothing but a cache directory
-// and partition the work through it:
+// themselves) replays or reads caches. So a run plans first, executes
+// the plan, and only then renders:
 //
-//   - PlanUnits enumerates every experiment's trace groups as stable
-//     content-keyed work units (one unit per recorded trace, its key
-//     the trace key), merging duplicates across experiments so a trace
-//     shared by two figures is recorded by exactly one worker.
-//   - RunPlan drains the units coordinator-free: each worker claims a
-//     unit through an artifact.Claims implementation — an atomic lease
-//     file in a run-scoped claim directory (artifact.Claimer), or the
-//     claim table of a helix-serve daemon (artifact.RemoteClaimer)
-//     when workers share no filesystem — records+retimes it
-//     (prefetchGroup), and leaves a durable done marker. Crashed
-//     workers' leases expire and are stolen; every unit is idempotent,
-//     so the worst race outcome is duplicated work, never a wrong
-//     artifact.
+//   - PlanUnits (PlanSweep for explore grids) enumerates every selected
+//     experiment's trace groups as stable content-keyed work units (one
+//     unit per recorded trace, its key the trace key), merging
+//     duplicates across experiments so a trace shared by two figures is
+//     planned once.
+//   - RunPlan executes the units. In one process it retimes all of them
+//     in one batched call (see batch.go), so twins across units share a
+//     traversal. Across -shard worker processes that share a cache
+//     directory or a helix-serve daemon, each worker claims units
+//     coordinator-free through an artifact.Claims implementation — an
+//     atomic lease file in a run-scoped claim directory
+//     (artifact.Claimer), or the daemon's claim table
+//     (artifact.RemoteClaimer) — records and retimes each claimed unit,
+//     and leaves a durable done marker. Crashed workers' leases expire
+//     and are stolen; every unit is idempotent, so the worst race
+//     outcome is duplicated work, never a wrong artifact.
 //
-// After the cooperative warm-up, workers claim whole experiments (see
-// ExperimentClaimKey) and render their figures from the now-hot
-// caches, each writing a partial report the parent merges
+// The experiments then render their figures from the hot caches. Sharded
+// workers claim whole experiments (see ExperimentClaimKey) and each
+// writes a partial report that `scripts -merge` reassembles
 // deterministically (benchreport.Merge) — byte-identical figures to a
 // solo run, because every cached Result is bit-identical to what the
 // cell would have computed itself.
@@ -31,6 +32,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"helixrc/internal/artifact"
@@ -49,6 +52,37 @@ func ExperimentNames() []string {
 		names[i] = e.Name
 	}
 	return names
+}
+
+// exploreNamePrefix marks the report name of a helix-explore sweep.
+const exploreNamePrefix = "explore:"
+
+// ExploreName is the report name of one family's helix-explore sweep.
+func ExploreName(family string) string { return exploreNamePrefix + family }
+
+// ReportOrder returns the experiments among names that a report may
+// carry, each once, in canonical report order: the paper's experiments
+// in ExperimentNames order, then the explore sweeps (ExploreName) by
+// family name. helix-explore presents its families in this order and
+// `scripts -merge` reassembles partial reports in it; a name it does
+// not recognize is left out, so benchreport.Merge rejects it.
+func ReportOrder(names []string) []string {
+	have := map[string]bool{}
+	var sweeps []string
+	for _, n := range names {
+		if !have[n] && strings.HasPrefix(n, exploreNamePrefix) && n != exploreNamePrefix {
+			sweeps = append(sweeps, n)
+		}
+		have[n] = true
+	}
+	var order []string
+	for _, n := range ExperimentNames() {
+		if have[n] {
+			order = append(order, n)
+		}
+	}
+	sort.Strings(sweeps)
+	return append(order, sweeps...)
 }
 
 // ExperimentClaimKey is the work-claiming key for one whole experiment
@@ -233,29 +267,27 @@ func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
 	return units, nil
 }
 
-// RunPlan drains the units. With a claimer, workers sharing its claim
-// substrate (directory or daemon) partition the units cooperatively:
-// each unit is claimed by
-// one worker, executed (prefetchGroup: record + batched retime,
-// publishing into the shared store), and marked done; units held
-// elsewhere are revisited until their artifacts appear or their lease
-// expires and is stolen. Without a claimer the units run locally in
-// order. Either way RunPlan is best-effort warm-up — a unit that fails
-// here is recomputed by its cells, which attribute the error properly.
+// RunPlan executes the units. Without a claimer it hands every unit's
+// group to one batched retime, exactly as a figure's own prefetch does,
+// and does nothing while per-cell deadlines are active. With a claimer,
+// workers sharing its claim substrate (directory or daemon) partition
+// the units cooperatively: each unit is claimed by one worker, retimed
+// on its own (record + batched retime, publishing into the shared
+// store), and marked done; units held elsewhere are revisited until
+// their artifacts appear or their lease expires and is stolen. Either
+// way RunPlan is best-effort warm-up — a unit that fails here is
+// recomputed by its cells, which attribute the error properly.
 func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
+	if claimer == nil {
+		groups := make([]retimeGroup, len(units))
+		for i := range units {
+			groups[i] = units[i].group
+		}
+		prefetchRetimes(ctx, groups)
+		return
+	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if claimer == nil {
-		for i := range units {
-			if ctx.Err() != nil {
-				return
-			}
-			if !units[i].complete() {
-				prefetchGroup(ctx, &units[i].group)
-			}
-		}
-		return
 	}
 	done := make([]bool, len(units))
 	held := make([]bool, len(units))
@@ -294,14 +326,14 @@ func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
 				// Claim directory unusable: degrade to solo execution. The
 				// unit is idempotent, so the worst outcome is duplicated
 				// work across workers, never a wrong artifact.
-				prefetchGroup(ctx, &u.group)
+				retime(ctx, []retimeGroup{u.group})
 				finish(i)
 				progress = true
 				continue
 			}
 			switch st {
 			case artifact.ClaimAcquired:
-				prefetchGroup(ctx, &u.group)
+				retime(ctx, []retimeGroup{u.group})
 				lease.Done("")
 				finish(i)
 				progress = true

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"crypto/sha256"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,6 +72,17 @@ func TestPlanUnitsDeterministicAndDeduplicated(t *testing.T) {
 	}
 	if len(a) >= sum {
 		t.Fatalf("merged plan has %d units, per-experiment sum %d: nothing deduplicated", len(a), sum)
+	}
+}
+
+// TestReportOrder pins the canonical report order a merge reassembles:
+// paper experiments first in ExperimentNames order, then explore sweeps
+// by family name, each once, and nothing else.
+func TestReportOrder(t *testing.T) {
+	in := []string{"explore:reduction", "fig9", "bogus", "fig1", ExploreName("contention"), "fig9", "explore:"}
+	want := "fig1 fig9 explore:contention explore:reduction"
+	if got := strings.Join(ReportOrder(in), " "); got != want {
+		t.Errorf("ReportOrder(%q) = %s, want %s", in, got, want)
 	}
 }
 
@@ -162,7 +174,8 @@ func TestRunPlanStealsExpiredLease(t *testing.T) {
 
 // TestRunPlanOutputByteIdentical pins the contract the report merger
 // rests on: a figure generated from RunPlan-warmed caches is
-// byte-identical to the same figure generated solo.
+// byte-identical to the same figure generated solo, whether the plan
+// ran claimed (one -shard worker) or without a claimer (a solo run).
 func TestRunPlanOutputByteIdentical(t *testing.T) {
 	ctx := context.Background()
 
@@ -173,19 +186,25 @@ func TestRunPlanOutputByteIdentical(t *testing.T) {
 	}
 	soloSum := sha256.Sum256([]byte(solo.Format()))
 
-	// Fresh caches, warmed through the claimed plan this time.
-	ResetCaches()
-	SetCacheDir(t.TempDir())
-	units, err := PlanUnits(ctx, []string{"fig9"}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	RunPlan(ctx, units, artifact.NewClaimer(t.TempDir(), "w", time.Minute))
-	warmed, err := Figure9(ctx, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmedSum := sha256.Sum256([]byte(warmed.Format())); warmedSum != soloSum {
-		t.Fatalf("sharded-warmup output differs from solo:\nsolo:\n%s\nwarmed:\n%s", solo.Format(), warmed.Format())
+	for _, claimer := range []artifact.Claims{nil, artifact.NewClaimer(t.TempDir(), "w", time.Minute)} {
+		// Fresh caches, warmed through the plan this time.
+		ResetCaches()
+		SetCacheDir(t.TempDir())
+		units, err := PlanUnits(ctx, []string{"fig9"}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RunPlan(ctx, units, claimer)
+		rec0, _ := ReplayStats()
+		warmed, err := Figure9(ctx, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warmedSum := sha256.Sum256([]byte(warmed.Format())); warmedSum != soloSum {
+			t.Fatalf("claimer %T: plan-warmed output differs from solo:\nsolo:\n%s\nwarmed:\n%s", claimer, solo.Format(), warmed.Format())
+		}
+		if rec1, _ := ReplayStats(); rec1 != rec0 {
+			t.Errorf("claimer %T: Figure9 recorded %d traces after the plan, want 0", claimer, rec1-rec0)
+		}
 	}
 }

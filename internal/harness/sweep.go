@@ -12,7 +12,8 @@ package harness
 // batch.go). That replay economy is what makes a 36-point grid cost
 // four recordings, and it reuses the exact machinery of the paper
 // figures: the same stores, the same key grammar (with a tier component
-// the paper path never sets), the same claims-based sharding.
+// the paper path never sets), the same plan executor (RunPlan) and
+// claims-based sharding.
 
 import (
 	"context"
@@ -87,9 +88,10 @@ func sweepGroups(name string, level hcc.Level, grid []SweepConfig) []retimeGroup
 // PlanSweep enumerates the deduplicated work units of a sweep — one
 // unit per recorded trace (scenario × cores × tier, plus one baseline
 // per scenario) with every timing lane attached — exactly as PlanUnits
-// does for the paper experiments. helix-explore workers drain these
-// through RunPlan's claim protocol, so N workers record each trace
-// exactly once between them.
+// does for the paper experiments. helix-explore executes them with
+// RunPlan: solo in one batched retime, which serves the tiers that share
+// a distinct trace with one traversal, or claim-partitioned across
+// -shard workers, which record each trace exactly once between them.
 func PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) ([]WorkUnit, error) {
 	for _, c := range grid {
 		if err := c.Validate(); err != nil {
@@ -103,23 +105,11 @@ func PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []Swee
 	return planGroups(ctx, groups)
 }
 
-// PrefetchSweep warms the result caches for a sweep in-process (the
-// solo, claimless path): records each missing trace and batch-retimes
-// the timing lanes once per distinct trace. Best-effort, like
-// prefetchRetimes.
-func PrefetchSweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) {
-	var groups []retimeGroup
-	for _, name := range names {
-		groups = append(groups, sweepGroups(name, level, grid)...)
-	}
-	prefetchRetimes(ctx, groups)
-}
-
 // SweepCell evaluates one (scenario, design point) cell: speedup of the
 // tier-compiled parallel run under the point's timing configuration
-// over the sequential baseline. After PrefetchSweep (or a RunPlan
-// warm-up) this is pure cache reads; cold, it records and replays
-// itself, bit-identically.
+// over the sequential baseline. After RunPlan over the sweep's units
+// this is pure cache reads; cold, it records and replays itself,
+// bit-identically.
 func SweepCell(ctx context.Context, name string, level hcc.Level, cfg SweepConfig) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err

@@ -17,15 +17,17 @@
 //
 // Enforcement mode takes the last run of REPORT.json, sums each budget
 // family's experiment wall-clocks, and exits non-zero when a family
-// exceeds its budget (or the run's total allocation exceeds the cap).
+// exceeds its budget, the run's total allocation exceeds the cap, or
+// the plan phase (the run's wall outside its experiments, where the
+// evaluation-wide warm-up executes) exceeds max_warm_ms.
 // scripts/check.sh runs it so a perf regression fails the gate instead
 // of drifting in silently.
 //
-// Merge mode reassembles the per-worker partial reports of a manual
-// multi-machine `helix-bench -shard i/n` evaluation (the in-process
-// -workers mode merges automatically): experiments land in canonical
-// order, aggregate counters are summed, per-worker counters survive,
-// and two workers disagreeing on an output hash is an error.
+// Merge mode reassembles the per-worker partial reports of a
+// `helix-bench -shard i/n` evaluation or a `helix-explore -shard i/n`
+// sweep: experiments land in canonical order (harness.ReportOrder),
+// aggregate counters are summed, per-worker counters survive, and two
+// workers disagreeing on an output hash is an error.
 package main
 
 import (
@@ -82,14 +84,18 @@ func main() {
 		if len(args) != 1 {
 			fatalf("usage: benchdiff -enforce [-budgets FILE] REPORT.json")
 		}
-		enforceBudgets(*budgetsPath, args[0])
+		if err := enforceBudgets(*budgetsPath, args[0]); err != nil {
+			fatalf("%v", err)
+		}
 		return
 	}
 	if *merge {
 		if len(args) < 1 || *mergeOut == "" {
 			fatalf("usage: benchdiff -merge -o OUT.json PART1.json [PART2.json ...]")
 		}
-		mergeParts(*mergeOut, args)
+		if err := mergeParts(*mergeOut, args); err != nil {
+			fatalf("%v", err)
+		}
 		return
 	}
 
@@ -152,64 +158,75 @@ type budgetFamily struct {
 }
 
 type budgetFile struct {
-	Note            string         `json:"note"`
-	MaxTotalAllocMB float64        `json:"max_total_alloc_mb"`
-	AllocRationale  string         `json:"alloc_rationale"`
-	Families        []budgetFamily `json:"families"`
+	Note            string  `json:"note"`
+	MaxTotalAllocMB float64 `json:"max_total_alloc_mb"`
+	AllocRationale  string  `json:"alloc_rationale"`
+	// MaxWarmMS bounds the plan phase: the run's total wall minus its
+	// summed experiment walls (bench's harness.warm_ms).
+	MaxWarmMS     float64        `json:"max_warm_ms"`
+	WarmRationale string         `json:"warm_rationale"`
+	Families      []budgetFamily `json:"families"`
 }
 
 // enforceBudgets gates the last run of reportPath against the budget
-// file: every family's summed wall-clock must stay under its ceiling
-// and the run's cumulative allocation under the cap. A missing
-// experiment or an interrupted/partial/failed run fails the gate.
-func enforceBudgets(budgetsPath, reportPath string) {
+// file: every family's summed wall-clock must stay under its ceiling,
+// the plan phase under max_warm_ms, and the run's cumulative allocation
+// under the cap. A missing experiment or an interrupted/partial/failed
+// run fails the gate.
+func enforceBudgets(budgetsPath, reportPath string) error {
 	data, err := os.ReadFile(budgetsPath)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	var b budgetFile
 	if err := json.Unmarshal(data, &b); err != nil {
-		fatalf("%s: %v", budgetsPath, err)
+		return fmt.Errorf("%s: %v", budgetsPath, err)
 	}
 	if len(b.Families) == 0 {
-		fatalf("%s defines no families", budgetsPath)
+		return fmt.Errorf("%s defines no families", budgetsPath)
 	}
-	runs := loadRuns(reportPath)
+	runs, err := benchreport.Load(reportPath)
+	if err != nil {
+		return err
+	}
 	r := runs[len(runs)-1]
 	if r.Interrupted || r.Partial || r.Error != "" {
-		fatalf("last run of %s is incomplete (interrupted=%v partial=%v error=%q); budgets need a full run",
+		return fmt.Errorf("last run of %s is incomplete (interrupted=%v partial=%v error=%q); budgets need a full run",
 			reportPath, r.Interrupted, r.Partial, r.Error)
 	}
 	wall := map[string]float64{}
+	var expMS float64
 	for _, e := range r.Experiments {
 		wall[e.Name] = e.WallMillis
+		expMS += e.WallMillis
 	}
 	fmt.Printf("enforcing %s against %s (%s)\n\n", budgetsPath, reportPath, describe(r))
 	fmt.Printf("%-10s %12s %12s %9s\n", "family", "spent ms", "budget ms", "")
 	over := 0
+	check := func(name string, spent, budget float64, note string) {
+		mark := "ok"
+		if spent > budget {
+			mark = "OVER BUDGET"
+			over++
+		}
+		fmt.Printf("%-10s %12.1f %12.1f   %s%s\n", name, spent, budget, mark, note)
+	}
 	for _, f := range b.Families {
 		var spent float64
 		for _, name := range f.Experiments {
 			ms, ok := wall[name]
 			if !ok {
-				fatalf("family %s: experiment %s missing from the report", f.Name, name)
+				return fmt.Errorf("family %s: experiment %s missing from the report", f.Name, name)
 			}
 			spent += ms
 		}
-		mark := "ok"
-		if spent > f.WallMS {
-			mark = "OVER BUDGET"
-			over++
-		}
-		fmt.Printf("%-10s %12.1f %12.1f   %s\n", f.Name, spent, f.WallMS, mark)
+		check(f.Name, spent, f.WallMS, "")
+	}
+	if b.MaxWarmMS > 0 {
+		check("plan", r.TotalMillis-expMS, b.MaxWarmMS, "  (ms outside the experiments)")
 	}
 	if b.MaxTotalAllocMB > 0 {
-		mark := "ok"
-		if r.Runtime.TotalAllocMB > b.MaxTotalAllocMB {
-			mark = "OVER BUDGET"
-			over++
-		}
-		fmt.Printf("%-10s %12.1f %12.1f   %s  (MB allocated)\n", "alloc", r.Runtime.TotalAllocMB, b.MaxTotalAllocMB, mark)
+		check("alloc", r.Runtime.TotalAllocMB, b.MaxTotalAllocMB, "  (MB allocated)")
 	}
 	if r.Replay != nil {
 		fmt.Printf("\nbatched retiming: %d batches / %d configs, %d solo fallbacks\n",
@@ -220,8 +237,9 @@ func enforceBudgets(budgetsPath, reportPath string) {
 		}
 	}
 	if over > 0 {
-		fatalf("%d budget(s) exceeded — investigate before raising perf/budgets.json", over)
+		return fmt.Errorf("%d budget(s) exceeded — investigate before raising %s", over, budgetsPath)
 	}
+	return nil
 }
 
 // printCacheDiff renders the per-tier cache counters of both runs, so a
@@ -315,23 +333,33 @@ func printPerWorker(r run) {
 }
 
 // mergeParts reassembles the last run of each partial report file into
-// one merged run appended to outPath.
-func mergeParts(outPath string, paths []string) {
+// one merged run appended to outPath, its experiments in canonical
+// report order.
+func mergeParts(outPath string, paths []string) error {
 	var parts []run
+	var names []string
 	for _, p := range paths {
-		runs := loadRuns(p)
-		parts = append(parts, runs[len(runs)-1])
+		runs, err := benchreport.Load(p)
+		if err != nil {
+			return err
+		}
+		last := runs[len(runs)-1]
+		parts = append(parts, last)
+		for _, e := range last.Experiments {
+			names = append(names, e.Name)
+		}
 	}
-	merged, err := benchreport.Merge(parts, harness.ExperimentNames())
+	merged, err := benchreport.Merge(parts, harness.ReportOrder(names))
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if err := benchreport.Append(outPath, merged); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	fmt.Printf("merged %d partial report(s) into %s: %d experiment(s)\n",
 		len(parts), outPath, len(merged.Experiments))
 	printPerWorker(merged)
+	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -33,7 +33,9 @@ go run ./cmd/helix-bench -only fig9 -verify BENCH_2026-08-05.json >/dev/null
 # path that stopped engaging) fails the gate instead of drifting in.
 report=.check-bench.json
 shardreport=.check-shard.json
+shardcache=.check-shard-cache
 explorereport=.check-explore.json
+explorecache=.check-explore-cache
 servereport=.check-serve.json
 serveaddr=.check-serve.addr
 servecache=.check-serve-cache
@@ -43,30 +45,34 @@ remoteblobs=.check-remote-blobs
 servepid=
 remotepid=
 rm -f "$report" "$shardreport" "$explorereport" "$servereport" "$serveaddr" "$remotereport" "$remoteaddr"
-rm -rf "$servecache" "$remoteblobs"
-trap 'rm -f "$report" "$shardreport" "$explorereport" "$report.lock" "$shardreport.lock" "$explorereport.lock" "$servereport" "$servereport.lock" "$serveaddr" "$remotereport" "$remotereport.lock" "$remoteaddr"; rm -rf "$servecache" "$remoteblobs"' EXIT
+rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"
+trap 'rm -f "$report" "$shardreport" "$explorereport" "$report.lock" "$shardreport.lock" "$explorereport.lock" "$servereport" "$servereport.lock" "$serveaddr" "$remotereport" "$remotereport.lock" "$remoteaddr"; rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"' EXIT
 go run ./cmd/helix-bench -quiet -verify BENCH_2026-08-07.json -jsonfile "$report" >/dev/null
 go run ./scripts -enforce -budgets perf/budgets.json "$report"
 
-# Sharded-evaluation smoke: two worker processes claim-partition fig9's
-# work units over a shared cache, the parent merges their partial
-# reports, and the merged hash must match the checked-in reference —
-# the claim/lease/merge path fails the gate if it duplicates work,
-# livelocks, or perturbs a single byte of figure output.
-go run ./cmd/helix-bench -workers 2 -only fig9 -quiet -verify BENCH_2026-08-05.json -jsonfile "$shardreport" >/dev/null
+# Sharded-evaluation smoke: two -shard workers (scripts/shard2.sh)
+# claim-partition fig9's work units over a shared cache, each verifying
+# the figures it renders against the checked-in reference, and
+# `scripts -merge` reassembles their partial reports. The
+# claim/lease/merge path fails the gate if a worker fails or diverges,
+# the workers disagree, fig9 goes missing (-enforce), or the run
+# livelocks or duplicates work past the shard budget.
+scripts/shard2.sh "$shardreport" go run ./cmd/helix-bench -only fig9 -quiet -cachedir "$shardcache" \
+  -verify BENCH_2026-08-05.json
 go run ./scripts -enforce -budgets perf/shard_budgets.json "$shardreport"
 
-# Exploration smoke: two worker processes claim-partition a tiny
-# pointer-chase design-space sweep over a shared cache; the merged
+# Exploration smoke: two -shard workers claim-partition a tiny
+# pointer-chase design-space sweep over a shared cache; each worker's
 # heatmap + frontier must hash-match the checked-in solo reference
-# (sharded determinism), and the budget gate fails if the sweep's cells
-# stopped being served by batched replay and went back to simulating.
-go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 -links 1,8 -signals 0 \
-  -workers 2 -quiet -verify EXPLORE_2026-08-07.json -jsonfile "$explorereport" >/dev/null
+# (sharded determinism), the merge must accept the sweep's partial
+# reports, and the budget gate fails if the sweep's cells stopped being
+# served by batched replay and went back to simulating.
+scripts/shard2.sh "$explorereport" go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 \
+  -links 1,8 -signals 0 -quiet -cachedir "$explorecache" -verify EXPLORE_2026-08-07.json
 go run ./scripts -enforce -budgets perf/explore_budgets.json "$explorereport"
-# The same sweep solo: RunPlan units never merge, but the in-process
-# prefetch does, and the two tiers of each scenario here record one
-# trace, so this hash-verifies a merged batched retime.
+# The same sweep solo: RunPlan retimes the whole plan in one call, and
+# the two tiers of each scenario here record one trace, so this
+# hash-verifies a merged batched retime.
 go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 -links 1,8 -signals 0 \
   -quiet -verify EXPLORE_2026-08-07.json >/dev/null
 
@@ -90,7 +96,7 @@ awk -v c="$cover" 'BEGIN { exit (c+0 >= 80.0) ? 0 : 1 }' || {
 # latency regressions, spurious shedding, figure divergence, or a
 # broken drain path all fail the gate.
 go build -o .check-helix-serve ./cmd/helix-serve
-trap 'rm -f "$report" "$shardreport" "$explorereport" "$report.lock" "$shardreport.lock" "$explorereport.lock" "$servereport" "$servereport.lock" "$serveaddr" "$remotereport" "$remotereport.lock" "$remoteaddr" .check-helix-serve; rm -rf "$servecache" "$remoteblobs"; kill "$servepid" "$remotepid" 2>/dev/null || true' EXIT
+trap 'rm -f "$report" "$shardreport" "$explorereport" "$report.lock" "$shardreport.lock" "$explorereport.lock" "$servereport" "$servereport.lock" "$serveaddr" "$remotereport" "$remotereport.lock" "$remoteaddr" .check-helix-serve; rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"; kill "$servepid" "$remotepid" 2>/dev/null || true' EXIT
 ./.check-helix-serve -addr 127.0.0.1:0 -addrfile "$serveaddr" -cachedir "$servecache" -quiet -concurrency 2 &
 servepid=$!
 for _ in $(seq 1 50); do [ -s "$serveaddr" ] && break; sleep 0.1; done
@@ -102,19 +108,19 @@ kill -TERM "$servepid"
 wait "$servepid"
 go run ./scripts/slocheck -budgets perf/serve_slo_budgets.json "$servereport"
 
-# Multi-machine smoke: two workers with DISJOINT caches (no -cachedir,
-# so each child gets its own scratch directory) share only a
+# Multi-machine smoke: two -shard workers with DISJOINT caches (-remote
+# and no -cachedir, so each has only its memory tier) share only a
 # helix-serve blob backend — recordings cross HTTP, claims live in the
-# daemon's table, and the merged figure must still hash-match the
-# checked-in solo reference with zero duplicate recordings. The budget
-# gate then fails the run if the remote tier stopped engaging and both
-# workers went cold.
+# daemon's table, and each worker's figures must still hash-match the
+# checked-in solo reference before the merge. The budget gate then
+# fails the run if the remote tier stopped engaging and both workers
+# went cold.
 ./.check-helix-serve -addr 127.0.0.1:0 -addrfile "$remoteaddr" -blobdir "$remoteblobs" -quiet &
 remotepid=$!
 for _ in $(seq 1 50); do [ -s "$remoteaddr" ] && break; sleep 0.1; done
 [ -s "$remoteaddr" ] || { echo "helix-serve never wrote $remoteaddr" >&2; exit 1; }
-go run ./cmd/helix-bench -workers 2 -only fig9 -quiet -remote "http://$(cat "$remoteaddr")" \
-  -verify BENCH_2026-08-05.json -jsonfile "$remotereport" >/dev/null
+scripts/shard2.sh "$remotereport" go run ./cmd/helix-bench -only fig9 -quiet -remote "http://$(cat "$remoteaddr")" \
+  -verify BENCH_2026-08-05.json
 kill -TERM "$remotepid"
 wait "$remotepid"
 go run ./scripts -enforce -budgets perf/remote_budgets.json "$remotereport"
