@@ -14,17 +14,17 @@
 //	                                      # worker 1 of a 2-process sweep
 //	helix-explore -emitpack               # regenerate scenarios/*.json and exit
 //
-// Every (family, scenario) pair is recorded exactly once per (cores,
-// tier) trace identity; the (link, signals) lanes of the grid are pure
-// timing and are served by batched trace replay (sim.ReplayBatch). A
-// 36-point grid over two scenarios therefore costs twelve recordings
-// plus two baselines, not 72 simulations — which is what makes grid
-// reshaping cheap enough to iterate on. The sweep plans its work units
-// (harness.PlanSweep) and executes them before any family renders
-// (harness.RunPlan). Alias tiers often compile to the same program, so
-// a solo sweep retimes once per distinct trace: tiers of one (scenario,
-// cores) whose recordings are byte-identical share one traversal.
-// Sharded workers retime each claimed recording on its own.
+// Every (family, scenario) pair is recorded at most once per (cores,
+// tier); the (link, signals) lanes of the grid are pure timing and are
+// served by batched trace replay (sim.ReplayBatch). The sweep plans its
+// work units (harness.PlanSweep) and executes them before any family
+// renders (harness.RunPlan). Units are named by what the compiler
+// emitted: alias tiers often compile to the same program, and a compile
+// that parallelizes no loop runs the baseline's, so those runs share
+// one recording and one traversal, solo or sharded. A 36-point grid
+// over two scenarios therefore costs 6 to 9 recordings, not 72
+// simulations — which is what makes grid reshaping cheap enough to
+// iterate on.
 //
 // The sweep runs on the same cached, sharded machinery as helix-bench
 // (internal/drive): -cachedir persists recordings across runs, -remote

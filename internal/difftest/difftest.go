@@ -1,6 +1,6 @@
 // Package difftest cross-checks every execution path in the repository
 // against each other on randomly generated IR programs. For one program
-// it asserts four oracle invariants:
+// it asserts five oracle invariants:
 //
 //  1. functional: HCC-parallelized simulated execution returns the same
 //     value as the sequential reference interpreter, at every compiler
@@ -13,13 +13,18 @@
 //     configuration, including budget-exhaustion partial results;
 //  4. alias soundness: every alias tier's dependence graph is a superset
 //     of the dynamically observed loop-carried dependences (the paper's
-//     Figure 2 ground truth is measured against these graphs).
+//     Figure 2 ground truth is measured against these graphs);
+//  5. content keys: compiles at one core count whose
+//     hcc.Compiled.Fingerprint is equal record byte-identical traces, and
+//     a compile that selects no loop records the uncompiled program's
+//     trace (the harness names traces by these keys).
 //
 // Failures carry the offending program in its textual form; shrink.go
 // reduces them to minimal reproducers for the testdata corpus.
 package difftest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -156,13 +161,14 @@ func check(ctx context.Context, build Builder, opt Options) *Failure {
 		}
 	}
 
-	// Oracles 1-3 across the compile matrix.
+	// Oracles 1-3 and 5 across the compile matrix.
+	traces := map[string][]byte{} // Oracle 5: first trace per (cores, fingerprint)
 	for _, level := range opt.Levels {
 		for _, cores := range opt.Cores {
 			if ctx.Err() != nil {
 				return nil
 			}
-			if f := checkConfig(ctx, build, opt, level, cores, ref.RetValue, fail); f != nil {
+			if f := checkConfig(ctx, build, opt, level, cores, ref.RetValue, traces, fail); f != nil {
 				return f
 			}
 		}
@@ -210,9 +216,10 @@ func checkAlias(build Builder, opt Options, fail func(string, string, ...any) *F
 
 // checkConfig compiles a fresh copy at (level, cores) and drives the
 // functional, fast/slow and record/replay oracles, including the
-// cross-architecture sweep and budget probes.
+// cross-architecture sweep and budget probes, and the content-key
+// oracle against the traces other levels recorded.
 func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Level, cores int,
-	want int64, fail func(string, string, ...any) *Failure) *Failure {
+	want int64, traces map[string][]byte, fail func(string, string, ...any) *Failure) *Failure {
 
 	compile := func() (*ir.Program, *hcc.Compiled, *ir.Function, *Failure) {
 		p, f, args, err := build()
@@ -277,6 +284,28 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 		return fail("replay", "%s: replay failed: %v", tag, err)
 	} else if *rp != *fast {
 		return fail("replay", "%s: replay diverges from execution:\n%s", tag, diffResult(rp, fast))
+	}
+
+	// Oracle 5: a loop-free compile's trace is the uncompiled program's;
+	// otherwise equal fingerprints at one core count share a trace.
+	// (EncodeTrace's error exists for the codec interface; it is nil.)
+	compFP := comp2.Fingerprint()
+	key := fmt.Sprintf("c%d/%s", cores, compFP)
+	if compFP == "" && traces[key] == nil {
+		ps, fs, args, err := build()
+		if err != nil {
+			return &Failure{Stage: "build", Detail: err.Error()}
+		}
+		_, seq, err := sim.Record(ctx, ps, nil, fs, helix, args...)
+		if err != nil {
+			return fail("fingerprint", "%s: recording the uncompiled program failed: %v", tag, err)
+		}
+		traces[key], _ = sim.EncodeTrace(seq)
+	}
+	if data, _ := sim.EncodeTrace(tr); traces[key] == nil {
+		traces[key] = data
+	} else if !bytes.Equal(data, traces[key]) {
+		return fail("fingerprint", "%s: trace differs from an earlier level's with fingerprint %q", tag, compFP)
 	}
 
 	// Cross-architecture sweep: the same trace retimed under other

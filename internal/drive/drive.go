@@ -186,12 +186,13 @@ func runLocal(ctx context.Context, o *Options, p *Plan) int {
 
 	start := time.Now()
 
-	// Execute the plan before any experiment renders. Solo, RunPlan
-	// retimes every selected experiment's units in one batched call.
-	// Sharded, the content-keyed unit plan is identical on every worker,
-	// so the claims partition the recordings; each worker ends with every
-	// Result either local or one tier read away.
-	if p.Work != nil {
+	// Execute the plan before any experiment renders. Solo, RunPlan does
+	// nothing under per-cell deadlines, so the plan, which compiles, is
+	// skipped too. Sharded, each worker's plan lists the units missing
+	// when it planned, and the claims partition the recordings; units
+	// are idempotent, so plans that differ by work finished since still
+	// claim correctly.
+	if p.Work != nil && (claims != nil || o.CellTimeout <= 0) {
 		if units, err := p.Work(ctx); err != nil {
 			log.Printf("planning work units: %v (continuing without the plan)", err)
 		} else {

@@ -11,6 +11,7 @@ import (
 
 	"helixrc/internal/artifact"
 	"helixrc/internal/benchreport"
+	"helixrc/internal/harness"
 )
 
 func testPlan(names ...string) *Plan {
@@ -234,4 +235,29 @@ func TestAppendLocalReport(t *testing.T) {
 
 func writeFile(path string) error {
 	return os.WriteFile(path, []byte("x"), 0o644)
+}
+
+// TestRunLocalSkipsPlanUnderCellTimeout pins that a solo run with
+// per-cell deadlines does not plan: RunPlan would execute nothing
+// then, and planning compiles.
+func TestRunLocalSkipsPlanUnderCellTimeout(t *testing.T) {
+	t.Cleanup(func() {
+		harness.SetCellTimeout(0)
+		harness.SetCacheBudget(harness.DefaultCacheBudget)
+	})
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		planned := false
+		p := testPlan("a")
+		p.Work = func(context.Context) ([]harness.WorkUnit, error) {
+			planned = true
+			return nil, nil
+		}
+		o := &Options{Quiet: true, CellTimeout: timeout, CacheBudget: harness.DefaultCacheBudget >> 20}
+		if code := runLocal(context.Background(), o, p); code != 0 {
+			t.Fatalf("-celltimeout %v: runLocal exit %d", timeout, code)
+		}
+		if planned != (timeout == 0) {
+			t.Errorf("-celltimeout %v: planned = %v, want %v", timeout, planned, timeout == 0)
+		}
+	}
 }

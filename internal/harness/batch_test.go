@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"crypto/sha256"
 	"testing"
 	"time"
 
@@ -65,20 +64,12 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestPrefetchRetimesMergesTwinTraces pins the twin merge on an explore
-// grid: over the pointer-chase and contention scenarios, the alias tiers
-// of one (scenario, cores) record traces that are sometimes identical and
-// sometimes not. The prefetch must issue exactly one batch per distinct
-// trace — counted here independently, by hashing every group's encoded
-// trace — over the union of the groups' missing configs, and every cell
-// must read exactly the Result a cold solo run computes. Merging two
-// different traces would serve some tier another tier's timings. The
-// same holds when the grid's units are planned (PlanSweep) and executed
-// without a claimer (RunPlan), as a solo helix-explore does.
-func TestPrefetchRetimesMergesTwinTraces(t *testing.T) {
-	ctx := context.Background()
+// registerPacks registers the default scenario pack of each family —
+// the checked-in scenarios/*.json — and returns the scenario names.
+func registerPacks(t *testing.T, families ...irgen.Family) []string {
+	t.Helper()
 	var names []string
-	for _, f := range []irgen.Family{irgen.PointerChase, irgen.Contention} {
+	for _, f := range families {
 		pack, err := scenarios.DefaultPack(f)
 		if err != nil {
 			t.Fatal(err)
@@ -90,6 +81,22 @@ func TestPrefetchRetimesMergesTwinTraces(t *testing.T) {
 			names = append(names, m.Name)
 		}
 	}
+	return names
+}
+
+// TestPrefetchRetimesMergesContentUnits pins the content-keyed plan on
+// an explore grid: over the pointer-chase and contention scenarios, the
+// alias tiers of one (scenario, cores) sometimes compile to the same
+// program and sometimes not, and some compiles select no loop and share
+// their baseline's trace. The warm-up must record exactly one trace per
+// planned unit, and every cell must read exactly the Result a cold solo
+// run computes — merging two different traces would serve some tier
+// another tier's timings. Both warm-ups are pinned: a figure's
+// prefetchRetimes, and a solo helix-explore's PlanSweep plus RunPlan
+// without a claimer.
+func TestPrefetchRetimesMergesContentUnits(t *testing.T) {
+	ctx := context.Background()
+	names := registerPacks(t, irgen.PointerChase, irgen.Contention)
 	var grid []SweepConfig
 	for _, cores := range []int{2, 4} {
 		for tier := 1; tier <= 5; tier++ {
@@ -119,29 +126,15 @@ func TestPrefetchRetimesMergesTwinTraces(t *testing.T) {
 		}
 	}
 
-	// Distinct traces among the tiered groups, counted independently.
 	ResetCaches()
-	distinct := map[[sha256.Size]byte]bool{}
-	tiered := 0
-	for _, g := range groups {
-		if g.baseline {
-			continue
-		}
-		tiered++
-		_, tr, err := record(ctx, compiledLoader(g.name, g.level, g.archs[0].Cores, g.tier), g.archs[0], g.ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := sim.EncodeTrace(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		distinct[sha256.Sum256(data)] = true
+	units, err := planGroups(ctx, groups)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d tiered groups hold %d distinct traces", tiered, len(distinct))
+	t.Logf("%d groups plan into %d units", len(groups), len(units))
 	// Both a merge and a refusal to merge must be exercised.
-	if len(distinct) >= tiered || len(distinct) <= len(names)*2 {
-		t.Fatalf("%d tiered groups hold %d distinct traces; the grid no longer tells merging from not merging", tiered, len(distinct))
+	if len(units) >= len(groups) || len(units) <= len(names)*2 {
+		t.Fatalf("%d groups plan into %d units; the grid no longer tells merging from not merging", len(groups), len(units))
 	}
 
 	for _, warm := range []struct {
@@ -158,22 +151,12 @@ func TestPrefetchRetimesMergesTwinTraces(t *testing.T) {
 		}},
 	} {
 		ResetCaches()
-		b0, l0, f0 := BatchStats()
-		warm.run()
-		b1, l1, f1 := BatchStats()
-		if got := b1 - b0; got != int64(len(distinct)) {
-			t.Errorf("%s issued %d batches, want one per distinct trace: %d", warm.name, got, len(distinct))
-		}
-		// Each group's recording serves its first config; the other
-		// len(grid)/10 - 1 timing lanes of a (cores, tier) are the same for
-		// every tier, so a merged batch retimes them once.
-		if got, lanes := l1-l0, int64(len(distinct)*(len(grid)/10-1)); got != lanes {
-			t.Errorf("%s retimed %d lanes, want %d", warm.name, got, lanes)
-		}
-		if f1 != f0 {
-			t.Errorf("%s issued %d one-lane fallbacks, want 0", warm.name, f1-f0)
-		}
 		rec0, _ := ReplayStats()
+		warm.run()
+		rec1, _ := ReplayStats()
+		if got := rec1 - rec0; got != int64(len(units)) {
+			t.Errorf("%s recorded %d traces, want one per planned unit: %d", warm.name, got, len(units))
+		}
 		for _, name := range names {
 			for _, c := range grid {
 				res, err := runOnTier(ctx, name, hcc.V3, c.Tier, c.Arch(), true)
@@ -185,8 +168,8 @@ func TestPrefetchRetimesMergesTwinTraces(t *testing.T) {
 				}
 			}
 		}
-		if rec1, _ := ReplayStats(); rec1 != rec0 {
-			t.Errorf("%s: cells recorded %d traces after the warm-up, want 0", warm.name, rec1-rec0)
+		if rec2, _ := ReplayStats(); rec2 != rec1 {
+			t.Errorf("%s: cells recorded %d traces after the warm-up, want 0", warm.name, rec2-rec1)
 		}
 	}
 }
@@ -227,21 +210,23 @@ func TestPrefetchBaselineGroup(t *testing.T) {
 
 // TestPrefetchSkipsUnderCellTimeout pins the skip condition: with a
 // per-cell deadline active, a batched traversal would serve many cells
-// on one cell's clock, so prefetch must be a no-op.
+// on one cell's clock, so prefetch must be a no-op — it must not even
+// plan, which compiles.
 func TestPrefetchSkipsUnderCellTimeout(t *testing.T) {
 	SetCellTimeout(time.Hour)
 	defer SetCellTimeout(0)
 	ResetCaches()
 	b0, l0, f0 := BatchStats()
 	rec0, _ := ReplayStats()
+	comp0 := CompileStats()
 	prefetchRetimes(context.Background(), []retimeGroup{{
 		name: "164.gzip", level: hcc.V3, ref: true,
 		archs: []sim.Config{sim.HelixRC(4), sim.Conventional(4)},
 	}})
 	b1, l1, f1 := BatchStats()
 	rec1, _ := ReplayStats()
-	if b1 != b0 || l1 != l0 || f1 != f0 || rec1 != rec0 {
-		t.Errorf("prefetch did work under a cell timeout: batches +%d lanes +%d fallbacks +%d recordings +%d",
-			b1-b0, l1-l0, f1-f0, rec1-rec0)
+	if b1 != b0 || l1 != l0 || f1 != f0 || rec1 != rec0 || CompileStats() != comp0 {
+		t.Errorf("prefetch did work under a cell timeout: batches +%d lanes +%d fallbacks +%d recordings +%d compiles +%d",
+			b1-b0, l1-l0, f1-f0, rec1-rec0, CompileStats()-comp0)
 	}
 }

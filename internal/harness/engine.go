@@ -86,8 +86,8 @@ func SetQuiet() { SetLogger(log.New(io.Discard, "", 0)) }
 // traceRecordings / traceReplays count how harness simulations were
 // served: by recording a fresh trace (full execution) or by replaying a
 // cached one. A batched traversal counts each lane it retimed once,
-// however many twin groups' keys the lane's Result is published under.
-// Cumulative across ResetCaches; helix-bench reports them.
+// however many runs of its work unit the lane's Result is published
+// under. Cumulative across ResetCaches; helix-bench reports them.
 var (
 	traceRecordings atomic.Int64
 	traceReplays    atomic.Int64
@@ -118,8 +118,9 @@ func ProfileStats() int64 { return profiles.Load() }
 
 // batchesIssued / batchLanes / batchFallbacks count how the batched
 // retimer served sweep figures: traversals of two or more lanes issued,
-// lanes actually retimed across them (a traversal shared by twin groups
-// retimes each distinct config once), and one-lane traversals.
+// lanes actually retimed across them (a traversal shared by the runs of
+// one work unit retimes each distinct config once), and one-lane
+// traversals.
 // Cumulative across ResetCaches; helix-bench reports them.
 var (
 	batchesIssued  atomic.Int64

@@ -20,10 +20,10 @@ import (
 
 // cacheScheme pins everything the meaning of a disk-tier key rests on:
 // the IR program fingerprint scheme, the sim.Config fingerprint scheme,
-// and the harness key grammar itself (the trailing component — bump it
-// when key derivation changes shape). Disk entries written under any
-// other scheme are misses, never errors.
-const cacheScheme = ir.FingerprintScheme + "+" + sim.ConfigFingerprintScheme + "+hkey1"
+// and the harness key grammar itself, hcc.Compiled.Fingerprint included
+// (the trailing component — bump it when key derivation changes shape).
+// Disk entries written under any other scheme are misses, never errors.
+const cacheScheme = ir.FingerprintScheme + "+" + sim.ConfigFingerprintScheme + "+hkey2"
 
 // The harness caches are content-addressed artifact stores keyed by
 // stable fingerprints of the inputs (workload content + arguments,
@@ -46,9 +46,9 @@ var (
 	traceStore = artifact.NewStore[*sim.Trace]("trace", cacheScheme,
 		(*sim.Trace).SizeBytes,
 		&artifact.Codec[*sim.Trace]{Encode: sim.EncodeTrace, Decode: sim.DecodeTrace})
-	// resStore caches replayed Results per (trace key, timing config
+	// resStore caches replayed Results per (run key, timing config
 	// fingerprint). It is what makes batched retiming composable with
-	// the cell-oriented figure generators: prefetchRetimes retimes N
+	// the cell-oriented figure generators: a work unit retimes N
 	// configs in one trace traversal and Puts each lane here, and the
 	// cells then find their Results without touching the trace. A
 	// Config fingerprint includes MaxSteps, so budget-truncated runs
@@ -201,9 +201,17 @@ func profCost(p *interp.Profile) int64 {
 	return cost
 }
 
+// compEntry is one compile-tier entry: the compiled workload and the
+// compilation's Fingerprint, computed once per compile.
 type compEntry struct {
 	w    *workloads.Workload
 	comp *hcc.Compiled
+	fp   string
+}
+
+// load is the entry's loader: the compiled program, already built.
+func (e *compEntry) load(context.Context) (*workloads.Workload, *hcc.Compiled, error) {
+	return e.w, e.comp, nil
 }
 
 // CachedCompile memoizes Compile per (workload content, level, cores).
@@ -213,23 +221,22 @@ type compEntry struct {
 // detaches this caller from the shared compilation without aborting it
 // for others.
 func CachedCompile(ctx context.Context, name string, level hcc.Level, cores int) (*workloads.Workload, *hcc.Compiled, error) {
-	return cachedCompileTier(ctx, name, level, cores, 0)
-}
-
-// cachedCompileTier is CachedCompile with an alias-tier override. Tier
-// zero (the level default) keeps the historical key shape so every
-// existing cache entry — memory or disk — stays addressable; a nonzero
-// tier adds its own key component.
-func cachedCompileTier(ctx context.Context, name string, level hcc.Level, cores, tier int) (*workloads.Workload, *hcc.Compiled, error) {
-	fp, err := workloadFingerprint(ctx, name)
+	e, err := cachedCompile(ctx, name, level, cores, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fmt.Sprintf("compile/%s/L%d/c%d/%s", name, level, cores, fp)
-	if tier > 0 {
-		key = fmt.Sprintf("compile/%s/L%d/c%d/t%d/%s", name, level, cores, tier, fp)
+	return e.w, e.comp, nil
+}
+
+// cachedCompile is CachedCompile with an alias-tier override (0 = the
+// level default), returning the compile-tier entry.
+func cachedCompile(ctx context.Context, name string, level hcc.Level, cores, tier int) (*compEntry, error) {
+	fp, err := workloadFingerprint(ctx, name)
+	if err != nil {
+		return nil, err
 	}
-	e, err := compStore.Get(ctx, key, func(cctx context.Context) (*compEntry, error) {
+	key := fmt.Sprintf("compile/%s/L%d/c%d/t%d/%s", name, level, cores, tier, fp)
+	return compStore.Get(ctx, key, func(cctx context.Context) (*compEntry, error) {
 		// hcc.Compile is not interruptible mid-flight (its profiling is
 		// bounded by ProfileBudget); honour an already-dead context
 		// before starting the work.
@@ -240,35 +247,34 @@ func cachedCompileTier(ctx context.Context, name string, level hcc.Level, cores,
 		if err != nil {
 			return nil, err
 		}
-		return &compEntry{w: w, comp: comp}, nil
+		return &compEntry{w: w, comp: comp, fp: comp.Fingerprint()}, nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.w, e.comp, nil
 }
 
 // CachedBaseline memoizes the sequential run per (workload content,
 // timing config, ref), persisting the Result to the disk tier when one
 // is configured. The key normalizes the core count away: a sequential
 // run executes on core 0 only, so its Result is core-count independent
-// (Figure 11a's sweep shares one baseline across 2..16 cores, exactly
-// as the previous core-model key did). The underlying dynamic trace is
-// keyed by (workload content, ref) alone — a baseline has no parallel
-// loops, so its trace is independent of the timing config entirely and
-// each new core model only pays a replay.
+// (Figure 11a's sweep shares one baseline across 2..16 cores). The
+// underlying dynamic trace is keyed by (workload content, ref) alone —
+// a baseline has no parallel loops, so its trace is independent of the
+// timing config entirely and each new core model only pays a replay;
+// every compile that selects no loop shares it (traceKey).
 func CachedBaseline(ctx context.Context, name string, arch sim.Config, ref bool) (*sim.Result, error) {
 	fp, err := workloadFingerprint(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	karch := arch
-	karch.Cores = 0
-	key := fmt.Sprintf("base/%s/ref=%v/%s/%s", name, ref, karch.Fingerprint(), fp)
-	return seqStore.Get(ctx, key, func(cctx context.Context) (*sim.Result, error) {
-		tkey := fmt.Sprintf("trace/base/%s/ref=%v/%s", name, ref, fp)
-		return simWithTrace(cctx, tkey, baselineLoader(name), arch, ref)
+	return seqStore.Get(ctx, baseKey(name, ref, arch, fp), func(cctx context.Context) (*sim.Result, error) {
+		return simTrace(cctx, traceKey(fp, ref, 0, ""), baselineLoader(name), arch, ref)
 	})
+}
+
+// baseKey is CachedBaseline's key: the baseline's Result normalized to
+// no core count.
+func baseKey(name string, ref bool, arch sim.Config, fp string) string {
+	arch.Cores = 0
+	return fmt.Sprintf("base/%s/ref=%v/%s/%s", name, ref, arch.Fingerprint(), fp)
 }
 
 // ResetCaches clears the memory tier of memoized compilations,
@@ -284,29 +290,39 @@ func ResetCaches() {
 	resStore.Reset()
 }
 
-// resultKey derives the result-store key for one (trace, timing
-// config) pair: the trace key pins the dynamic behaviour, the config
-// fingerprint pins the timing model (including MaxSteps, so truncated
-// runs key separately).
-func resultKey(traceKey string, arch sim.Config) string {
-	return "res/" + traceKey + "/" + arch.Fingerprint()
+// resultKey derives the result-store key for one (run, timing config)
+// pair: the run key names the compiled run, the config fingerprint pins
+// the timing model (including MaxSteps, so truncated runs key
+// separately).
+func resultKey(runKey string, arch sim.Config) string {
+	return "res/" + runKey + "/" + arch.Fingerprint()
 }
 
-// traceKey derives the parallel-trace key: compiled-program identity
-// (workload content, level, cores, alias tier) plus input selection.
-// Tier zero keeps the historical shape, so pre-tier disk caches stay
-// live; the explore sweeps' tiered traces get a distinct component.
-func traceKey(name string, level hcc.Level, cores, tier int, ref bool, fp string) string {
-	if tier > 0 {
-		return fmt.Sprintf("trace/%s/L%d/c%d/t%d/ref=%v/%s", name, level, cores, tier, ref, fp)
+// runKey names a parallel run by how it was requested — workload
+// content, level, cores, alias tier and input — so a Result hit needs
+// no compile. The trace the run replays is named by content instead
+// (traceKey).
+func runKey(name string, level hcc.Level, cores, tier int, ref bool, fp string) string {
+	return fmt.Sprintf("run/%s/L%d/c%d/t%d/ref=%v/%s", name, level, cores, tier, ref, fp)
+}
+
+// traceKey names a recorded trace by content: the input program's
+// fingerprint fp and the input selection, plus the core count and the
+// compilation's Fingerprint when HCC selected loops. A trace depends on
+// nothing else, so every run whose compile emits the same program
+// shares one trace, and a compile that selects no loop (compFP "")
+// shares its baseline's.
+func traceKey(fp string, ref bool, cores int, compFP string) string {
+	if compFP == "" {
+		return fmt.Sprintf("trace/%s/ref=%v", fp, ref)
 	}
-	return fmt.Sprintf("trace/%s/L%d/c%d/ref=%v/%s", name, level, cores, ref, fp)
+	return fmt.Sprintf("trace/%s/ref=%v/c%d/%s", fp, ref, cores, compFP)
 }
 
 // loader builds the program one simulation executes: the workload and
 // its compilation (nil for a sequential baseline). The record/replay
 // path calls it only when it must execute — a result hit or a trace
-// replay never builds or compiles anything.
+// replay never builds anything.
 type loader func(ctx context.Context) (*workloads.Workload, *hcc.Compiled, error)
 
 // baselineLoader builds the unparallelized workload.
@@ -314,13 +330,6 @@ func baselineLoader(name string) loader {
 	return func(context.Context) (*workloads.Workload, *hcc.Compiled, error) {
 		w, err := workloads.Get(name)
 		return w, nil, err
-	}
-}
-
-// compiledLoader compiles the workload through the compile tier.
-func compiledLoader(name string, level hcc.Level, cores, tier int) loader {
-	return func(ctx context.Context) (*workloads.Workload, *hcc.Compiled, error) {
-		return cachedCompileTier(ctx, name, level, cores, tier)
 	}
 }
 
@@ -339,56 +348,61 @@ func record(ctx context.Context, load loader, arch sim.Config, ref bool) (*sim.R
 	return res, tr, nil
 }
 
-// simWithTrace serves one harness simulation through the record/replay
-// fast path: the first run for a trace key executes and records (and
-// persists the trace when a disk tier is configured), every later run
-// under any timing config — in this process or a later one — replays
-// the stored trace. Replayed Results are themselves cached in resStore
-// per (trace key, config fingerprint), which is how the batched
-// retimer hands whole sweeps to the cells: prefetchRetimes walks the
-// trace once for N configs and Puts every lane, so the cells below hit
-// the result tier and never touch the trace. The trace key must pin
-// everything the dynamic behaviour depends on — compiled program
-// identity (workload content, level, cores) and input — while timing
-// parameters stay out of it. load runs only to record a trace.
-func simWithTrace(ctx context.Context, key string, load loader, arch sim.Config, ref bool) (*sim.Result, error) {
-	return resStore.Get(ctx, resultKey(key, arch), func(rctx context.Context) (*sim.Result, error) {
-		var recorded *sim.Result
-		tr, err := traceStore.Get(rctx, key, func(cctx context.Context) (*sim.Trace, error) {
-			res, tr, err := record(cctx, load, arch, ref)
-			recorded = res
-			return tr, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if recorded != nil {
-			// This goroutine did the recording; its Result is already
-			// exact for its own arch.
-			return recorded, nil
-		}
-		traceReplays.Add(1)
-		return sim.Replay(rctx, tr, arch)
+// loadTrace serves the trace stored under tkey, recording it under arch
+// (and persisting it when a disk tier is configured) if no tier has it.
+// recorded is the recording run's Result when this call recorded, which
+// is already exact for arch.
+func loadTrace(ctx context.Context, tkey string, load loader, arch sim.Config, ref bool) (tr *sim.Trace, recorded *sim.Result, err error) {
+	tr, err = traceStore.Get(ctx, tkey, func(cctx context.Context) (*sim.Trace, error) {
+		res, tr, err := record(cctx, load, arch, ref)
+		recorded = res
+		return tr, err
 	})
+	return tr, recorded, err
+}
+
+// simTrace serves one simulation through the record/replay fast path:
+// the first run for a trace key records it, every later run under any
+// timing config — in this process or a later one — replays it. The
+// callers cache the Result (resStore, seqStore), which is how the
+// batched retimer hands whole sweeps to the cells: a work unit walks the
+// trace once for N configs and Puts every lane, so the cells hit the
+// result tier and never reach here.
+func simTrace(ctx context.Context, tkey string, load loader, arch sim.Config, ref bool) (*sim.Result, error) {
+	tr, recorded, err := loadTrace(ctx, tkey, load, arch, ref)
+	if err != nil {
+		return nil, err
+	}
+	if recorded != nil {
+		return recorded, nil
+	}
+	traceReplays.Add(1)
+	return sim.Replay(ctx, tr, arch)
 }
 
 // runOn simulates one configuration keyed by workload content alone: a
-// cached Result answers without compiling, a stored trace for this
-// (workload content, level, cores, input) replays, and only a recording
-// compiles (through the compile tier).
+// cached Result answers without compiling; otherwise it compiles
+// (through the compile tier) to name the trace, then replays the stored
+// trace or records it.
 func runOn(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, error) {
 	return runOnTier(ctx, name, level, 0, arch, ref)
 }
 
-// runOnTier is runOn with an alias-tier override for the compile and
-// the trace key (0 = level default, the historical path).
+// runOnTier is runOn with an alias-tier override for the compile (0 =
+// level default).
 func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch sim.Config, ref bool) (*sim.Result, error) {
 	fp, err := workloadFingerprint(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	key := traceKey(name, level, arch.Cores, tier, ref, fp)
-	res, err := simWithTrace(ctx, key, compiledLoader(name, level, arch.Cores, tier), arch, ref)
+	key := resultKey(runKey(name, level, arch.Cores, tier, ref, fp), arch)
+	res, err := resStore.Get(ctx, key, func(rctx context.Context) (*sim.Result, error) {
+		e, err := cachedCompile(rctx, name, level, arch.Cores, tier)
+		if err != nil {
+			return nil, err
+		}
+		return simTrace(rctx, traceKey(fp, ref, arch.Cores, e.fp), e.load, arch, ref)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -621,12 +635,6 @@ func Figure3(ctx context.Context) (*Figure3Result, error) {
 			dg := ddg.Build(w.Prog, pl.Fn, g, pl.Loop, an)
 			classes := inductionClassify(pl, g, dg)
 			p.CarriedRegs += len(dg.CarriedRegs)
-			seen := map[int32]bool{}
-			for _, e := range dg.MemEdges {
-				if !seen[e.A] {
-					seen[e.A] = true
-				}
-			}
 			if len(dg.MemEdges) > 0 {
 				p.MemClusters++
 			}

@@ -6,21 +6,21 @@ package harness
 // the plan, and only then renders:
 //
 //   - PlanUnits (PlanSweep for explore grids) enumerates every selected
-//     experiment's trace groups as stable content-keyed work units (one
-//     unit per recorded trace, its key the trace key), merging
-//     duplicates across experiments so a trace shared by two figures is
-//     planned once.
-//   - RunPlan executes the units. In one process it retimes all of them
-//     in one batched call (see batch.go), so twins across units share a
-//     traversal. Across -shard worker processes that share a cache
-//     directory or a helix-serve daemon, each worker claims units
-//     coordinator-free through an artifact.Claims implementation — an
-//     atomic lease file in a run-scoped claim directory
-//     (artifact.Claimer), or the daemon's claim table
-//     (artifact.RemoteClaimer) — records and retimes each claimed unit,
-//     and leaves a durable done marker. Crashed workers' leases expire
-//     and are stolen; every unit is idempotent, so the worst race
-//     outcome is duplicated work, never a wrong artifact.
+//     experiment's trace groups, drops the Results already available,
+//     and compiles what remains to name each run's trace by content. A
+//     work unit is one distinct trace, its key the trace key, with every
+//     run that replays it: a trace shared by two figures, two levels or
+//     two alias tiers is planned once, and a warm plan is empty.
+//   - RunPlan executes the units. In one process it executes them all
+//     on the prefetch pool (see batch.go). Across -shard worker
+//     processes that share a cache directory or a helix-serve daemon,
+//     each worker claims units coordinator-free through an
+//     artifact.Claims implementation — an atomic lease file in a
+//     run-scoped claim directory (artifact.Claimer), or the daemon's
+//     claim table (artifact.RemoteClaimer) — records and retimes each
+//     claimed unit, and leaves a durable done marker. Crashed workers'
+//     leases expire and are stolen; every unit is idempotent, so the
+//     worst race outcome is duplicated work, never a wrong artifact.
 //
 // The experiments then render their figures from the hot caches. Sharded
 // workers claim whole experiments (see ExperimentClaimKey) and each
@@ -191,32 +191,33 @@ func experimentGroups(exp string, cores int) []retimeGroup {
 	return nil
 }
 
-// WorkUnit is one unit of shardable warm-up work: one recorded trace
-// plus every timing config any selected experiment evaluates it under.
-// Key is the trace key — content-addressed, so the same unit planned
-// by two workers (or two machines) has the same identity.
+// WorkUnit is one unit of shardable warm-up work: one trace plus every
+// run (member) that replays it, with the timing configs each still
+// misses. Key is the trace key — named by content, so the same unit
+// planned by two workers (or two machines) has the same identity, and
+// runs whose compiles emit the same program are one unit.
 type WorkUnit struct {
-	Key        string
-	group      retimeGroup
-	resultKeys []string // parallel to group.archs
+	Key     string
+	members []*member
 }
 
 // complete reports whether every Result this unit produces is already
 // available (memory or disk tier).
 func (u *WorkUnit) complete() bool {
-	for _, k := range u.resultKeys {
-		if _, ok := u.group.store().Peek(k); !ok {
-			return false
+	for _, m := range u.members {
+		for _, k := range m.keys {
+			if _, ok := m.g.store().Peek(k); !ok {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// PlanUnits enumerates the work units of the named experiments,
-// merging groups that share a trace and deduplicating configs that
-// share a result key, so no recording or retiming lane is ever planned
-// twice. The unit list is deterministic: same experiments, same order,
-// on every worker.
+// PlanUnits enumerates the work units of the named experiments on
+// cores cores: one per distinct trace with Results still missing, each
+// listing every run that replays it. It compiles the runs it must name
+// by content, and the unit order is deterministic.
 func PlanUnits(ctx context.Context, experiments []string, cores int) ([]WorkUnit, error) {
 	var groups []retimeGroup
 	for _, exp := range experiments {
@@ -225,69 +226,104 @@ func PlanUnits(ctx context.Context, experiments []string, cores int) ([]WorkUnit
 	return planGroups(ctx, groups)
 }
 
-// planGroups merges retime groups into deduplicated work units — the
-// shared core of PlanUnits (paper experiments) and PlanSweep (explore
-// grids): groups sharing a trace key merge, configs sharing a result
-// key are planned once, and the unit order is deterministic.
+// planGroups plans retime groups into work units, the shared core of
+// PlanUnits (paper experiments), PlanSweep (explore grids) and
+// prefetchRetimes. It plans each config once (by result key), drops the
+// configs whose Results are already available, derives each remaining
+// group's trace key — compiling a parallel run to name its trace, on
+// the prefetch pool — and merges the groups that share a trace into one
+// unit. So no recording or retiming lane is planned twice, a warm plan
+// compiles nothing, and units list only missing work, in group order.
+// A cancelled ctx stops the compiles and returns ctx.Err().
 func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
-	byKey := map[string]*WorkUnit{}
-	seen := map[string]map[string]bool{}
-	var order []string
+	var members []*member
+	planned := map[string]bool{}
 	for _, g := range groups {
-		if len(g.archs) == 0 {
-			continue
-		}
-		tkey, keyOf, err := groupKeys(ctx, &g)
+		fp, err := workloadFingerprint(ctx, g.name)
 		if err != nil {
 			return nil, fmt.Errorf("harness: planning %s: %w", g.name, err)
 		}
-		u, ok := byKey[tkey]
-		if !ok {
-			u = &WorkUnit{Key: tkey, group: retimeGroup{
-				name: g.name, level: g.level, ref: g.ref, baseline: g.baseline, tier: g.tier,
-			}}
-			byKey[tkey] = u
-			seen[tkey] = map[string]bool{}
-			order = append(order, tkey)
-		}
+		m := &member{g: g, fp: fp}
+		m.g.archs = nil
 		for _, arch := range g.archs {
-			rk := keyOf(arch)
-			if seen[tkey][rk] {
-				continue
+			if k := g.resultKey(fp, arch); !planned[k] {
+				planned[k] = true
+				m.g.archs = append(m.g.archs, arch)
+				m.keys = append(m.keys, k)
 			}
-			seen[tkey][rk] = true
-			u.group.archs = append(u.group.archs, arch)
-			u.resultKeys = append(u.resultKeys, rk)
 		}
+		members = append(members, m)
 	}
-	units := make([]WorkUnit, len(order))
-	for i, k := range order {
-		units[i] = *byKey[k]
+	errs := make([]error, len(members))
+	fanOut(ctx, len(members), func(i int) { errs[i] = members[i].plan(ctx) })
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var units []WorkUnit
+	unitOf := map[string]int{}
+	for i, m := range members {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("harness: planning %s: %w", m.g.name, errs[i])
+		}
+		if len(m.keys) == 0 {
+			continue
+		}
+		k, ok := unitOf[m.tkey]
+		if !ok {
+			k = len(units)
+			unitOf[m.tkey] = k
+			units = append(units, WorkUnit{Key: m.tkey})
+		}
+		units[k].members = append(units[k].members, m)
 	}
 	return units, nil
 }
 
-// RunPlan executes the units. Without a claimer it hands every unit's
-// group to one batched retime, exactly as a figure's own prefetch does,
-// and does nothing while per-cell deadlines are active. With a claimer,
-// workers sharing its claim substrate (directory or daemon) partition
-// the units cooperatively: each unit is claimed by one worker, retimed
-// on its own (record + batched retime, publishing into the shared
-// store), and marked done; units held elsewhere are revisited until
-// their artifacts appear or their lease expires and is stolen. Either
-// way RunPlan is best-effort warm-up — a unit that fails here is
-// recomputed by its cells, which attribute the error properly.
-func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
-	if claimer == nil {
-		groups := make([]retimeGroup, len(units))
-		for i := range units {
-			groups[i] = units[i].group
+// plan drops m's configs whose Results are already available and, if
+// any remain, names the trace m's run replays and the program that
+// records it: a baseline's is the workload itself, a parallel run's its
+// compilation, whose Fingerprint names the trace by content.
+func (m *member) plan(ctx context.Context) error {
+	archs, keys := m.g.archs[:0], m.keys[:0]
+	for j, k := range m.keys {
+		if _, ok := m.g.store().Peek(k); !ok {
+			archs = append(archs, m.g.archs[j])
+			keys = append(keys, k)
 		}
-		prefetchRetimes(ctx, groups)
-		return
 	}
+	m.g.archs, m.keys = archs, keys
+	if len(keys) == 0 || m.g.baseline {
+		m.tkey, m.load = traceKey(m.fp, m.g.ref, 0, ""), baselineLoader(m.g.name)
+		return nil
+	}
+	cores := archs[0].Cores
+	e, err := cachedCompile(ctx, m.g.name, m.g.level, cores, m.g.tier)
+	if err != nil {
+		return err
+	}
+	m.tkey, m.load = traceKey(m.fp, m.g.ref, cores, e.fp), e.load
+	return nil
+}
+
+// RunPlan executes the units. Without a claimer it executes every unit
+// on the prefetch pool, exactly as a figure's own prefetch does, and
+// does nothing while per-cell deadlines are active. With a claimer,
+// workers sharing its claim substrate (directory or daemon) partition
+// the units cooperatively: each unit is claimed by one worker, executed
+// (record + batched retime, publishing into the shared store), and
+// marked done; units held elsewhere are revisited until their artifacts
+// appear or their lease expires and is stolen. Either way RunPlan is
+// best-effort warm-up — a unit that fails here is recomputed by its
+// cells, which attribute the error properly.
+func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if claimer == nil {
+		if CellTimeout() == 0 {
+			runUnits(ctx, units)
+		}
+		return
 	}
 	done := make([]bool, len(units))
 	held := make([]bool, len(units))
@@ -326,14 +362,14 @@ func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
 				// Claim directory unusable: degrade to solo execution. The
 				// unit is idempotent, so the worst outcome is duplicated
 				// work across workers, never a wrong artifact.
-				retime(ctx, []retimeGroup{u.group})
+				u.run(ctx)
 				finish(i)
 				progress = true
 				continue
 			}
 			switch st {
 			case artifact.ClaimAcquired:
-				retime(ctx, []retimeGroup{u.group})
+				u.run(ctx)
 				lease.Done("")
 				finish(i)
 				progress = true

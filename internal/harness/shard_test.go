@@ -3,12 +3,15 @@ package harness
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"helixrc/internal/artifact"
+	"helixrc/internal/hcc"
+	"helixrc/internal/irgen"
 )
 
 // shardEnv points the harness caches at a fresh disk tier and restores
@@ -52,11 +55,13 @@ func TestPlanUnitsDeterministicAndDeduplicated(t *testing.T) {
 		}
 		seen[a[i].Key] = true
 		rks := map[string]bool{}
-		for _, rk := range a[i].resultKeys {
-			if rks[rk] {
-				t.Fatalf("unit %s plans result %s twice", a[i].Key, rk)
+		for _, m := range a[i].members {
+			for _, rk := range m.keys {
+				if rks[rk] {
+					t.Fatalf("unit %s plans result %s twice", a[i].Key, rk)
+				}
+				rks[rk] = true
 			}
-			rks[rk] = true
 		}
 	}
 	// fig7 and fig12 share every baseline trace and the V3/HelixRC
@@ -72,6 +77,55 @@ func TestPlanUnitsDeterministicAndDeduplicated(t *testing.T) {
 	}
 	if len(a) >= sum {
 		t.Fatalf("merged plan has %d units, per-experiment sum %d: nothing deduplicated", len(a), sum)
+	}
+}
+
+// TestPlansNameTracesByContent pins the unit counts of the plans the
+// benchmark's cold runs execute, on empty caches: the full evaluation at
+// 16 cores plans one unit per distinct trace, 50 (58 when traces were
+// named by request), and the wide explore sweep over the four
+// checked-in packs plans 39 (168).
+func TestPlansNameTracesByContent(t *testing.T) {
+	shardEnv(t)
+	ctx := context.Background()
+	units, err := PlanUnits(ctx, ExperimentNames(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 50 {
+		t.Errorf("the evaluation plans %d units, want 50", len(units))
+	}
+	var grid []SweepConfig
+	for _, cores := range []int{2, 4, 8, 16} {
+		for tier := 1; tier <= 5; tier++ {
+			for _, link := range []int{1, 2, 4, 8, 16, 32} {
+				for _, signals := range []int{0, 1, 2, 5} {
+					grid = append(grid, SweepConfig{Cores: cores, Tier: tier, Link: link, Signals: signals})
+				}
+			}
+		}
+	}
+	units, err = PlanSweep(ctx, registerPacks(t, irgen.Families()...), hcc.V3, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 39 {
+		t.Errorf("the wide explore sweep plans %d units, want 39", len(units))
+	}
+}
+
+// TestPlanCancelled pins that a cancelled context stops the planner
+// before it compiles, and that planning reports the cancellation.
+func TestPlanCancelled(t *testing.T) {
+	shardEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	comp0 := CompileStats()
+	if _, err := PlanUnits(ctx, []string{"fig9"}, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("PlanUnits on a cancelled context = %v, want context.Canceled", err)
+	}
+	if n := CompileStats() - comp0; n != 0 {
+		t.Errorf("a cancelled plan compiled %d times, want 0", n)
 	}
 }
 

@@ -5,15 +5,16 @@ package harness
 // (cores × alias tier × ring link latency × signal bandwidth) points.
 // Only the first two change the compiled program or its dynamic
 // behaviour; the last two are pure timing. The grid therefore groups
-// into one recorded trace per (cores, tier) — plus one sequential
-// baseline per scenario — and every (link, signals) lane of a group is
-// served by a single batched trace traversal, shared with every other
-// tier of the same cores whose recorded trace is byte-identical (see
-// batch.go). That replay economy is what makes a 36-point grid cost
-// four recordings, and it reuses the exact machinery of the paper
-// figures: the same stores, the same key grammar (with a tier component
-// the paper path never sets), the same plan executor (RunPlan) and
-// claims-based sharding.
+// into one run per (cores, tier) — plus one sequential baseline per
+// scenario — and every (link, signals) lane of a run replays one trace.
+// The planner names traces by content (see batch.go): the tiers of one
+// core count often compile to the same program, and a compile that
+// selects no loop runs its baseline's, so such runs share one recording
+// and one batched traversal. That replay economy is what makes a
+// 36-point grid cost a handful of recordings per family, and it reuses
+// the exact machinery of the paper figures: the same stores, the same
+// key grammar (the paper path's alias tier is 0), the same plan
+// executor (RunPlan) and claims-based sharding.
 
 import (
 	"context"
@@ -63,8 +64,8 @@ func (c SweepConfig) Validate() error {
 
 // sweepGroups enumerates the retime groups of one scenario over the
 // grid: a baseline group, then one group per distinct (cores, tier)
-// holding every timing lane that shares its trace. Group and lane
-// order follow grid order, so planning is deterministic.
+// holding every timing lane of that run. Group and lane order follow
+// grid order, so planning is deterministic.
 func sweepGroups(name string, level hcc.Level, grid []SweepConfig) []retimeGroup {
 	groups := []retimeGroup{{
 		name: name, ref: true, baseline: true,
@@ -85,12 +86,11 @@ func sweepGroups(name string, level hcc.Level, grid []SweepConfig) []retimeGroup
 	return groups
 }
 
-// PlanSweep enumerates the deduplicated work units of a sweep — one
-// unit per recorded trace (scenario × cores × tier, plus one baseline
-// per scenario) with every timing lane attached — exactly as PlanUnits
+// PlanSweep enumerates the work units of a sweep — one unit per
+// distinct trace, with every missing timing lane of every (scenario,
+// cores, tier) run and baseline that replays it — exactly as PlanUnits
 // does for the paper experiments. helix-explore executes them with
-// RunPlan: solo in one batched retime, which serves the tiers that share
-// a distinct trace with one traversal, or claim-partitioned across
+// RunPlan: solo on the prefetch pool, or claim-partitioned across
 // -shard workers, which record each trace exactly once between them.
 func PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) ([]WorkUnit, error) {
 	for _, c := range grid {

@@ -295,3 +295,64 @@ func TestTiedLoopsCompileDeterministically(t *testing.T) {
 		t.Errorf("20 compilations produced %d distinct programs", len(fps))
 	}
 }
+
+// TestFingerprintCoversSimulatedFields pins Compiled.Fingerprint, which
+// names traces in the harness: a compile is deterministic, so two
+// compiles of one program share a fingerprint, and mutating any
+// instruction of a body, any body instruction's shared segment or clone
+// flag, or any ParallelLoop field the simulator reads changes it. A
+// compile that selects no loop runs its input program and is "".
+func TestFingerprintCoversSimulatedFields(t *testing.T) {
+	compile := func(minSpeedup float64) *Compiled {
+		p, f := buildVprLike(t, 400)
+		comp, err := Compile(p, f, Options{Level: V3, Cores: 16, TrainArgs: []int64{400}, MinSpeedup: minSpeedup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp
+	}
+	if fp := compile(1e9).Fingerprint(); fp != "" {
+		t.Errorf("loop-free compile has fingerprint %q, want \"\"", fp)
+	}
+	base := compile(0).Fingerprint()
+	if base == "" || compile(0).Fingerprint() != base {
+		t.Fatalf("fingerprint %q is empty or not deterministic", base)
+	}
+	instr := func(pl *ParallelLoop, op ir.Op) *ir.Instr {
+		for _, b := range pl.Body.Blocks {
+			for i := range b.Instrs {
+				if b.Instrs[i].Op == op {
+					return &b.Instrs[i]
+				}
+			}
+		}
+		t.Fatalf("no %v in the body", op)
+		return nil
+	}
+	for name, mutate := range map[string]func(*ParallelLoop){
+		"body instruction": func(pl *ParallelLoop) { instr(pl, ir.OpMul).B = ir.C(5) },
+		"SharedSeg":        func(pl *ParallelLoop) { instr(pl, ir.OpStore).SharedSeg++ },
+		"Origin": func(pl *ParallelLoop) {
+			in := instr(pl, ir.OpWait)
+			in.Origin = 1 - in.Origin // uncloned <-> cloned
+		},
+		"Fn":          func(pl *ParallelLoop) { pl.Fn = pl.Body },
+		"Header":      func(pl *ParallelLoop) { pl.Header = pl.Fn.Blocks[0] },
+		"IterParam":   func(pl *ParallelLoop) { pl.IterParam++ },
+		"Counted":     func(pl *ParallelLoop) { pl.Counted = !pl.Counted },
+		"CtlAddr":     func(pl *ParallelLoop) { pl.CtlAddr++ },
+		"NumSegs":     func(pl *ParallelLoop) { pl.NumSegs++ },
+		"SlotOf":      func(pl *ParallelLoop) { pl.SlotOf[0] = 99 },
+		"Recompute":   func(pl *ParallelLoop) { pl.Recompute[0] = RecomputeRule{Kind: RecPoly2} },
+		"Reductions":  func(pl *ParallelLoop) { pl.Reductions[0] = 1 },
+		"LastValue":   func(pl *ParallelLoop) { pl.LastValue[0] = []int32{instr(pl, ir.OpMul).UID} },
+		"ExitTargets": func(pl *ParallelLoop) { pl.ExitTargets[0] = pl.Fn.Blocks[0] },
+		"LiveOutRegs": func(pl *ParallelLoop) { pl.LiveOutRegs = append(pl.LiveOutRegs, 0) },
+	} {
+		comp := compile(0)
+		mutate(comp.Loops[0])
+		if comp.Fingerprint() == base {
+			t.Errorf("mutating %s leaves the fingerprint unchanged", name)
+		}
+	}
+}

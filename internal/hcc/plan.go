@@ -1,6 +1,10 @@
 package hcc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+
 	"helixrc/internal/cfg"
 	"helixrc/internal/induction"
 	"helixrc/internal/interp"
@@ -128,12 +132,31 @@ type RejectedLoop struct {
 	Estimate float64
 }
 
-// LoopByHeader finds the compiled loop triggered at a header block.
-func (c *Compiled) LoopByHeader(b *ir.Block) *ParallelLoop {
-	for _, pl := range c.Loops {
-		if pl.Header == b {
-			return pl
-		}
+// Fingerprint names what HCC added to its input program. With the
+// input's own fingerprint, the core count and the input arguments it
+// determines every trace recorded from the compiled program, so the
+// harness keys traces by it. It hashes each selected loop's body in
+// canonical text, with every instruction's shared segment and clone
+// flag, and every loop field the simulator reads; it never re-hashes
+// the input program. It is "" when no loop was selected: such a
+// compile runs its input program unchanged.
+func (c *Compiled) Fingerprint() string {
+	if len(c.Loops) == 0 {
+		return ""
 	}
-	return nil
+	h := sha256.New()
+	for _, pl := range c.Loops {
+		exits := make([]int, len(pl.ExitTargets))
+		for i, b := range pl.ExitTargets {
+			exits[i] = b.Index
+		}
+		fmt.Fprintf(h, "loop fn=%s header=%d iter=%v counted=%t ctl=%d segs=%d exits=%v liveout=%v\n",
+			pl.Fn.Name, pl.Header.Index, pl.IterParam, pl.Counted, pl.CtlAddr, pl.NumSegs, exits, pl.LiveOutRegs)
+		// fmt prints maps in key order. Body UIDs (LastValue) follow the
+		// input's and earlier bodies' instructions, so the text fixes them.
+		fmt.Fprintf(h, "slots=%v recompute=%v reduce=%v lastvalue=%v\n",
+			pl.SlotOf, pl.Recompute, pl.Reductions, pl.LastValue)
+		pl.Body.WriteCompiledText(h)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

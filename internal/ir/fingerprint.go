@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // FingerprintScheme names the fingerprint derivation. Bump it whenever
@@ -46,4 +47,21 @@ func (p *Program) Fingerprint(entry *Function) string {
 		return b.Name // unpositioned block (never from a verified program)
 	})
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// WriteCompiledText writes f for a compiled-program fingerprint: its
+// blocks and instructions in the corpus format with positional block
+// names, each instruction followed by the compiler-assigned state the
+// corpus omits (text.go) but the simulator reads — its shared segment
+// and whether it was cloned from the input program (Origin >= 0).
+func (f *Function) WriteCompiledText(w io.Writer) {
+	pos := func(b *Block) string { return "b" + strconv.Itoa(b.Index) }
+	fmt.Fprintf(w, "func params=%d regs=%d\n", len(f.Params), f.NumRegs)
+	for _, b := range f.Blocks {
+		fmt.Fprintf(w, "block %s\n", pos(b))
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			fmt.Fprintf(w, "  %s shared=%d cloned=%t\n", instrText(in, pos), in.SharedSeg, in.Origin >= 0)
+		}
+	}
 }

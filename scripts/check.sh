@@ -70,9 +70,10 @@ go run ./scripts -enforce -budgets perf/shard_budgets.json "$shardreport"
 scripts/shard2.sh "$explorereport" go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 \
   -links 1,8 -signals 0 -quiet -cachedir "$explorecache" -verify EXPLORE_2026-08-07.json
 go run ./scripts -enforce -budgets perf/explore_budgets.json "$explorereport"
-# The same sweep solo: RunPlan retimes the whole plan in one call, and
-# the two tiers of each scenario here record one trace, so this
-# hash-verifies a merged batched retime.
+# The same sweep solo: the two tiers of each scenario here compile to
+# one program, so they are one work unit that records one trace and
+# retimes both tiers' lanes in one traversal; this hash-verifies that
+# merge.
 go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 -links 1,8 -signals 0 \
   -quiet -verify EXPLORE_2026-08-07.json >/dev/null
 
