@@ -75,13 +75,23 @@ func main() {
 	if err := cliutil.CheckCores(o.Cores); err != nil {
 		log.Fatal(err)
 	}
+	p, err := plan(&o, only)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	os.Exit(drive.Run(&o, plan(&o, only)))
+	os.Exit(drive.Run(&o, p))
 }
 
-// plan selects the experiments (-only filters the canonical list) and
-// describes the run to the shared orchestrator.
-func plan(o *drive.Options, only string) *drive.Plan {
+// plan selects the experiments (-only filters the canonical list and
+// must name one of them) and describes the run to the shared
+// orchestrator.
+func plan(o *drive.Options, only string) (*drive.Plan, error) {
+	if only != "" {
+		if err := cliutil.CheckOneOf("only", only, harness.ExperimentNames()...); err != nil {
+			return nil, err
+		}
+	}
 	var exps []drive.Experiment
 	var names []string
 	for _, e := range harness.Experiments(o.Cores) {
@@ -112,5 +122,5 @@ func plan(o *drive.Options, only string) *drive.Plan {
 			return fmt.Sprintf("All experiments complete in %.1fs (%d workers). See EXPERIMENTS.md for the paper-vs-measured comparison.",
 				total.Seconds(), harness.Parallelism())
 		},
-	}
+	}, nil
 }

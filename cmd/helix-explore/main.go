@@ -166,17 +166,15 @@ func plan(sf *sweepFlags, runs []familyRun) *drive.Plan {
 	}
 }
 
-// sweepFamily sweeps one family: every (scenario × grid point) cell,
-// the geomean across scenarios per point, and the frontier. After the
-// plan has run the cells are pure cache reads, so ParMap here costs
-// memory lookups, not simulation.
+// sweepFamily sweeps one family: every (grid point × scenario) cell,
+// the geomean across scenarios per point, and the frontier. The plan
+// (harness.PlanSweep over the same cells) has run by now, so
+// harness.Sweep costs cache reads, not simulation.
 func sweepFamily(ctx context.Context, sf *sweepFlags, level hcc.Level, fr familyRun) (benchreport.ExploreFamily, error) {
 	ns := len(fr.scenarios)
 	// Cell i is (grid point i/ns, scenario i%ns), so the slice below
 	// recovers each point's per-scenario speedups contiguously.
-	speedups, err := harness.ParMap(ctx, len(sf.grid)*ns, func(ctx context.Context, i int) (float64, error) {
-		return harness.SweepCell(ctx, fr.scenarios[i%ns], level, sf.grid[i/ns])
-	})
+	speedups, err := harness.Sweep(ctx, fr.scenarios, level, sf.grid)
 	if err != nil {
 		return benchreport.ExploreFamily{}, err
 	}

@@ -1,19 +1,23 @@
 package harness
 
-// Batched retiming. The sweep figures (7, 8, 9, 10, 11) evaluate one
-// recorded trace under many timing configs; replaying it once per cell
-// walks the same instruction stream N times. prefetchRetimes instead
-// plans a figure's trace groups into work units (planGroups, shard.go),
-// one per distinct trace, and executes each unit: it loads or records
-// the trace once and retimes every missing config of every run that
-// replays it in one sim.ReplayBatch traversal, publishing each lane's
-// Result to the harness result stores. The figure's cells then run
-// unchanged: their runOn and CachedBaseline calls hit the result tier
+// Batched retiming. A trace figure (fig1, fig7-fig12) or an explore
+// sweep is a grid of cells, each one run under one timing config read
+// against its sequential baseline, and one function per figure lists
+// them (simCell). Both the plan and the render read that list. The
+// cells' retime groups (cellGroups) are one baseline group per workload
+// and one run group per (workload, level, alias tier, cores), each
+// holding every config its cells read. planGroups (shard.go) plans the
+// groups into work units, one per distinct trace, and executing a unit
+// loads or records its trace once and retimes every missing config of
+// every run that replays it in one sim.ReplayBatch traversal,
+// publishing each lane's Result to the harness result stores. The
+// figure then reads its cells (readCells) through the CachedBaseline
+// and runOnTier calls a cold cell would make, which hit the result tier
 // and never touch the trace. Solo, RunPlan executes the units of a
-// whole plan (every selected experiment's, or a sweep's) before the
-// first figure renders, so the figures' own prefetches then find
-// nothing missing and compile nothing; under -shard each claimed unit
-// executes on its own.
+// whole plan (PlanUnits over the selected experiments' cell lists,
+// PlanSweep over a grid's) before the first figure renders, so a
+// figure's own warm-up (simulate) then finds nothing missing and
+// compiles nothing; under -shard each claimed unit executes on its own.
 //
 // Traces are named by content (traceKey): levels and alias tiers often
 // compile to the same program, and a compile that selects no loop runs
@@ -48,20 +52,108 @@ import (
 	"helixrc/internal/sim"
 )
 
-// retimeGroup is one run plus the timing configs a figure will evaluate
-// it under. For baseline groups (sequential runs, no parallel loops)
-// the lanes publish into the baseline store under CachedBaseline's
-// normalized keys; otherwise the lanes publish into the result store.
-// All archs of a non-baseline group must share one core count (the
-// compile depends on it); baseline runs replay at any core count.
+// simCell is one cell of a trace figure or an explore sweep: workload
+// name compiled at level and alias tier (0 = the level default) and run
+// under arch, read against its sequential baseline under base. Every
+// cell reads the ref input.
+type simCell struct {
+	name       string
+	level      hcc.Level
+	tier       int
+	arch, base sim.Config
+}
+
+// cellGroups derives the retime groups cells read: one baseline group
+// per workload and one run group per (workload, level, tier, cores), in
+// first-seen order, each listing its configs in cell order. planGroups
+// plans a config once however many cells list it.
+func cellGroups(cells []simCell) []retimeGroup {
+	type groupID struct {
+		name        string
+		baseline    bool
+		level       hcc.Level
+		tier, cores int
+	}
+	var groups []retimeGroup
+	index := map[groupID]int{}
+	add := func(id groupID, arch sim.Config) {
+		i, ok := index[id]
+		if !ok {
+			i = len(groups)
+			index[id] = i
+			groups = append(groups, retimeGroup{name: id.name, level: id.level, baseline: id.baseline, tier: id.tier})
+		}
+		groups[i].archs = append(groups[i].archs, arch)
+	}
+	for _, c := range cells {
+		add(groupID{name: c.name, baseline: true}, c.base)
+		add(groupID{c.name, false, c.level, c.tier, c.arch.Cores}, c.arch)
+	}
+	return groups
+}
+
+// cellResult is one cell's baseline and run Results. A cell degraded
+// under a per-cell deadline (see Partials) reads as the zero value.
+type cellResult struct{ seq, run *sim.Result }
+
+// speedup is the run's speedup over its baseline, 0 for a degraded cell.
+func (r cellResult) speedup() float64 {
+	if r.run == nil {
+		return 0
+	}
+	return sim.Speedup(r.seq, r.run)
+}
+
+// speedups returns each cell's speedup, in cell order.
+func speedups(rs []cellResult) []float64 {
+	vals := make([]float64, len(rs))
+	for i, r := range rs {
+		vals[i] = r.speedup()
+	}
+	return vals
+}
+
+// readCells reads each cell's Results in cell order on the engine's
+// worker pool; label names the cells for errors and partial figures
+// (nil: unnamed). After a warm-up every read is a result-tier hit, and
+// a cold cell records or replays itself, bit-identically.
+func readCells(ctx context.Context, cells []simCell, label func(int) string) ([]cellResult, error) {
+	return parMapCells(ctx, len(cells), label, func(ctx context.Context, i int) (cellResult, error) {
+		c := cells[i]
+		seq, err := CachedBaseline(ctx, c.name, c.base, true)
+		if err != nil {
+			return cellResult{}, err
+		}
+		run, err := runOnTier(ctx, c.name, c.level, c.tier, c.arch, true)
+		if err != nil {
+			return cellResult{}, err
+		}
+		return cellResult{seq, run}, nil
+	})
+}
+
+// simulate warms the result caches for cells — prefetchRetimes on their
+// groups, which only peeks after an evaluation-wide RunPlan — and reads
+// them.
+func simulate(ctx context.Context, cells []simCell, label func(int) string) ([]cellResult, error) {
+	prefetchRetimes(ctx, cellGroups(cells))
+	return readCells(ctx, cells, label)
+}
+
+// retimeGroup is one run plus the timing configs its cells read it
+// under, over the ref input. For baseline groups (sequential runs, no
+// parallel loops) the lanes publish into the baseline store under
+// CachedBaseline's normalized keys; otherwise the lanes publish into the
+// result store. All archs of a non-baseline group must share one core
+// count (the compile depends on it); baseline runs replay at any core
+// count.
 type retimeGroup struct {
 	name     string
 	level    hcc.Level
-	ref      bool
 	baseline bool
 	// tier is the 1-based alias-tier override (0 = level default). It is
 	// part of the run's identity, so it participates in the compile and
-	// run keys; the explore sweeps are its only setter.
+	// run keys; only the explore sweeps' cells set it.
 	tier  int
 	archs []sim.Config
 }
@@ -79,14 +171,14 @@ func (g *retimeGroup) store() *artifact.Store[*sim.Result] {
 // otherwise. fp is the workload's fingerprint.
 func (g *retimeGroup) resultKey(fp string, arch sim.Config) string {
 	if g.baseline {
-		return baseKey(g.name, g.ref, arch, fp)
+		return baseKey(g.name, true, arch, fp)
 	}
-	return resultKey(runKey(g.name, g.level, arch.Cores, g.tier, g.ref, fp), arch)
+	return resultKey(runKey(g.name, g.level, arch.Cores, g.tier, true, fp), arch)
 }
 
-// prefetchRetimes warms the result caches for the groups' cells: plan
-// the groups, execute the units. See the package comment above for the
-// skip conditions.
+// prefetchRetimes warms the result caches for the groups: plan them,
+// execute the units. See the package comment above for the skip
+// conditions.
 func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
 	if len(groups) == 0 || CellTimeout() > 0 {
 		return
@@ -126,7 +218,7 @@ type member struct {
 func (u *WorkUnit) run(ctx context.Context) {
 	first := u.members[0]
 	recArch := first.g.archs[0]
-	tr, recorded, err := loadTrace(ctx, u.Key, first.load, recArch, first.g.ref)
+	tr, recorded, err := loadTrace(ctx, u.Key, first.load, recArch, true)
 	if err != nil {
 		return
 	}

@@ -24,7 +24,7 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 	ResetCaches()
 	want := make([]*sim.Result, len(archs))
 	for i, arch := range archs {
-		res, err := runOn(ctx, bench, hcc.V3, arch, true)
+		res, err := runOnTier(ctx, bench, hcc.V3, 0, arch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 	ResetCaches()
 	b0, l0, _ := BatchStats()
 	rec0, _ := ReplayStats()
-	prefetchRetimes(ctx, []retimeGroup{{name: bench, level: hcc.V3, ref: true, archs: archs}})
+	prefetchRetimes(ctx, []retimeGroup{{name: bench, level: hcc.V3, archs: archs}})
 	b1, l1, _ := BatchStats()
 	rec1, _ := ReplayStats()
 	if b1 != b0+1 {
@@ -49,7 +49,7 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 		t.Errorf("prefetch recorded %d traces, want 1", rec1-rec0)
 	}
 	for i, arch := range archs {
-		res, err := runOn(ctx, bench, hcc.V3, arch, true)
+		res, err := runOnTier(ctx, bench, hcc.V3, 0, arch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +92,10 @@ func registerPacks(t *testing.T, families ...irgen.Family) []string {
 // planned unit, and every cell must read exactly the Result a cold solo
 // run computes — merging two different traces would serve some tier
 // another tier's timings. Both warm-ups are pinned: a figure's
-// prefetchRetimes, and a solo helix-explore's PlanSweep plus RunPlan
-// without a claimer.
+// prefetchRetimes of its cells' groups, and a solo helix-explore's
+// PlanSweep plus RunPlan without a claimer. After either, Sweep renders
+// the grid from the caches alone — no recording, replay or compile —
+// with every speedup equal to the cold solo one.
 func TestPrefetchRetimesMergesContentUnits(t *testing.T) {
 	ctx := context.Background()
 	names := registerPacks(t, irgen.PointerChase, irgen.Contention)
@@ -107,23 +109,23 @@ func TestPrefetchRetimesMergesContentUnits(t *testing.T) {
 			}
 		}
 	}
-	var groups []retimeGroup
-	for _, name := range names {
-		groups = append(groups, sweepGroups(name, hcc.V3, grid)...)
-	}
+	cells := sweepCells(names, hcc.V3, grid)
+	groups := cellGroups(cells)
 
 	// Cold solo reference.
 	ResetCaches()
-	want := map[string]map[SweepConfig]*sim.Result{}
-	for _, name := range names {
-		want[name] = map[SweepConfig]*sim.Result{}
-		for _, c := range grid {
-			res, err := runOnTier(ctx, name, hcc.V3, c.Tier, c.Arch(), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[name][c] = res
+	want := make([]*sim.Result, len(cells))
+	wantSpeedup := make([]float64, len(cells))
+	for i, c := range cells {
+		seq, err := CachedBaseline(ctx, c.name, c.base, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := runOnTier(ctx, c.name, hcc.V3, c.tier, c.arch, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], wantSpeedup[i] = res, sim.Speedup(seq, res)
 	}
 
 	ResetCaches()
@@ -153,23 +155,34 @@ func TestPrefetchRetimesMergesContentUnits(t *testing.T) {
 		ResetCaches()
 		rec0, _ := ReplayStats()
 		warm.run()
-		rec1, _ := ReplayStats()
+		rec1, rep1 := ReplayStats()
 		if got := rec1 - rec0; got != int64(len(units)) {
 			t.Errorf("%s recorded %d traces, want one per planned unit: %d", warm.name, got, len(units))
 		}
-		for _, name := range names {
-			for _, c := range grid {
-				res, err := runOnTier(ctx, name, hcc.V3, c.Tier, c.Arch(), true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if *res != *want[name][c] {
-					t.Errorf("%s: %s %+v: warmed result differs from solo:\nwant %+v\ngot  %+v", warm.name, name, c, want[name][c], res)
-				}
+		comp1 := CompileStats()
+		got, err := Sweep(ctx, names, hcc.V3, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec2, rep2 := ReplayStats()
+		if rec2 != rec1 || rep2 != rep1 || CompileStats() != comp1 {
+			t.Errorf("%s: Sweep recorded %d, replayed %d and compiled %d after the warm-up, want 0 each",
+				warm.name, rec2-rec1, rep2-rep1, CompileStats()-comp1)
+		}
+		for i, c := range cells {
+			if got[i] != wantSpeedup[i] {
+				t.Errorf("%s: Sweep cell %d (%s %+v) = %v, want the cold solo %v", warm.name, i, c.name, c.arch, got[i], wantSpeedup[i])
+			}
+			res, err := runOnTier(ctx, c.name, hcc.V3, c.tier, c.arch, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *res != *want[i] {
+				t.Errorf("%s: %s tier %d %+v: warmed result differs from solo:\nwant %+v\ngot  %+v", warm.name, c.name, c.tier, c.arch, want[i], res)
 			}
 		}
-		if rec2, _ := ReplayStats(); rec2 != rec1 {
-			t.Errorf("%s: cells recorded %d traces after the warm-up, want 0", warm.name, rec2-rec1)
+		if rec3, _ := ReplayStats(); rec3 != rec2 {
+			t.Errorf("%s: cells recorded %d traces after the warm-up, want 0", warm.name, rec3-rec2)
 		}
 	}
 }
@@ -190,7 +203,7 @@ func TestPrefetchBaselineGroup(t *testing.T) {
 
 	ResetCaches()
 	prefetchRetimes(ctx, []retimeGroup{{
-		name: bench, ref: true, baseline: true,
+		name: bench, baseline: true,
 		archs: []sim.Config{sim.Conventional(4)},
 	}})
 	rec1, rep1 := ReplayStats()
@@ -220,7 +233,7 @@ func TestPrefetchSkipsUnderCellTimeout(t *testing.T) {
 	rec0, _ := ReplayStats()
 	comp0 := CompileStats()
 	prefetchRetimes(context.Background(), []retimeGroup{{
-		name: "164.gzip", level: hcc.V3, ref: true,
+		name: "164.gzip", level: hcc.V3,
 		archs: []sim.Config{sim.HelixRC(4), sim.Conventional(4)},
 	}})
 	b1, l1, f1 := BatchStats()

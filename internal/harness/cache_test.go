@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"helixrc/internal/hcc"
@@ -242,22 +243,27 @@ func TestWarmRunServedWithoutCompiling(t *testing.T) {
 
 // TestConfigFingerprintMemo pins sim.Config.Fingerprint, which memoizes
 // per config, to the fmt derivation every persisted result key was
-// written under, for every preset at 1-16 cores, every configuration an
-// experiment retimes (the fig8, fig10 and fig11 variants among them)
-// and every lane of the wide explore grid.
+// written under, for every preset at 1-16 cores, every run and baseline
+// configuration in the registry's cell lists (the fig8, fig10 and fig11
+// variants among them), and every lane of the wide explore grid. Exactly
+// the 10 trace figures carry a cell list.
 func TestConfigFingerprintMemo(t *testing.T) {
 	var archs []sim.Config
 	for n := 1; n <= 16; n++ {
 		archs = append(archs, sim.HelixRC(n), sim.Conventional(n), sim.Abstract(n))
 	}
-	for _, exp := range []string{"fig1", "fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b", "fig11c", "fig11d", "fig12"} {
-		groups := experimentGroups(exp, 16)
-		if len(groups) == 0 {
-			t.Fatalf("%s has no retime groups", exp)
+	var traced []string
+	for _, e := range Experiments(16) {
+		if e.cells == nil {
+			continue
 		}
-		for _, g := range groups {
-			archs = append(archs, g.archs...)
+		traced = append(traced, e.Name)
+		for _, c := range e.cells() {
+			archs = append(archs, c.arch, c.base)
 		}
+	}
+	if got, want := strings.Join(traced, " "), "fig1 fig7 fig8 fig9 fig10 fig11a fig11b fig11c fig11d fig12"; got != want {
+		t.Fatalf("experiments with a cell list: %s, want %s", got, want)
 	}
 	for _, cores := range []int{2, 4, 8, 16} {
 		for _, link := range []int{1, 2, 4, 8, 16, 32} {

@@ -39,7 +39,7 @@ func TestCalibration(t *testing.T) {
 			continue
 		}
 		// HCCv3 code on conventional hardware (Figure 9 C bars).
-		v3conv, err := runOn(ctx, name, hcc.V3, conv, true)
+		v3conv, err := runOnTier(ctx, name, hcc.V3, 0, conv, true)
 		if err != nil {
 			t.Errorf("%s V3conv: %v", name, err)
 			continue

@@ -7,6 +7,9 @@ import "context"
 type Experiment struct {
 	Name string
 	Run  func(ctx context.Context) (string, error)
+	// cells lists a trace figure's cells, the list its generator
+	// renders from, for PlanUnits; nil for the analyses and tlp.
+	cells func() []simCell
 }
 
 // FindExperiment resolves one experiment of the canonical list by
@@ -47,75 +50,77 @@ func Experiments(cores int) []Experiment {
 			return s + partial.Note(), nil
 		}
 	}
-	fig := func(f func(context.Context, int) (*FigureResult, error)) func(ctx context.Context) (string, error) {
-		return degrade(func(ctx context.Context) (string, error) {
+	// fig and panel build a trace figure's entry: its generator and the
+	// cell list the generator renders from.
+	fig := func(name string, f func(context.Context, int) (*FigureResult, error), cells func(int) []simCell) Experiment {
+		return Experiment{name, degrade(func(ctx context.Context) (string, error) {
 			r, err := f(ctx, cores)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
-		})
+		}), func() []simCell { return cells(cores) }}
 	}
-	panel := func(which string) func(ctx context.Context) (string, error) {
-		return degrade(func(ctx context.Context) (string, error) {
+	panel := func(name, which string) Experiment {
+		return Experiment{name, degrade(func(ctx context.Context) (string, error) {
 			r, err := Figure11(ctx, which)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
-		})
+		}), func() []simCell { return figure11Cells(which) }}
 	}
 	return []Experiment{
-		{"fig1", fig(Figure1)},
+		fig("fig1", Figure1, figure1Cells),
 		{"fig2", degrade(func(ctx context.Context) (string, error) {
 			r, err := Figure2(ctx)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
-		})},
+		}), nil},
 		{"fig3", degrade(func(ctx context.Context) (string, error) {
 			r, err := Figure3(ctx)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
-		})},
+		}), nil},
 		{"fig4", degrade(func(ctx context.Context) (string, error) {
 			r, err := Figure4(ctx)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
-		})},
+		}), nil},
 		{"table1", degrade(func(ctx context.Context) (string, error) {
 			rows, err := Table1(ctx)
 			if err != nil {
 				return "", err
 			}
 			return FormatTable1(rows), nil
-		})},
-		{"fig7", fig(Figure7)},
-		{"fig8", fig(Figure8)},
-		{"fig9", fig(Figure9)},
-		{"fig10", fig(Figure10)},
-		{"fig11a", panel("cores")},
-		{"fig11b", panel("link")},
-		{"fig11c", panel("signals")},
-		{"fig11d", panel("memory")},
+		}), nil},
+		fig("fig7", Figure7, figure7Cells),
+		fig("fig8", Figure8, figure8Cells),
+		fig("fig9", Figure9, figure9Cells),
+		fig("fig10", Figure10, figure10Cells),
+		panel("fig11a", "cores"),
+		panel("fig11b", "link"),
+		panel("fig11c", "signals"),
+		panel("fig11d", "memory"),
 		{"fig12", degrade(func(ctx context.Context) (string, error) {
 			rows, err := Figure12(ctx, cores)
 			if err != nil {
 				return "", err
 			}
 			return FormatFigure12(rows), nil
-		})},
+		}), func() []simCell { return figure12Cells(cores) }},
 		{"tlp", degrade(func(ctx context.Context) (string, error) {
 			r, err := TLP(ctx)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
-		})},
+		}), nil},
 	}
 }

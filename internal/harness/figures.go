@@ -12,6 +12,7 @@ import (
 	"helixrc/internal/cfg"
 	"helixrc/internal/ddg"
 	"helixrc/internal/hcc"
+	"helixrc/internal/induction"
 	"helixrc/internal/interp"
 	"helixrc/internal/ir"
 	"helixrc/internal/sim"
@@ -380,16 +381,11 @@ func simTrace(ctx context.Context, tkey string, load loader, arch sim.Config, re
 	return sim.Replay(ctx, tr, arch)
 }
 
-// runOn simulates one configuration keyed by workload content alone: a
-// cached Result answers without compiling; otherwise it compiles
-// (through the compile tier) to name the trace, then replays the stored
-// trace or records it.
-func runOn(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, error) {
-	return runOnTier(ctx, name, level, 0, arch, ref)
-}
-
-// runOnTier is runOn with an alias-tier override for the compile (0 =
-// level default).
+// runOnTier simulates one configuration of the workload compiled at
+// level and alias tier (0 = the level default), keyed by workload
+// content alone: a cached Result answers without compiling; otherwise
+// it compiles (through the compile tier) to name the trace, then
+// replays the stored trace or records it.
 func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch sim.Config, ref bool) (*sim.Result, error) {
 	fp, err := workloadFingerprint(ctx, name)
 	if err != nil {
@@ -409,16 +405,17 @@ func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch
 	return res, nil
 }
 
-// CachedRun is runOn's exported face for callers that also want the
-// compilation: compile (memoized) plus simulate through the
-// store-backed record/replay path. cmd/helix-run uses it in -cachedir
-// mode so a repeated run serves its trace from disk.
+// CachedRun is runOnTier's exported face, at the level's default alias
+// tier, for callers that also want the compilation: compile (memoized)
+// plus simulate through the store-backed record/replay path.
+// cmd/helix-run uses it in -cachedir mode so a repeated run serves its
+// trace from disk.
 func CachedRun(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, *hcc.Compiled, error) {
 	_, comp, err := CachedCompile(ctx, name, level, arch.Cores)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := runOn(ctx, name, level, arch, ref)
+	res, err := runOnTier(ctx, name, level, 0, arch, ref)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -469,12 +466,42 @@ func (f *FigureResult) Format() string {
 	return sb.String()
 }
 
-func geomeanColumn(rows []SpeedupRow, col int) float64 {
-	var xs []float64
-	for _, r := range rows {
-		xs = append(xs, r.Values[col])
+// geomeans returns the geomean of each column of rows.
+func geomeans(rows []SpeedupRow) []float64 {
+	g := make([]float64, len(rows[0].Values))
+	for col := range g {
+		var xs []float64
+		for _, r := range rows {
+			xs = append(xs, r.Values[col])
+		}
+		g[col] = Geomean(xs)
 	}
-	return Geomean(xs)
+	return g
+}
+
+// speedupRows splits vals, listed in cell order with the workload
+// outermost, into one row per workload. A row's Values may be appended
+// to without touching the next row's.
+func speedupRows(names []string, vals []float64) []SpeedupRow {
+	k := len(vals) / len(names)
+	rows := make([]SpeedupRow, len(names))
+	for i, name := range names {
+		rows[i] = SpeedupRow{Name: name, Values: vals[i*k : (i+1)*k : (i+1)*k]}
+	}
+	return rows
+}
+
+// figure1Cells lists Figure 1's cells: per workload, HCCv1 then HCCv2
+// code on conventional hardware.
+func figure1Cells(cores int) []simCell {
+	var cells []simCell
+	for _, name := range workloads.Names() {
+		for _, level := range []hcc.Level{hcc.V1, hcc.V2} {
+			cells = append(cells, simCell{name: name, level: level,
+				arch: sim.Conventional(cores), base: sim.Conventional(cores)})
+		}
+	}
+	return cells
 }
 
 // Figure1 compares HCCv1 and HCCv2 on the conventional 16-core platform
@@ -485,31 +512,16 @@ func Figure1(ctx context.Context, cores int) (*FigureResult, error) {
 		Series: []string{"HCCv1", "HCCv2"},
 		Notes:  "Paper shape: CFP2000 rises 2.4x -> 11x with HCCv2; CINT2000 stays ~2x for both.",
 	}
-	names := workloads.Names()
-	levels := []hcc.Level{hcc.V1, hcc.V2}
-	prefetchRetimes(ctx, experimentGroups("fig1", cores))
-	cell := func(i int) string {
-		return fmt.Sprintf("%s/L%d/conv%d", names[i/len(levels)], levels[i%len(levels)], cores)
+	cells := figure1Cells(cores)
+	label := func(i int) string {
+		return fmt.Sprintf("%s/L%d/conv%d", cells[i].name, cells[i].level, cores)
 	}
-	vals, err := parMapCells(ctx, len(names)*len(levels), cell, func(ctx context.Context, i int) (float64, error) {
-		name, level := names[i/len(levels)], levels[i%len(levels)]
-		res, err := runOn(ctx, name, level, sim.Conventional(cores), true)
-		if err != nil {
-			return 0, err
-		}
-		seq, err := CachedBaseline(ctx, name, sim.Conventional(cores), true)
-		if err != nil {
-			return 0, err
-		}
-		return sim.Speedup(seq, res), nil
-	})
+	rs, err := simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		f.Rows = append(f.Rows, SpeedupRow{Name: name, Values: vals[ni*len(levels) : (ni+1)*len(levels)]})
-	}
-	f.Geomean = []float64{geomeanColumn(f.Rows, 0), geomeanColumn(f.Rows, 1)}
+	f.Rows = speedupRows(workloads.Names(), speedups(rs))
+	f.Geomean = geomeans(f.Rows)
 	return f, nil
 }
 
@@ -633,7 +645,7 @@ func Figure3(ctx context.Context) (*Figure3Result, error) {
 		for _, pl := range comp.Loops {
 			g := cfg.New(pl.Fn)
 			dg := ddg.Build(w.Prog, pl.Fn, g, pl.Loop, an)
-			classes := inductionClassify(pl, g, dg)
+			classes := induction.Classify(pl.Fn, g, pl.Loop, dg.CarriedRegs)
 			p.CarriedRegs += len(dg.CarriedRegs)
 			if len(dg.MemEdges) > 0 {
 				p.MemClusters++
@@ -825,19 +837,14 @@ func Table1(ctx context.Context) ([]Table1Row, error) {
 	}
 	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (cell, error) {
 		name, li := names[i/len(levels)], i%len(levels)
-		var c cell
+		w, comp, err := CachedCompile(ctx, name, levels[li], 16)
+		if err != nil {
+			return cell{}, err
+		}
+		c := cell{coverage: comp.Coverage}
 		if li == 0 {
-			w, err := workloads.Get(name)
-			if err != nil {
-				return c, err
-			}
 			c.phases = w.Phases
 		}
-		_, comp, err := CachedCompile(ctx, name, levels[li], 16)
-		if err != nil {
-			return c, err
-		}
-		c.coverage = comp.Coverage
 		return c, nil
 	})
 	if err != nil {
@@ -866,6 +873,18 @@ func FormatTable1(rows []Table1Row) string {
 	return sb.String()
 }
 
+// figure7Cells lists Figure 7's cells: per workload, HCCv2 code on
+// conventional hardware, then HELIX-RC (HCCv3 on the ring cache).
+func figure7Cells(cores int) []simCell {
+	var cells []simCell
+	for _, name := range workloads.Names() {
+		cells = append(cells,
+			simCell{name: name, level: hcc.V2, arch: sim.Conventional(cores), base: sim.Conventional(cores)},
+			simCell{name: name, level: hcc.V3, arch: sim.HelixRC(cores), base: sim.Conventional(cores)})
+	}
+	return cells
+}
+
 // Figure7 is the headline result: HCCv2 on conventional hardware vs
 // HELIX-RC (HCCv3 + ring cache), both against sequential execution.
 func Figure7(ctx context.Context, cores int) (*FigureResult, error) {
@@ -874,60 +893,46 @@ func Figure7(ctx context.Context, cores int) (*FigureResult, error) {
 		Series: []string{"HCCv2", "HELIX-RC"},
 		Notes:  "Paper shape: CINT geomean 2.2x -> 6.85x; CFP 11.4x -> ~12x.",
 	}
-	names := workloads.Names()
-	prefetchRetimes(ctx, experimentGroups("fig7", cores))
-	cell := func(i int) string {
-		if i%2 == 0 {
-			return fmt.Sprintf("%s/L%d/conv%d", names[i/2], hcc.V2, cores)
+	cells := figure7Cells(cores)
+	label := func(i int) string {
+		hw := "conv"
+		if i%2 == 1 {
+			hw = "rc"
 		}
-		return fmt.Sprintf("%s/L%d/rc%d", names[i/2], hcc.V3, cores)
+		return fmt.Sprintf("%s/L%d/%s%d", cells[i].name, cells[i].level, hw, cores)
 	}
-	// One cell per (workload, series); the shared sequential baseline is
-	// deduplicated by CachedBaseline's singleflight.
-	vals, err := parMapCells(ctx, len(names)*2, cell, func(ctx context.Context, i int) (float64, error) {
-		name := names[i/2]
-		seq, err := CachedBaseline(ctx, name, sim.Conventional(cores), true)
-		if err != nil {
-			return 0, err
-		}
-		var res *sim.Result
-		if i%2 == 0 {
-			res, err = runOn(ctx, name, hcc.V2, sim.Conventional(cores), true)
-		} else {
-			res, err = runOn(ctx, name, hcc.V3, sim.HelixRC(cores), true)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return sim.Speedup(seq, res), nil
-	})
+	rs, err := simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		f.Rows = append(f.Rows, SpeedupRow{Name: name, Values: vals[ni*2 : (ni+1)*2]})
-	}
-	f.Geomean = []float64{geomeanColumn(f.Rows, 0), geomeanColumn(f.Rows, 1)}
+	f.Rows = speedupRows(workloads.Names(), speedups(rs))
+	f.Geomean = geomeans(f.Rows)
 	return f, nil
 }
 
-// figure8Configs lists Figure 8's decoupling configs, one per series:
-// HCCv2 code on conventional hardware, then HCCv3 code with register
-// communication decoupled, plus synchronization, plus memory, and all
-// three (HELIX-RC). Shared with the shard planner's experimentGroups.
-func figure8Configs(cores int) []sim.Config {
+// figure8Cells lists Figure 8's cells: per CINT2000 workload, one per
+// decoupling series — HCCv2 code on conventional hardware, then HCCv3
+// code with register communication decoupled, plus synchronization,
+// plus memory, and all three (HELIX-RC).
+func figure8Cells(cores int) []simCell {
 	variant := func(reg, syncD, mem bool) sim.Config {
 		c := sim.HelixRC(cores)
 		c.DecoupleReg, c.DecoupleSync, c.DecoupleMem = reg, syncD, mem
 		return c
 	}
-	return []sim.Config{
-		sim.Conventional(cores),     // HCCv2 runs below
-		variant(true, false, false), // decoupled register communication
-		variant(true, true, false),  // + synchronization
-		variant(true, false, true),  // reg + memory
-		variant(true, true, true),   // all (HELIX-RC)
+	var cells []simCell
+	for _, name := range workloads.IntNames() {
+		cell := func(level hcc.Level, arch sim.Config) simCell {
+			return simCell{name: name, level: level, arch: arch, base: sim.Conventional(cores)}
+		}
+		cells = append(cells,
+			cell(hcc.V2, sim.Conventional(cores)),
+			cell(hcc.V3, variant(true, false, false)),
+			cell(hcc.V3, variant(true, true, false)),
+			cell(hcc.V3, variant(true, false, true)),
+			cell(hcc.V3, variant(true, true, true)))
 	}
+	return cells
 }
 
 // Figure8 breaks down the benefit of decoupling each communication class
@@ -940,42 +945,31 @@ func Figure8(ctx context.Context, cores int) (*FigureResult, error) {
 		},
 		Notes: "Paper shape: register decoupling alone helps little; sync and memory decoupling dominate.",
 	}
-	configs := figure8Configs(cores)
-	names := workloads.IntNames()
-	// One batched retime per workload covers the four decoupling
-	// variants: they share the HCCv3 trace.
-	prefetchRetimes(ctx, experimentGroups("fig8", cores))
-	// One cell per (workload, decoupling variant).
-	cell := func(i int) string {
-		return fmt.Sprintf("%s/%s/%dcores", names[i/len(configs)], f.Series[i%len(configs)], cores)
+	// The four decoupling variants share the HCCv3 trace: one batched
+	// retime per workload covers them.
+	cells := figure8Cells(cores)
+	label := func(i int) string {
+		return fmt.Sprintf("%s/%s/%dcores", cells[i].name, f.Series[i%len(f.Series)], cores)
 	}
-	vals, err := parMapCells(ctx, len(names)*len(configs), cell, func(ctx context.Context, i int) (float64, error) {
-		name, ci := names[i/len(configs)], i%len(configs)
-		seq, err := CachedBaseline(ctx, name, sim.Conventional(cores), true)
-		if err != nil {
-			return 0, err
-		}
-		level := hcc.V3
-		if ci == 0 {
-			level = hcc.V2
-		}
-		res, err := runOn(ctx, name, level, configs[ci], true)
-		if err != nil {
-			return 0, err
-		}
-		return sim.Speedup(seq, res), nil
-	})
+	rs, err := simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		f.Rows = append(f.Rows, SpeedupRow{Name: name, Values: vals[ni*len(configs) : (ni+1)*len(configs)]})
-	}
-	f.Geomean = make([]float64, len(configs))
-	for i := range configs {
-		f.Geomean[i] = geomeanColumn(f.Rows, i)
-	}
+	f.Rows = speedupRows(workloads.IntNames(), speedups(rs))
+	f.Geomean = geomeans(f.Rows)
 	return f, nil
+}
+
+// figure9Cells lists Figure 9's cells: per CINT2000 workload, HCCv3
+// code on conventional hardware, then on the ring cache.
+func figure9Cells(cores int) []simCell {
+	var cells []simCell
+	for _, name := range workloads.IntNames() {
+		cells = append(cells,
+			simCell{name: name, level: hcc.V3, arch: sim.Conventional(cores), base: sim.Conventional(cores)},
+			simCell{name: name, level: hcc.V3, arch: sim.HelixRC(cores), base: sim.Conventional(cores)})
+	}
+	return cells
 }
 
 // Figure9 runs HCCv3-generated code on conventional hardware (C) and on
@@ -986,40 +980,26 @@ func Figure9(ctx context.Context, cores int) (*FigureResult, error) {
 		Series: []string{"C %time", "R %time"},
 		Notes:  "Paper shape: C bars at or above 100% (no better than sequential); R bars far below.",
 	}
-	names := workloads.IntNames()
 	// Both hardware points share the HCCv3 trace: one batched retime
 	// per workload.
-	prefetchRetimes(ctx, experimentGroups("fig9", cores))
-	cell := func(i int) string {
+	cells := figure9Cells(cores)
+	label := func(i int) string {
 		hw := "conv"
 		if i%2 == 1 {
 			hw = "rc"
 		}
-		return fmt.Sprintf("%s/L%d/%s%d", names[i/2], hcc.V3, hw, cores)
+		return fmt.Sprintf("%s/L%d/%s%d", cells[i].name, hcc.V3, hw, cores)
 	}
-	// One cell per (workload, hardware): HCCv3 code on conventional
-	// coherence vs on the ring cache.
-	vals, err := parMapCells(ctx, len(names)*2, cell, func(ctx context.Context, i int) (float64, error) {
-		name := names[i/2]
-		seq, err := CachedBaseline(ctx, name, sim.Conventional(cores), true)
-		if err != nil {
-			return 0, err
-		}
-		arch := sim.Conventional(cores)
-		if i%2 == 1 {
-			arch = sim.HelixRC(cores)
-		}
-		res, err := runOn(ctx, name, hcc.V3, arch, true)
-		if err != nil {
-			return 0, err
-		}
-		return 100 * float64(res.Cycles) / float64(seq.Cycles), nil
-	})
+	rs, err := simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		f.Rows = append(f.Rows, SpeedupRow{Name: name, Values: vals[ni*2 : (ni+1)*2]})
+	vals := make([]float64, len(rs))
+	for i, r := range rs {
+		if r.run != nil {
+			vals[i] = 100 * float64(r.run.Cycles) / float64(r.seq.Cycles)
+		}
 	}
+	f.Rows = speedupRows(workloads.IntNames(), vals)
 	return f, nil
 }

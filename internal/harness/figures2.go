@@ -5,25 +5,25 @@ import (
 	"fmt"
 	"strings"
 
-	"helixrc/internal/cfg"
 	"helixrc/internal/cpu"
-	"helixrc/internal/ddg"
 	"helixrc/internal/hcc"
-	"helixrc/internal/induction"
-	"helixrc/internal/ir"
 	"helixrc/internal/sim"
 	"helixrc/internal/workloads"
 )
 
-func inductionClassify(pl *hcc.ParallelLoop, g *cfg.Graph, dg *ddg.Graph) map[ir.Reg]induction.Info {
-	return induction.Classify(pl.Fn, g, pl.Loop, dg.CarriedRegs)
-}
-
-// figure10CoreConfigs lists Figure 10's core-complexity sweep: 2-way
-// in-order, 2-way and 4-way out-of-order. Shared with the shard
-// planner's experimentGroups.
-func figure10CoreConfigs() []cpu.Config {
-	return []cpu.Config{cpu.InOrder2(), cpu.OoO2(), cpu.OoO4()}
+// figure10Cells lists Figure 10's cells: per CINT2000 workload and core
+// type (2-way in-order, 2-way and 4-way out-of-order), HCCv3 code on the
+// ring cache against a sequential baseline on the same core.
+func figure10Cells(cores int) []simCell {
+	var cells []simCell
+	for _, name := range workloads.IntNames() {
+		for _, cc := range []cpu.Config{cpu.InOrder2(), cpu.OoO2(), cpu.OoO4()} {
+			arch, base := sim.HelixRC(cores), sim.Conventional(cores)
+			arch.Core, base.Core = cc, cc
+			cells = append(cells, simCell{name: name, level: hcc.V3, arch: arch, base: base})
+		}
+	}
+	return cells
 }
 
 // Figure10 sweeps core complexity: 2-way in-order (the default), 2-way
@@ -39,74 +39,46 @@ func Figure10(ctx context.Context, cores int) (*FigureResult, error) {
 		},
 		Notes: "Paper shape: HELIX-RC still speeds up OoO cores; 4-way OoO sequential is ~1.9x faster than in-order; 164.gzip benefits least.",
 	}
-	coreCfgs := figure10CoreConfigs()
-	names := workloads.IntNames()
 	// The three core models share one HCCv3 trace (and the three
 	// sequential baselines share one baseline trace): two batched
-	// retimes per workload cover all six cells.
-	prefetchRetimes(ctx, experimentGroups("fig10", cores))
-	// One cell per (workload, core type); each reports the speedup and
-	// its sequential cycle count for the lower-panel ratios.
-	type cell struct {
-		speedup   float64
-		seqCycles int64
-	}
+	// retimes per workload cover all the cells.
+	cells := figure10Cells(cores)
 	label := func(i int) string {
-		return fmt.Sprintf("%s/L%d/%s", names[i/len(coreCfgs)], hcc.V3, coreCfgs[i%len(coreCfgs)].Name)
+		return fmt.Sprintf("%s/L%d/%s", cells[i].name, hcc.V3, cells[i].arch.Core.Name)
 	}
-	cells, err := parMapCells(ctx, len(names)*len(coreCfgs), label, func(ctx context.Context, i int) (cell, error) {
-		name, cc := names[i/len(coreCfgs)], coreCfgs[i%len(coreCfgs)]
-		arch := sim.HelixRC(cores)
-		arch.Core = cc
-		seqArch := sim.Conventional(cores)
-		seqArch.Core = cc
-		seq, err := CachedBaseline(ctx, name, seqArch, true)
-		if err != nil {
-			return cell{}, err
-		}
-		res, err := runOn(ctx, name, hcc.V3, arch, true)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{speedup: sim.Speedup(seq, res), seqCycles: seq.Cycles}, nil
-	})
+	rs, err := simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		row := SpeedupRow{Name: name}
-		base := ni * len(coreCfgs)
-		for ci := range coreCfgs {
-			row.Values = append(row.Values, cells[base+ci].speedup)
+	// Cells 3i..3i+2 are workload i's core types, the 4-way OoO last.
+	seqCycles := func(i int) float64 {
+		if rs[i].seq == nil {
+			return 0
 		}
-		row.Values = append(row.Values,
-			float64(cells[base+0].seqCycles)/float64(cells[base+2].seqCycles),
-			float64(cells[base+1].seqCycles)/float64(cells[base+2].seqCycles))
-		f.Rows = append(f.Rows, row)
+		return float64(rs[i].seq.Cycles)
 	}
-	f.Geomean = make([]float64, 5)
-	for i := 0; i < 5; i++ {
-		f.Geomean[i] = geomeanColumn(f.Rows, i)
+	f.Rows = speedupRows(workloads.IntNames(), speedups(rs))
+	for i := range f.Rows {
+		f.Rows[i].Values = append(f.Rows[i].Values,
+			seqCycles(3*i)/seqCycles(3*i+2), seqCycles(3*i+1)/seqCycles(3*i+2))
 	}
+	f.Geomean = geomeans(f.Rows)
 	return f, nil
 }
 
 // fig11Variant is one sweep point of a Figure 11 panel.
 type fig11Variant struct {
 	label string
-	arch  func() sim.Config
+	arch  sim.Config
 }
 
 // figure11Panel defines one Figure 11 panel: its title and sweep
-// points. Shared by Figure11 (which renders the panel) and the shard
-// planner (which enumerates its trace groups without rendering).
+// points.
 func figure11Panel(which string) (string, []fig11Variant, error) {
-	mk := func(mod func(*sim.Config)) func() sim.Config {
-		return func() sim.Config {
-			c := sim.HelixRC(16)
-			mod(&c)
-			return c
-		}
+	mk := func(mod func(*sim.Config)) sim.Config {
+		c := sim.HelixRC(16)
+		mod(&c)
+		return c
 	}
 	var title string
 	var variants []fig11Variant
@@ -114,16 +86,14 @@ func figure11Panel(which string) (string, []fig11Variant, error) {
 	case "cores":
 		title = "Figure 11a: sensitivity to core count"
 		for _, n := range []int{2, 4, 8, 16} {
-			n := n
 			variants = append(variants, fig11Variant{
 				label: fmt.Sprintf("%d cores", n),
-				arch:  func() sim.Config { return sim.HelixRC(n) },
+				arch:  sim.HelixRC(n),
 			})
 		}
 	case "link":
 		title = "Figure 11b: sensitivity to adjacent node link latency"
 		for _, l := range []int{1, 4, 8, 16, 32} {
-			l := l
 			variants = append(variants, fig11Variant{
 				label: fmt.Sprintf("%d cycle", l),
 				arch:  mk(func(c *sim.Config) { c.Ring.LinkLatency = l }),
@@ -132,7 +102,6 @@ func figure11Panel(which string) (string, []fig11Variant, error) {
 	case "signals":
 		title = "Figure 11c: sensitivity to signal bandwidth"
 		for _, s := range []int{0, 4, 2, 1} { // 0 = unbounded
-			s := s
 			label := fmt.Sprintf("%d signals", s)
 			if s == 0 {
 				label = "unbounded"
@@ -145,7 +114,6 @@ func figure11Panel(which string) (string, []fig11Variant, error) {
 	case "memory":
 		title = "Figure 11d: sensitivity to node memory size"
 		for _, kb := range []int{0, 32768, 1024, 256} { // bytes; 0 = unbounded
-			kb := kb
 			label := fmt.Sprintf("%dB", kb)
 			if kb == 0 {
 				label = "unbounded"
@@ -161,39 +129,24 @@ func figure11Panel(which string) (string, []fig11Variant, error) {
 	return title, variants, nil
 }
 
-// figure11Groups enumerates one panel's trace groups. The core-count
-// panel needs a fresh trace (and so a full recording) per sweep point
-// — singleton groups let the prefetch pool record them in parallel.
-// The other panels retime one 16-core trace per workload under every
-// sweep point in a single batched traversal.
-func figure11Groups(which string) []retimeGroup {
+// figure11Cells lists one Figure 11 panel's cells (nil for an unknown
+// panel): per CINT2000 workload and sweep point, HCCv3 code under the
+// point's ring. The core-count panel needs a fresh trace per point,
+// each recorded in parallel on the prefetch pool; the other panels
+// retime one 16-core trace per workload in a single batched traversal.
+func figure11Cells(which string) []simCell {
 	_, variants, err := figure11Panel(which)
 	if err != nil {
 		return nil
 	}
-	names := workloads.IntNames()
-	groups := make([]retimeGroup, 0, len(names)*(len(variants)+1))
-	for _, name := range names {
-		groups = append(groups, retimeGroup{
-			name: name, ref: true, baseline: true,
-			archs: []sim.Config{sim.Conventional(16)},
-		})
-		if which == "cores" {
-			for _, v := range variants {
-				groups = append(groups, retimeGroup{
-					name: name, level: hcc.V3, ref: true,
-					archs: []sim.Config{v.arch()},
-				})
-			}
-		} else {
-			archs := make([]sim.Config, len(variants))
-			for i, v := range variants {
-				archs[i] = v.arch()
-			}
-			groups = append(groups, retimeGroup{name: name, level: hcc.V3, ref: true, archs: archs})
+	var cells []simCell
+	for _, name := range workloads.IntNames() {
+		for _, v := range variants {
+			cells = append(cells, simCell{name: name, level: hcc.V3,
+				arch: v.arch, base: sim.Conventional(v.arch.Cores)})
 		}
 	}
-	return groups
+	return cells
 }
 
 // Figure11 sweeps one architectural parameter of the ring cache at a time
@@ -208,35 +161,16 @@ func Figure11(ctx context.Context, which string) (*FigureResult, error) {
 	for _, v := range variants {
 		f.Series = append(f.Series, v.label)
 	}
-	names := workloads.IntNames()
-	prefetchRetimes(ctx, figure11Groups(which))
-	// One cell per (workload, sweep point).
-	cell := func(i int) string {
-		return fmt.Sprintf("%s/%s/%s", names[i/len(variants)], which, variants[i%len(variants)].label)
+	cells := figure11Cells(which)
+	label := func(i int) string {
+		return fmt.Sprintf("%s/%s/%s", cells[i].name, which, variants[i%len(variants)].label)
 	}
-	vals, err := parMapCells(ctx, len(names)*len(variants), cell, func(ctx context.Context, i int) (float64, error) {
-		name, v := names[i/len(variants)], variants[i%len(variants)]
-		arch := v.arch()
-		seq, err := CachedBaseline(ctx, name, sim.Conventional(arch.Cores), true)
-		if err != nil {
-			return 0, err
-		}
-		res, err := runOn(ctx, name, hcc.V3, arch, true)
-		if err != nil {
-			return 0, err
-		}
-		return sim.Speedup(seq, res), nil
-	})
+	rs, err := simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
-	for ni, name := range names {
-		f.Rows = append(f.Rows, SpeedupRow{Name: name, Values: vals[ni*len(variants) : (ni+1)*len(variants)]})
-	}
-	f.Geomean = make([]float64, len(variants))
-	for i := range variants {
-		f.Geomean[i] = geomeanColumn(f.Rows, i)
-	}
+	f.Rows = speedupRows(workloads.IntNames(), speedups(rs))
+	f.Geomean = geomeans(f.Rows)
 	return f, nil
 }
 
@@ -247,27 +181,31 @@ type Figure12Row struct {
 	Speedup float64
 }
 
+// figure12Cells lists Figure 12's cells: per workload, HELIX-RC
+// (HCCv3 on the ring cache).
+func figure12Cells(cores int) []simCell {
+	var cells []simCell
+	for _, name := range workloads.Names() {
+		cells = append(cells, simCell{name: name, level: hcc.V3, arch: sim.HelixRC(cores), base: sim.Conventional(cores)})
+	}
+	return cells
+}
+
 // Figure12 categorizes every overhead cycle that prevents ideal speedup.
 func Figure12(ctx context.Context, cores int) ([]Figure12Row, error) {
-	names := workloads.Names()
-	prefetchRetimes(ctx, experimentGroups("fig12", cores))
-	cell := func(i int) string { return fmt.Sprintf("%s/L%d/rc%d", names[i], hcc.V3, cores) }
-	return parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) (Figure12Row, error) {
-		name := names[i]
-		seq, err := CachedBaseline(ctx, name, sim.Conventional(cores), true)
-		if err != nil {
-			return Figure12Row{}, err
+	cells := figure12Cells(cores)
+	label := func(i int) string { return fmt.Sprintf("%s/L%d/rc%d", cells[i].name, hcc.V3, cores) }
+	rs, err := simulate(ctx, cells, label)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Figure12Row, len(rs))
+	for i, r := range rs {
+		if r.run != nil {
+			rows[i] = Figure12Row{Name: cells[i].name, Shares: r.run.Overheads.Shares(), Speedup: r.speedup()}
 		}
-		res, err := runOn(ctx, name, hcc.V3, sim.HelixRC(cores), true)
-		if err != nil {
-			return Figure12Row{}, err
-		}
-		return Figure12Row{
-			Name:    name,
-			Shares:  res.Overheads.Shares(),
-			Speedup: sim.Speedup(seq, res),
-		}, nil
-	})
+	}
+	return rows, nil
 }
 
 // FormatFigure12 renders the overhead table.

@@ -5,12 +5,14 @@ package harness
 // themselves) replays or reads caches. So a run plans first, executes
 // the plan, and only then renders:
 //
-//   - PlanUnits (PlanSweep for explore grids) enumerates every selected
-//     experiment's trace groups, drops the Results already available,
-//     and compiles what remains to name each run's trace by content. A
-//     work unit is one distinct trace, its key the trace key, with every
-//     run that replays it: a trace shared by two figures, two levels or
-//     two alias tiers is planned once, and a warm plan is empty.
+//   - PlanUnits reads the cell list of every selected experiment (the
+//     list its generator renders from; PlanSweep builds an explore
+//     grid's), derives the cells' retime groups (cellGroups, per
+//     experiment), drops the Results already available, and compiles
+//     what remains to name each run's trace by content. A work unit is
+//     one distinct trace, its key the trace key, with every run that
+//     replays it: a trace shared by two figures, two levels or two alias
+//     tiers is planned once, and a warm plan is empty.
 //   - RunPlan executes the units. In one process it executes them all
 //     on the prefetch pool (see batch.go). Across -shard worker
 //     processes that share a cache directory or a helix-serve daemon,
@@ -37,9 +39,6 @@ import (
 	"time"
 
 	"helixrc/internal/artifact"
-	"helixrc/internal/hcc"
-	"helixrc/internal/sim"
-	"helixrc/internal/workloads"
 )
 
 // ExperimentNames returns the canonical experiment order — the
@@ -92,105 +91,6 @@ func ExperimentClaimKey(name string, cores int) string {
 	return fmt.Sprintf("exp/%s/c%d/%s", name, cores, cacheScheme)
 }
 
-// experimentGroups enumerates the trace groups an experiment's cells
-// will consume, exactly as the figure generators construct them (the
-// generators call this too, so planner and figure can never drift).
-// Experiments with no trace groups (the static analyses, and TLP,
-// whose cells cache their Results directly) return nil.
-func experimentGroups(exp string, cores int) []retimeGroup {
-	conv := func(c int) []sim.Config { return []sim.Config{sim.Conventional(c)} }
-	switch exp {
-	case "fig1":
-		names := workloads.Names()
-		groups := make([]retimeGroup, 0, 3*len(names))
-		for _, name := range names {
-			groups = append(groups,
-				retimeGroup{name: name, ref: true, baseline: true, archs: conv(cores)},
-				retimeGroup{name: name, level: hcc.V1, ref: true, archs: conv(cores)},
-				retimeGroup{name: name, level: hcc.V2, ref: true, archs: conv(cores)},
-			)
-		}
-		return groups
-	case "fig7":
-		names := workloads.Names()
-		groups := make([]retimeGroup, 0, 3*len(names))
-		for _, name := range names {
-			groups = append(groups,
-				retimeGroup{name: name, ref: true, baseline: true, archs: conv(cores)},
-				retimeGroup{name: name, level: hcc.V2, ref: true, archs: conv(cores)},
-				retimeGroup{name: name, level: hcc.V3, ref: true, archs: []sim.Config{sim.HelixRC(cores)}},
-			)
-		}
-		return groups
-	case "fig8":
-		configs := figure8Configs(cores)
-		names := workloads.IntNames()
-		groups := make([]retimeGroup, 0, 3*len(names))
-		for _, name := range names {
-			groups = append(groups,
-				retimeGroup{name: name, ref: true, baseline: true, archs: conv(cores)},
-				retimeGroup{name: name, level: hcc.V2, ref: true, archs: configs[:1]},
-				retimeGroup{name: name, level: hcc.V3, ref: true, archs: configs[1:]},
-			)
-		}
-		return groups
-	case "fig9":
-		names := workloads.IntNames()
-		groups := make([]retimeGroup, 0, 2*len(names))
-		for _, name := range names {
-			groups = append(groups,
-				retimeGroup{name: name, ref: true, baseline: true, archs: conv(cores)},
-				retimeGroup{name: name, level: hcc.V3, ref: true,
-					archs: []sim.Config{sim.Conventional(cores), sim.HelixRC(cores)}},
-			)
-		}
-		return groups
-	case "fig10":
-		coreCfgs := figure10CoreConfigs()
-		names := workloads.IntNames()
-		groups := make([]retimeGroup, 0, 2*len(names))
-		for _, name := range names {
-			rcArchs := make([]sim.Config, len(coreCfgs))
-			seqArchs := make([]sim.Config, len(coreCfgs))
-			for i, cc := range coreCfgs {
-				a := sim.HelixRC(cores)
-				a.Core = cc
-				rcArchs[i] = a
-				s := sim.Conventional(cores)
-				s.Core = cc
-				seqArchs[i] = s
-			}
-			groups = append(groups,
-				retimeGroup{name: name, ref: true, baseline: true, archs: seqArchs},
-				retimeGroup{name: name, level: hcc.V3, ref: true, archs: rcArchs},
-			)
-		}
-		return groups
-	case "fig11a":
-		return figure11Groups("cores")
-	case "fig11b":
-		return figure11Groups("link")
-	case "fig11c":
-		return figure11Groups("signals")
-	case "fig11d":
-		return figure11Groups("memory")
-	case "fig12":
-		names := workloads.Names()
-		groups := make([]retimeGroup, 0, 2*len(names))
-		for _, name := range names {
-			groups = append(groups,
-				retimeGroup{name: name, ref: true, baseline: true, archs: conv(cores)},
-				retimeGroup{name: name, level: hcc.V3, ref: true, archs: []sim.Config{sim.HelixRC(cores)}},
-			)
-		}
-		return groups
-	}
-	// fig2, fig3, fig4, table1: compile/analysis only. tlp: execution-
-	// driven on the abstract machine, one persisted Result per cell
-	// (tlpRun) with no trace to share.
-	return nil
-}
-
 // WorkUnit is one unit of shardable warm-up work: one trace plus every
 // run (member) that replays it, with the timing configs each still
 // misses. Key is the trace key — named by content, so the same unit
@@ -216,12 +116,17 @@ func (u *WorkUnit) complete() bool {
 
 // PlanUnits enumerates the work units of the named experiments on
 // cores cores: one per distinct trace with Results still missing, each
-// listing every run that replays it. It compiles the runs it must name
-// by content, and the unit order is deterministic.
+// listing every run that replays it. It plans the groups of each
+// experiment's cell list in turn, without merging groups across
+// experiments, and skips experiments without one (the analyses, tlp)
+// and unknown names. It compiles the runs it must name by content, and
+// the unit order is deterministic.
 func PlanUnits(ctx context.Context, experiments []string, cores int) ([]WorkUnit, error) {
 	var groups []retimeGroup
-	for _, exp := range experiments {
-		groups = append(groups, experimentGroups(exp, cores)...)
+	for _, name := range experiments {
+		if e, ok := FindExperiment(name, cores); ok && e.cells != nil {
+			groups = append(groups, cellGroups(e.cells())...)
+		}
 	}
 	return planGroups(ctx, groups)
 }
@@ -293,7 +198,7 @@ func (m *member) plan(ctx context.Context) error {
 	}
 	m.g.archs, m.keys = archs, keys
 	if len(keys) == 0 || m.g.baseline {
-		m.tkey, m.load = traceKey(m.fp, m.g.ref, 0, ""), baselineLoader(m.g.name)
+		m.tkey, m.load = traceKey(m.fp, true, 0, ""), baselineLoader(m.g.name)
 		return nil
 	}
 	cores := archs[0].Cores
@@ -301,7 +206,7 @@ func (m *member) plan(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	m.tkey, m.load = traceKey(m.fp, m.g.ref, cores, e.fp), e.load
+	m.tkey, m.load = traceKey(m.fp, true, cores, e.fp), e.load
 	return nil
 }
 

@@ -80,11 +80,13 @@ func TestPlanUnitsDeterministicAndDeduplicated(t *testing.T) {
 	}
 }
 
-// TestPlansNameTracesByContent pins the unit counts of the plans the
-// benchmark's cold runs execute, on empty caches: the full evaluation at
-// 16 cores plans one unit per distinct trace, 50 (58 when traces were
-// named by request), and the wide explore sweep over the four
-// checked-in packs plans 39 (168).
+// TestPlansNameTracesByContent pins the plans the benchmark's cold runs
+// execute, on empty caches: the full evaluation at 16 cores plans one
+// unit per distinct trace, 50 (58 when traces were named by request),
+// and the wide explore sweep over the four checked-in packs plans 39
+// (168). Each plan is exactly the work its figures read: the Result
+// keys its units publish are the baseline and run keys of the trace
+// figures' cells (or the grid's), none missing and none extra.
 func TestPlansNameTracesByContent(t *testing.T) {
 	shardEnv(t)
 	ctx := context.Background()
@@ -95,6 +97,14 @@ func TestPlansNameTracesByContent(t *testing.T) {
 	if len(units) != 50 {
 		t.Errorf("the evaluation plans %d units, want 50", len(units))
 	}
+	var cells []simCell
+	for _, e := range Experiments(16) {
+		if e.cells != nil {
+			cells = append(cells, e.cells()...)
+		}
+	}
+	checkPlanReads(t, "the evaluation", units, cells)
+
 	var grid []SweepConfig
 	for _, cores := range []int{2, 4, 8, 16} {
 		for tier := 1; tier <= 5; tier++ {
@@ -105,13 +115,53 @@ func TestPlansNameTracesByContent(t *testing.T) {
 			}
 		}
 	}
-	units, err = PlanSweep(ctx, registerPacks(t, irgen.Families()...), hcc.V3, grid)
+	names := registerPacks(t, irgen.Families()...)
+	units, err = PlanSweep(ctx, names, hcc.V3, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(units) != 39 {
 		t.Errorf("the wide explore sweep plans %d units, want 39", len(units))
 	}
+	checkPlanReads(t, "the wide explore sweep", units, sweepCells(names, hcc.V3, grid))
+}
+
+// checkPlanReads fails unless the Result keys units publish, each once,
+// are exactly the keys cells read: every cell's baseline key and run
+// key.
+func checkPlanReads(t *testing.T, what string, units []WorkUnit, cells []simCell) {
+	t.Helper()
+	published := map[string]bool{}
+	for _, u := range units {
+		for _, m := range u.members {
+			for _, k := range m.keys {
+				if published[k] {
+					t.Errorf("%s publishes %s twice", what, k)
+				}
+				published[k] = true
+			}
+		}
+	}
+	read := map[string]bool{}
+	for _, c := range cells {
+		fp, err := workloadFingerprint(context.Background(), c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read[baseKey(c.name, true, c.base, fp)] = true
+		read[resultKey(runKey(c.name, c.level, c.arch.Cores, c.tier, true, fp), c.arch)] = true
+	}
+	for k := range read {
+		if !published[k] {
+			t.Errorf("%s plans no unit publishing %s, which its cells read", what, k)
+		}
+	}
+	for k := range published {
+		if !read[k] {
+			t.Errorf("%s plans %s, which no cell reads", what, k)
+		}
+	}
+	t.Logf("%s: %d units publish the %d Results %d cells read", what, len(units), len(read), len(cells))
 }
 
 // TestPlanCancelled pins that a cancelled context stops the planner

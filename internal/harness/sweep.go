@@ -4,9 +4,11 @@ package harness
 // A sweep evaluates one workload under a grid of
 // (cores × alias tier × ring link latency × signal bandwidth) points.
 // Only the first two change the compiled program or its dynamic
-// behaviour; the last two are pure timing. The grid therefore groups
-// into one run per (cores, tier) — plus one sequential baseline per
-// scenario — and every (link, signals) lane of a run replays one trace.
+// behaviour; the last two are pure timing. The sweep's cells
+// (sweepCells) are listed once, and both the plan (PlanSweep) and the
+// render (Sweep) read that list. Their groups (batch.go) are one run per
+// (cores, tier) — plus one sequential baseline per scenario — and every
+// (link, signals) lane of a run replays one trace.
 // The planner names traces by content (see batch.go): the tiers of one
 // core count often compile to the same program, and a compile that
 // selects no loop runs its baseline's, so such runs share one recording
@@ -62,31 +64,21 @@ func (c SweepConfig) Validate() error {
 	return nil
 }
 
-// sweepGroups enumerates the retime groups of one scenario over the
-// grid: a baseline group, then one group per distinct (cores, tier)
-// holding every timing lane of that run. Group and lane order follow
-// grid order, so planning is deterministic.
-func sweepGroups(name string, level hcc.Level, grid []SweepConfig) []retimeGroup {
-	groups := []retimeGroup{{
-		name: name, ref: true, baseline: true,
-		archs: []sim.Config{sim.Conventional(16)},
-	}}
-	type traceID struct{ cores, tier int }
-	byTrace := map[traceID]int{}
+// sweepCells lists a sweep's cells, grid point first, then scenario:
+// each scenario compiled at level and the point's alias tier, run under
+// the point's timing config, against its sequential baseline.
+func sweepCells(names []string, level hcc.Level, grid []SweepConfig) []simCell {
+	cells := make([]simCell, 0, len(grid)*len(names))
 	for _, c := range grid {
-		id := traceID{c.Cores, c.Tier}
-		gi, ok := byTrace[id]
-		if !ok {
-			gi = len(groups)
-			byTrace[id] = gi
-			groups = append(groups, retimeGroup{name: name, level: level, ref: true, tier: c.Tier})
+		for _, name := range names {
+			cells = append(cells, simCell{name: name, level: level, tier: c.Tier,
+				arch: c.Arch(), base: sim.Conventional(c.Cores)})
 		}
-		groups[gi].archs = append(groups[gi].archs, c.Arch())
 	}
-	return groups
+	return cells
 }
 
-// PlanSweep enumerates the work units of a sweep — one unit per
+// PlanSweep enumerates the work units of a sweep's cells — one unit per
 // distinct trace, with every missing timing lane of every (scenario,
 // cores, tier) run and baseline that replays it — exactly as PlanUnits
 // does for the paper experiments. helix-explore executes them with
@@ -98,30 +90,23 @@ func PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []Swee
 			return nil, err
 		}
 	}
-	var groups []retimeGroup
-	for _, name := range names {
-		groups = append(groups, sweepGroups(name, level, grid)...)
-	}
-	return planGroups(ctx, groups)
+	return planGroups(ctx, cellGroups(sweepCells(names, level, grid)))
 }
 
-// SweepCell evaluates one (scenario, design point) cell: speedup of the
-// tier-compiled parallel run under the point's timing configuration
-// over the sequential baseline. After RunPlan over the sweep's units
-// this is pure cache reads; cold, it records and replays itself,
-// bit-identically.
-func SweepCell(ctx context.Context, name string, level hcc.Level, cfg SweepConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
+// Sweep returns the speedup of every (grid point, scenario) cell over
+// its sequential baseline, grid point first, then scenario. It does not
+// warm the caches: helix-explore runs PlanSweep's units first, after
+// which every cell is a cache read, and a warm-up would only peek them
+// all again. A cold cell records or replays itself, bit-identically.
+func Sweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) ([]float64, error) {
+	for _, c := range grid {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	arch := cfg.Arch()
-	seq, err := CachedBaseline(ctx, name, sim.Conventional(arch.Cores), true)
+	rs, err := readCells(ctx, sweepCells(names, level, grid), nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	res, err := runOnTier(ctx, name, level, cfg.Tier, arch, true)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Speedup(seq, res), nil
+	return speedups(rs), nil
 }
