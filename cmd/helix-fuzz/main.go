@@ -51,7 +51,7 @@ func main() {
 		// Cache-eviction notices would interleave with sweep output.
 		harness.SetQuiet()
 	}
-	if err := cliutil.SetupCacheDir(*cacheDir, false); err != nil {
+	if err := cliutil.SetupCache(*cacheDir, false, ""); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -175,8 +175,6 @@ func emitCorpus(dir string, start, seeds uint64, budget int64) error {
 		if err != nil || len(comp.Loops) == 0 {
 			continue
 		}
-		// Re-generate: Compile mutated the program above.
-		p, f, args = irgen.Generate(seed)
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "# seed: %d (loops selected at V3/16c: %d)\n# args:", seed, len(comp.Loops))
 		for _, a := range args {

@@ -31,7 +31,7 @@ func main() {
 	if err := cliutil.CheckCores(*cores); err != nil {
 		log.Fatal(err)
 	}
-	if err := cliutil.SetupCacheDir(*cacheDir, false); err != nil {
+	if err := cliutil.SetupCache(*cacheDir, false, ""); err != nil {
 		log.Fatal(err)
 	}
 

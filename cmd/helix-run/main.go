@@ -52,7 +52,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := cliutil.SetupCacheDir(*cacheDir, false); err != nil {
+	if err := cliutil.SetupCache(*cacheDir, false, ""); err != nil {
 		log.Fatal(err)
 	}
 

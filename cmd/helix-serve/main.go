@@ -77,7 +77,7 @@ func main() {
 	if *quiet {
 		harness.SetQuiet()
 	}
-	if err := cliutil.SetupCacheDir(*cacheDir, *cacheClear); err != nil {
+	if err := cliutil.SetupCache(*cacheDir, *cacheClear, ""); err != nil {
 		log.Fatal(err)
 	}
 

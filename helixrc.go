@@ -130,14 +130,18 @@ func R(r Reg) Value { return ir.R(r) }
 func C(v int64) Value { return ir.C(v) }
 
 // Compile runs the HCC pipeline (profiling, dependence analysis, loop
-// selection, wait/signal code generation) on prog.
+// selection, wait/signal code generation) on prog. It only reads prog,
+// apart from numbering its instructions once if they are not numbered
+// yet: the parallel loop bodies go into comp.Prog, a new program that
+// extends prog, so one program may be compiled any number of times.
 func Compile(prog *Program, entry *Function, opts Options) (*Compiled, error) {
 	return hcc.Compile(prog, entry, opts)
 }
 
 // Simulate runs entry(args...) on the platform. Pass comp == nil for the
-// sequential baseline. The functional result and cycle counts are exact
-// and deterministic.
+// sequential baseline; otherwise Simulate executes comp.Prog, and prog
+// must be comp's input or comp.Prog. The functional result and cycle
+// counts are exact and deterministic.
 func Simulate(prog *Program, comp *Compiled, entry *Function, platform Platform, args ...int64) (*Result, error) {
 	return sim.Run(context.Background(), prog, comp, entry, platform, args...)
 }
@@ -172,7 +176,7 @@ func Speedup(seq, par *Result) float64 { return sim.Speedup(seq, par) }
 // Workloads lists the benchmark suite in the paper's order.
 func Workloads() []string { return workloads.Names() }
 
-// LoadWorkload builds a fresh copy of a benchmark analogue by name
-// (e.g. "164.gzip"). Compilation mutates the program, so load a fresh
-// copy per compilation.
+// LoadWorkload builds a benchmark analogue by name (e.g. "164.gzip").
+// Compiling and simulating only read it, so one load serves any number
+// of compiles and runs.
 func LoadWorkload(name string) (*Workload, error) { return workloads.Get(name) }

@@ -103,9 +103,3 @@ func SetupCache(dir string, clear bool, remote string) error {
 	}
 	return nil
 }
-
-// SetupCacheDir is SetupCache without a remote tier (tools that only
-// take -cachedir/-cacheclear).
-func SetupCacheDir(dir string, clear bool) error {
-	return SetupCache(dir, clear, "")
-}

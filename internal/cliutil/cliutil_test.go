@@ -67,11 +67,11 @@ func TestCheckOneOf(t *testing.T) {
 	}
 }
 
-func TestSetupCacheDirClearWithoutDir(t *testing.T) {
-	if err := SetupCacheDir("", true); err == nil {
-		t.Fatal("SetupCacheDir(\"\", clear) = nil, want error")
+func TestSetupCacheClearWithoutDir(t *testing.T) {
+	if err := SetupCache("", true, ""); err == nil {
+		t.Fatal("SetupCache(\"\", clear, \"\") = nil, want error")
 	}
-	if err := SetupCacheDir("", false); err != nil {
-		t.Fatalf("SetupCacheDir(\"\", false) = %v, want nil", err)
+	if err := SetupCache("", false, ""); err != nil {
+		t.Fatalf("SetupCache(\"\", false, \"\") = %v, want nil", err)
 	}
 }

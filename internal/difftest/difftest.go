@@ -1,6 +1,6 @@
 // Package difftest cross-checks every execution path in the repository
 // against each other on randomly generated IR programs. For one program
-// it asserts five oracle invariants:
+// it asserts six oracle invariants:
 //
 //  1. functional: HCC-parallelized simulated execution returns the same
 //     value as the sequential reference interpreter, at every compiler
@@ -17,7 +17,11 @@
 //  5. content keys: compiles at one core count whose
 //     hcc.Compiled.Fingerprint is equal record byte-identical traces, and
 //     a compile that selects no loop records the uncompiled program's
-//     trace (the harness names traces by these keys).
+//     trace (the harness names traces by these keys);
+//  6. immutable input: a compile leaves its input's fingerprint,
+//     function and global counts and NextUID unchanged, and a second
+//     compile of the same input gives the same Fingerprint (the harness
+//     shares one build of each workload among all its compiles).
 //
 // Failures carry the offending program in its textual form; shrink.go
 // reduces them to minimal reproducers for the testdata corpus.
@@ -40,20 +44,23 @@ import (
 	"helixrc/internal/sim"
 )
 
-// Builder produces a fresh, identical program on every call. hcc.Compile
-// mutates the program it is given (UID assignment, cloned loop bodies),
-// so every compile in the oracle matrix starts from its own copy.
+// Builder produces the program under test with its entry function and
+// arguments. Check calls it once and numbers the program
+// (ir.Program.AssignUIDs) if the builder did not: every compile of the
+// oracle matrix reads that one build, and Oracle 6 checks that none of
+// them writes it.
 type Builder func() (*ir.Program, *ir.Function, []int64, error)
 
-// FromSeed builds fresh copies by re-running the generator.
+// FromSeed builds the program by running the generator.
 func FromSeed(seed uint64) Builder {
 	return func() (*ir.Program, *ir.Function, []int64, error) {
 		p, f, args := irgen.Generate(seed)
+		p.AssignUIDs()
 		return p, f, args, nil
 	}
 }
 
-// FromText builds fresh copies by re-parsing a textual program.
+// FromText builds the program by parsing a textual program.
 func FromText(text string, args []int64) Builder {
 	return func() (*ir.Program, *ir.Function, []int64, error) {
 		p, f, err := ir.ParseText(text, irgen.Externs)
@@ -63,6 +70,7 @@ func FromText(text string, args []int64) Builder {
 		if err := p.Verify(); err != nil {
 			return nil, nil, nil, err
 		}
+		p.AssignUIDs()
 		return p, f, args, nil
 	}
 }
@@ -99,7 +107,7 @@ func (o *Options) fill() {
 // reproduce it: the stage that diverged, a human-readable detail, and
 // the program text + arguments.
 type Failure struct {
-	Stage   string // "build", "interp", "compile", "functional", "fast-slow", "replay", "budget", "alias"
+	Stage   string // "build", "interp", "compile", "input", "functional", "fast-slow", "replay", "fingerprint", "budget", "alias"
 	Detail  string
 	Program string
 	Args    []int64
@@ -129,22 +137,34 @@ func Check(ctx context.Context, build Builder, opt Options) *Failure {
 	return f
 }
 
+// subject is the one build of the program under test that every oracle
+// reads, with its inputState before any compile (Oracle 6).
+type subject struct {
+	p      *ir.Program
+	f      *ir.Function
+	args   []int64
+	before string
+}
+
+// inputState renders what a compile must leave unchanged in its input.
+func inputState(p *ir.Program, f *ir.Function) string {
+	return fmt.Sprintf("%d funcs, %d globals, NextUID %d, fingerprint %s",
+		len(p.Funcs), len(p.Globals), p.NextUID, p.Fingerprint(f))
+}
+
 func check(ctx context.Context, build Builder, opt Options) *Failure {
 	opt.fill()
-	fail := func(stage, format string, a ...any) *Failure {
-		p, f, args, err := build()
-		text := ""
-		if err == nil {
-			text = p.Text(f)
-		}
-		return &Failure{Stage: stage, Detail: fmt.Sprintf(format, a...), Program: text, Args: args}
-	}
-
-	// Oracle 1 reference: the sequential interpreter.
 	p, f, args, err := build()
 	if err != nil {
 		return &Failure{Stage: "build", Detail: err.Error()}
 	}
+	p.AssignUIDs()
+	s := &subject{p: p, f: f, args: args, before: inputState(p, f)}
+	fail := func(stage, format string, a ...any) *Failure {
+		return &Failure{Stage: stage, Detail: fmt.Sprintf(format, a...), Program: p.Text(f), Args: args}
+	}
+
+	// Oracle 1 reference: the sequential interpreter.
 	ref, err := interp.Run(p, f, opt.Budget, args...)
 	if errors.Is(err, interp.ErrBudget) {
 		return nil // over-budget program: not a valid test input
@@ -156,19 +176,19 @@ func check(ctx context.Context, build Builder, opt Options) *Failure {
 	// Oracle 4: every alias tier reports a superset of the dynamically
 	// observed cross-iteration dependences.
 	if !opt.SkipAlias {
-		if f := checkAlias(build, opt, fail); f != nil {
+		if f := checkAlias(s, opt, fail); f != nil {
 			return f
 		}
 	}
 
-	// Oracles 1-3 and 5 across the compile matrix.
+	// Oracles 1-3, 5 and 6 across the compile matrix.
 	traces := map[string][]byte{} // Oracle 5: first trace per (cores, fingerprint)
 	for _, level := range opt.Levels {
 		for _, cores := range opt.Cores {
 			if ctx.Err() != nil {
 				return nil
 			}
-			if f := checkConfig(ctx, build, opt, level, cores, ref.RetValue, traces, fail); f != nil {
+			if f := checkConfig(ctx, s, opt, level, cores, ref.RetValue, traces, fail); f != nil {
 				return f
 			}
 		}
@@ -176,14 +196,10 @@ func check(ctx context.Context, build Builder, opt Options) *Failure {
 	return nil
 }
 
-// checkAlias profiles a fresh copy and compares each tier's dependence
+// checkAlias profiles the program and compares each tier's dependence
 // graph against the observed dependences, per profiled loop.
-func checkAlias(build Builder, opt Options, fail func(string, string, ...any) *Failure) *Failure {
-	p, f, args, err := build()
-	if err != nil {
-		return &Failure{Stage: "build", Detail: err.Error()}
-	}
-	p.AssignUIDs()
+func checkAlias(s *subject, opt Options, fail func(string, string, ...any) *Failure) *Failure {
+	p := s.p
 	graphs := map[*ir.Function]*cfg.Graph{}
 	forests := map[*ir.Function]*cfg.Forest{}
 	for _, fn := range p.Funcs {
@@ -191,7 +207,7 @@ func checkAlias(build Builder, opt Options, fail func(string, string, ...any) *F
 		graphs[fn] = g
 		forests[fn] = cfg.FindLoops(g)
 	}
-	prof, err := (&interp.Profiler{Prog: p, Forests: forests, Budget: opt.Budget}).Run(f, args...)
+	prof, err := (&interp.Profiler{Prog: p, Forests: forests, Budget: opt.Budget}).Run(s.f, s.args...)
 	if err != nil {
 		return fail("interp", "profiler failed: %v", err)
 	}
@@ -214,18 +230,18 @@ func checkAlias(build Builder, opt Options, fail func(string, string, ...any) *F
 	return nil
 }
 
-// checkConfig compiles a fresh copy at (level, cores) and drives the
-// functional, fast/slow and record/replay oracles, including the
-// cross-architecture sweep and budget probes, and the content-key
-// oracle against the traces other levels recorded.
-func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Level, cores int,
+// checkConfig compiles the program at (level, cores), checks that the
+// compile left its input unchanged and compiles again to the same
+// Fingerprint (Oracle 6), and drives the functional, fast/slow and
+// record/replay oracles, including the cross-architecture sweep and
+// budget probes, and the content-key oracle against the traces other
+// levels recorded — all on that one compile.
+func checkConfig(ctx context.Context, s *subject, opt Options, level hcc.Level, cores int,
 	want int64, traces map[string][]byte, fail func(string, string, ...any) *Failure) *Failure {
 
-	compile := func() (*ir.Program, *hcc.Compiled, *ir.Function, *Failure) {
-		p, f, args, err := build()
-		if err != nil {
-			return nil, nil, nil, &Failure{Stage: "build", Detail: err.Error()}
-		}
+	p, f, args := s.p, s.f, s.args
+	tag := fmt.Sprintf("L%d/%dc", level, cores)
+	compile := func() (*hcc.Compiled, *Failure) {
 		comp, err := hcc.Compile(p, f, hcc.Options{
 			Level: level, Cores: cores, TrainArgs: args,
 			ProfileBudget: opt.Budget,
@@ -235,25 +251,34 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 		})
 		if err != nil {
 			if errors.Is(err, interp.ErrBudget) {
-				return nil, nil, nil, nil // profiling over budget: skip config
+				return nil, nil // profiling over budget: skip config
 			}
-			return nil, nil, nil, fail("compile", "L%d/%dc: %v", level, cores, err)
+			return nil, fail("compile", "%s: %v", tag, err)
 		}
-		return p, comp, f, nil
+		// Oracle 6: the compile only read its input.
+		if got := inputState(p, f); got != s.before {
+			return nil, fail("input", "%s: compiling changed the input program to %s; was %s (%d loops)",
+				tag, got, s.before, len(comp.Loops))
+		}
+		return comp, nil
 	}
 
-	p, comp, f, ff := compile()
-	if ff != nil {
+	comp, ff := compile()
+	if ff != nil || comp == nil {
 		return ff
 	}
-	if comp == nil {
-		return nil
+	again, ff := compile()
+	if ff != nil || again == nil {
+		return ff
 	}
-	_, _, args, _ := build()
+	compFP := comp.Fingerprint()
+	if fp := again.Fingerprint(); fp != compFP {
+		return fail("input", "%s: a second compile of the same program has fingerprint %q, want %q", tag, fp, compFP)
+	}
+
 	helix := sim.HelixRC(cores)
 	helix.MaxSteps = opt.Budget
 
-	tag := fmt.Sprintf("L%d/%dc", level, cores)
 	fast, err := sim.Run(ctx, p, comp, f, helix, args...)
 	if err != nil {
 		return fail("functional", "%s: parallel run failed: %v", tag, err)
@@ -263,17 +288,13 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 			tag, fast.RetValue, want, len(comp.Loops))
 	}
 
-	// Oracle 2: reference stepper, fresh program copy.
-	if f := runBothWays(ctx, compile, helix, fast, tag, args, fail); f != nil {
+	// Oracle 2: reference stepper.
+	if f := runBothWays(ctx, s, comp, helix, fast, tag, fail); f != nil {
 		return f
 	}
 
 	// Oracle 3: record once, replay under the recording config.
-	pr, comp2, fr, ff := compile()
-	if ff != nil {
-		return ff
-	}
-	rec, tr, err := sim.Record(ctx, pr, comp2, fr, helix, args...)
+	rec, tr, err := sim.Record(ctx, p, comp, f, helix, args...)
 	if err != nil {
 		return fail("replay", "%s: record failed: %v", tag, err)
 	}
@@ -289,14 +310,9 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 	// Oracle 5: a loop-free compile's trace is the uncompiled program's;
 	// otherwise equal fingerprints at one core count share a trace.
 	// (EncodeTrace's error exists for the codec interface; it is nil.)
-	compFP := comp2.Fingerprint()
 	key := fmt.Sprintf("c%d/%s", cores, compFP)
 	if compFP == "" && traces[key] == nil {
-		ps, fs, args, err := build()
-		if err != nil {
-			return &Failure{Stage: "build", Detail: err.Error()}
-		}
-		_, seq, err := sim.Record(ctx, ps, nil, fs, helix, args...)
+		_, seq, err := sim.Record(ctx, p, nil, f, helix, args...)
 		if err != nil {
 			return fail("fingerprint", "%s: recording the uncompiled program failed: %v", tag, err)
 		}
@@ -315,18 +331,14 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 			if ctx.Err() != nil {
 				return nil
 			}
-			px, compx, fx, ff := compile()
-			if ff != nil {
-				return ff
-			}
-			fastX, errX := sim.Run(ctx, px, compx, fx, cross.cfg, args...)
+			fastX, errX := sim.Run(ctx, p, comp, f, cross.cfg, args...)
 			if errX != nil {
 				return fail("functional", "%s/%s: run failed: %v", tag, cross.name, errX)
 			}
 			if fastX.RetValue != want {
 				return fail("functional", "%s/%s: RetValue %d != %d", tag, cross.name, fastX.RetValue, want)
 			}
-			if f := runBothWays(ctx, compile, cross.cfg, fastX, tag+"/"+cross.name, args, fail); f != nil {
+			if f := runBothWays(ctx, s, comp, cross.cfg, fastX, tag+"/"+cross.name, fail); f != nil {
 				return f
 			}
 			rpX, err := sim.Replay(ctx, tr, cross.cfg)
@@ -349,16 +361,8 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 			}
 			limited := helix
 			limited.MaxSteps = fast.Instrs / frac
-			pb, compb, fb, ff := compile()
-			if ff != nil {
-				return ff
-			}
-			partialFast, errFast := sim.Run(ctx, pb, compb, fb, limited, args...)
-			ps, comps, fs, ff := compile()
-			if ff != nil {
-				return ff
-			}
-			partialSlow, errSlow := sim.Reference(ctx, ps, comps, fs, limited, args...)
+			partialFast, errFast := sim.Run(ctx, p, comp, f, limited, args...)
+			partialSlow, errSlow := sim.Reference(ctx, p, comp, f, limited, args...)
 			partialReplay, errReplay := sim.Replay(ctx, tr, limited)
 			if !errors.Is(errFast, sim.ErrBudget) || !errors.Is(errSlow, sim.ErrBudget) || !errors.Is(errReplay, sim.ErrBudget) {
 				return fail("budget", "%s: MaxSteps=%d want ErrBudget from all paths, got fast=%v slow=%v replay=%v",
@@ -379,15 +383,10 @@ func checkConfig(ctx context.Context, build Builder, opt Options, level hcc.Leve
 
 // runBothWays re-runs a configuration through the reference stepper and
 // compares against the fast-path result bit for bit.
-func runBothWays(ctx context.Context, compile func() (*ir.Program, *hcc.Compiled, *ir.Function, *Failure),
-	cfg sim.Config, fast *sim.Result, tag string, args []int64,
+func runBothWays(ctx context.Context, s *subject, comp *hcc.Compiled, cfg sim.Config, fast *sim.Result, tag string,
 	fail func(string, string, ...any) *Failure) *Failure {
 
-	ps, comps, fs, ff := compile()
-	if ff != nil {
-		return ff
-	}
-	slow, err := sim.Reference(ctx, ps, comps, fs, cfg, args...)
+	slow, err := sim.Reference(ctx, s.p, comp, s.f, cfg, s.args...)
 	if err != nil {
 		return fail("fast-slow", "%s: reference stepper failed: %v", tag, err)
 	}

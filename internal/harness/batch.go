@@ -74,8 +74,10 @@ func cellGroups(cells []simCell) []retimeGroup {
 		level       hcc.Level
 		tier, cores int
 	}
-	var groups []retimeGroup
-	index := map[groupID]int{}
+	// A cell adds at most two groups; sizing for that spares the renders
+	// the regrowth, as the figure*Cells lists do.
+	groups := make([]retimeGroup, 0, 2*len(cells))
+	index := make(map[groupID]int, 2*len(cells))
 	add := func(id groupID, arch sim.Config) {
 		i, ok := index[id]
 		if !ok {
@@ -197,14 +199,15 @@ func runUnits(ctx context.Context, units []WorkUnit) {
 }
 
 // member is one group's share of a work unit: the configs it still
-// misses, the keys their Results publish under, and (once planned) the
-// unit's trace key and the program that records it.
+// misses, the keys their Results publish under, the workload's build,
+// and (once planned) the unit's trace key and the compile that records
+// it (nil for a baseline).
 type member struct {
 	g    retimeGroup // g.archs: the missing configs
 	keys []string    // parallel to g.archs
-	fp   string      // the workload's fingerprint
+	b    *build
 	tkey string
-	load loader
+	comp *hcc.Compiled
 }
 
 // run executes the unit. It loads or records the trace once, under the
@@ -218,7 +221,7 @@ type member struct {
 func (u *WorkUnit) run(ctx context.Context) {
 	first := u.members[0]
 	recArch := first.g.archs[0]
-	tr, recorded, err := loadTrace(ctx, u.Key, first.load, recArch, true)
+	tr, recorded, err := loadTrace(ctx, u.Key, first.b.w, first.comp, recArch, true)
 	if err != nil {
 		return
 	}

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -57,10 +55,6 @@ var (
 	resStore = artifact.NewStore[*sim.Result]("result", cacheScheme,
 		func(*sim.Result) int64 { return 1 << 10 },
 		&artifact.Codec[*sim.Result]{Encode: sim.EncodeResult, Decode: sim.DecodeResult})
-
-	// fpMemo memoizes per-workload content fingerprints (registry
-	// content is fixed for the process, so ResetCaches leaves these).
-	fpMemo artifact.Memo[string]
 )
 
 // DefaultCacheBudget is the total byte budget shared by the harness
@@ -151,36 +145,21 @@ func CacheStats() artifact.Stats {
 	return t
 }
 
-// workloadFingerprint memoizes the content fingerprint a workload's
-// artifacts are keyed under: the canonical program fingerprint (block
-// names normalized positionally) plus the train/ref argument vectors,
-// which compiles and traces depend on but the program text does not
-// contain.
-func workloadFingerprint(ctx context.Context, name string) (string, error) {
-	return fpMemo.Do(ctx, name, func(context.Context) (string, error) {
-		w, err := workloads.Get(name)
-		if err != nil {
-			return "", err
-		}
-		sum := sha256.Sum256(fmt.Appendf(nil, "%s train=%v ref=%v",
-			w.Prog.Fingerprint(w.Entry), w.TrainArgs, w.RefArgs))
-		return hex.EncodeToString(sum[:]), nil
-	})
-}
-
-// compCost estimates a cached compilation's footprint: the cloned
-// program (instructions dominate, plus the per-UID analysis maps) and
-// global initializers. The training profile it shares is profStore's
+// compCost estimates a cached compilation's footprint: what the compile
+// added to its input (the loop bodies, whose instructions dominate, plus
+// the slot and control globals) and the compile's plans. The input is
+// the workload's shared build, and the training profile is profStore's
 // to count.
 func compCost(e *compEntry) int64 {
+	prog, in := e.comp.Prog, e.comp.Prog.Base()
 	var instrs int64
-	for _, fn := range e.w.Prog.Funcs {
+	for _, fn := range prog.Funcs[len(in.Funcs):] {
 		for _, b := range fn.Blocks {
 			instrs += int64(len(b.Instrs))
 		}
 	}
 	cost := instrs*200 + 4096
-	for _, g := range e.w.Prog.Globals {
+	for _, g := range prog.Globals[len(in.Globals):] {
 		cost += int64(len(g.Init)) * 8
 	}
 	return cost
@@ -202,41 +181,35 @@ func profCost(p *interp.Profile) int64 {
 	return cost
 }
 
-// compEntry is one compile-tier entry: the compiled workload and the
-// compilation's Fingerprint, computed once per compile.
+// compEntry is one compile-tier entry: the compilation and its
+// Fingerprint, computed once per compile.
 type compEntry struct {
-	w    *workloads.Workload
 	comp *hcc.Compiled
 	fp   string
 }
 
-// load is the entry's loader: the compiled program, already built.
-func (e *compEntry) load(context.Context) (*workloads.Workload, *hcc.Compiled, error) {
-	return e.w, e.comp, nil
-}
-
 // CachedCompile memoizes Compile per (workload content, level, cores).
 // Safe for concurrent use; duplicate concurrent requests share one
-// compilation. The returned workload and compilation are shared —
-// callers must treat them as read-only (sim.Run does). A cancelled ctx
-// detaches this caller from the shared compilation without aborting it
-// for others.
+// compilation. The returned workload (the shared build) and compilation
+// are shared — callers must treat them as read-only (HCC and sim.Run
+// do). A cancelled ctx detaches this caller from the shared compilation
+// without aborting it for others.
 func CachedCompile(ctx context.Context, name string, level hcc.Level, cores int) (*workloads.Workload, *hcc.Compiled, error) {
-	e, err := cachedCompile(ctx, name, level, cores, 0)
+	b, err := workloadBuild(ctx, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.w, e.comp, nil
+	e, err := cachedCompile(ctx, b, level, cores, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.w, e.comp, nil
 }
 
 // cachedCompile is CachedCompile with an alias-tier override (0 = the
 // level default), returning the compile-tier entry.
-func cachedCompile(ctx context.Context, name string, level hcc.Level, cores, tier int) (*compEntry, error) {
-	fp, err := workloadFingerprint(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("compile/%s/L%d/c%d/t%d/%s", name, level, cores, tier, fp)
+func cachedCompile(ctx context.Context, b *build, level hcc.Level, cores, tier int) (*compEntry, error) {
+	key := fmt.Sprintf("compile/%s/L%d/c%d/t%d/%s", b.name, level, cores, tier, b.fp)
 	return compStore.Get(ctx, key, func(cctx context.Context) (*compEntry, error) {
 		// hcc.Compile is not interruptible mid-flight (its profiling is
 		// bounded by ProfileBudget); honour an already-dead context
@@ -244,11 +217,11 @@ func cachedCompile(ctx context.Context, name string, level hcc.Level, cores, tie
 		if err := cctx.Err(); err != nil {
 			return nil, err
 		}
-		w, comp, err := compileTier(cctx, name, level, cores, tier)
+		comp, err := compileTier(cctx, b, level, cores, tier)
 		if err != nil {
 			return nil, err
 		}
-		return &compEntry{w: w, comp: comp, fp: comp.Fingerprint()}, nil
+		return &compEntry{comp: comp, fp: comp.Fingerprint()}, nil
 	})
 }
 
@@ -262,12 +235,12 @@ func cachedCompile(ctx context.Context, name string, level hcc.Level, cores, tie
 // timing config entirely and each new core model only pays a replay;
 // every compile that selects no loop shares it (traceKey).
 func CachedBaseline(ctx context.Context, name string, arch sim.Config, ref bool) (*sim.Result, error) {
-	fp, err := workloadFingerprint(ctx, name)
+	b, err := workloadBuild(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return seqStore.Get(ctx, baseKey(name, ref, arch, fp), func(cctx context.Context) (*sim.Result, error) {
-		return simTrace(cctx, traceKey(fp, ref, 0, ""), baselineLoader(name), arch, ref)
+	return seqStore.Get(ctx, baseKey(name, ref, arch, b.fp), func(cctx context.Context) (*sim.Result, error) {
+		return simTrace(cctx, traceKey(b.fp, ref, 0, ""), b.w, nil, arch, ref)
 	})
 }
 
@@ -320,28 +293,15 @@ func traceKey(fp string, ref bool, cores int, compFP string) string {
 	return fmt.Sprintf("trace/%s/ref=%v/c%d/%s", fp, ref, cores, compFP)
 }
 
-// loader builds the program one simulation executes: the workload and
-// its compilation (nil for a sequential baseline). The record/replay
-// path calls it only when it must execute — a result hit or a trace
-// replay never builds anything.
-type loader func(ctx context.Context) (*workloads.Workload, *hcc.Compiled, error)
-
-// baselineLoader builds the unparallelized workload.
-func baselineLoader(name string) loader {
-	return func(context.Context) (*workloads.Workload, *hcc.Compiled, error) {
-		w, err := workloads.Get(name)
-		return w, nil, err
+// record executes the workload's build under arch, as compiled by comp
+// (nil for the sequential baseline), and captures its dynamic trace:
+// the fill behind every trace-store miss.
+func record(ctx context.Context, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (*sim.Result, *sim.Trace, error) {
+	in := w.TrainArgs
+	if ref {
+		in = w.RefArgs
 	}
-}
-
-// record executes the loaded program under arch and captures its
-// dynamic trace: the fill behind every trace-store miss.
-func record(ctx context.Context, load loader, arch sim.Config, ref bool) (*sim.Result, *sim.Trace, error) {
-	w, comp, err := load(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, tr, err := sim.Record(ctx, w.Prog, comp, w.Entry, arch, args(w, ref)...)
+	res, tr, err := sim.Record(ctx, w.Prog, comp, w.Entry, arch, in...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -353,9 +313,9 @@ func record(ctx context.Context, load loader, arch sim.Config, ref bool) (*sim.R
 // (and persisting it when a disk tier is configured) if no tier has it.
 // recorded is the recording run's Result when this call recorded, which
 // is already exact for arch.
-func loadTrace(ctx context.Context, tkey string, load loader, arch sim.Config, ref bool) (tr *sim.Trace, recorded *sim.Result, err error) {
+func loadTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (tr *sim.Trace, recorded *sim.Result, err error) {
 	tr, err = traceStore.Get(ctx, tkey, func(cctx context.Context) (*sim.Trace, error) {
-		res, tr, err := record(cctx, load, arch, ref)
+		res, tr, err := record(cctx, w, comp, arch, ref)
 		recorded = res
 		return tr, err
 	})
@@ -369,8 +329,8 @@ func loadTrace(ctx context.Context, tkey string, load loader, arch sim.Config, r
 // batched retimer hands whole sweeps to the cells: a work unit walks the
 // trace once for N configs and Puts every lane, so the cells hit the
 // result tier and never reach here.
-func simTrace(ctx context.Context, tkey string, load loader, arch sim.Config, ref bool) (*sim.Result, error) {
-	tr, recorded, err := loadTrace(ctx, tkey, load, arch, ref)
+func simTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (*sim.Result, error) {
+	tr, recorded, err := loadTrace(ctx, tkey, w, comp, arch, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -387,17 +347,17 @@ func simTrace(ctx context.Context, tkey string, load loader, arch sim.Config, re
 // it compiles (through the compile tier) to name the trace, then
 // replays the stored trace or records it.
 func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch sim.Config, ref bool) (*sim.Result, error) {
-	fp, err := workloadFingerprint(ctx, name)
+	b, err := workloadBuild(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	key := resultKey(runKey(name, level, arch.Cores, tier, ref, fp), arch)
+	key := resultKey(runKey(name, level, arch.Cores, tier, ref, b.fp), arch)
 	res, err := resStore.Get(ctx, key, func(rctx context.Context) (*sim.Result, error) {
-		e, err := cachedCompile(rctx, name, level, arch.Cores, tier)
+		e, err := cachedCompile(rctx, b, level, arch.Cores, tier)
 		if err != nil {
 			return nil, err
 		}
-		return simTrace(rctx, traceKey(fp, ref, arch.Cores, e.fp), e.load, arch, ref)
+		return simTrace(rctx, traceKey(b.fp, ref, arch.Cores, e.fp), b.w, e.comp, arch, ref)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -494,8 +454,9 @@ func speedupRows(names []string, vals []float64) []SpeedupRow {
 // figure1Cells lists Figure 1's cells: per workload, HCCv1 then HCCv2
 // code on conventional hardware.
 func figure1Cells(cores int) []simCell {
-	var cells []simCell
-	for _, name := range workloads.Names() {
+	names := workloads.Names()
+	cells := make([]simCell, 0, 2*len(names))
+	for _, name := range names {
 		for _, level := range []hcc.Level{hcc.V1, hcc.V2} {
 			cells = append(cells, simCell{name: name, level: level,
 				arch: sim.Conventional(cores), base: sim.Conventional(cores)})
@@ -545,14 +506,14 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 	cell := func(i int) string { return fmt.Sprintf("%s/L%d/alias", names[i], hcc.V3) }
 	rows, err := parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) ([]float64, error) {
 		name := names[i]
-		w, comp, err := CachedCompile(ctx, name, hcc.V3, 16)
+		_, comp, err := CachedCompile(ctx, name, hcc.V3, 16)
 		if err != nil {
 			return nil, err
 		}
 		vals := make([]float64, len(alias.Tiers))
 		graphs := map[string]*cfg.Graph{}
 		for ti, tier := range alias.Tiers {
-			an := alias.New(w.Prog, tier)
+			an := alias.New(comp.Prog, tier)
 			var acc float64
 			var n int
 			for _, pl := range comp.Loops {
@@ -561,7 +522,7 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 					g = cfg.New(pl.Fn)
 					graphs[pl.Fn.Name] = g
 				}
-				dg := ddg.Build(w.Prog, pl.Fn, g, pl.Loop, an)
+				dg := ddg.Build(comp.Prog, pl.Fn, g, pl.Loop, an)
 				if len(dg.MemEdges) == 0 {
 					continue
 				}
@@ -637,14 +598,14 @@ func Figure3(ctx context.Context) (*Figure3Result, error) {
 	cell := func(i int) string { return fmt.Sprintf("%s/L%d/census", names[i], hcc.V3) }
 	parts, err := parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) (*Figure3Result, error) {
 		p := &Figure3Result{ByClass: map[string]int{}}
-		w, comp, err := CachedCompile(ctx, names[i], hcc.V3, 16)
+		_, comp, err := CachedCompile(ctx, names[i], hcc.V3, 16)
 		if err != nil {
 			return nil, err
 		}
-		an := alias.New(w.Prog, alias.TierLib)
+		an := alias.New(comp.Prog, alias.TierLib)
 		for _, pl := range comp.Loops {
 			g := cfg.New(pl.Fn)
-			dg := ddg.Build(w.Prog, pl.Fn, g, pl.Loop, an)
+			dg := ddg.Build(comp.Prog, pl.Fn, g, pl.Loop, an)
 			classes := induction.Classify(pl.Fn, g, pl.Loop, dg.CarriedRegs)
 			p.CarriedRegs += len(dg.CarriedRegs)
 			if len(dg.MemEdges) > 0 {
@@ -876,8 +837,9 @@ func FormatTable1(rows []Table1Row) string {
 // figure7Cells lists Figure 7's cells: per workload, HCCv2 code on
 // conventional hardware, then HELIX-RC (HCCv3 on the ring cache).
 func figure7Cells(cores int) []simCell {
-	var cells []simCell
-	for _, name := range workloads.Names() {
+	names := workloads.Names()
+	cells := make([]simCell, 0, 2*len(names))
+	for _, name := range names {
 		cells = append(cells,
 			simCell{name: name, level: hcc.V2, arch: sim.Conventional(cores), base: sim.Conventional(cores)},
 			simCell{name: name, level: hcc.V3, arch: sim.HelixRC(cores), base: sim.Conventional(cores)})
@@ -920,8 +882,9 @@ func figure8Cells(cores int) []simCell {
 		c.DecoupleReg, c.DecoupleSync, c.DecoupleMem = reg, syncD, mem
 		return c
 	}
-	var cells []simCell
-	for _, name := range workloads.IntNames() {
+	names := workloads.IntNames()
+	cells := make([]simCell, 0, 5*len(names))
+	for _, name := range names {
 		cell := func(level hcc.Level, arch sim.Config) simCell {
 			return simCell{name: name, level: level, arch: arch, base: sim.Conventional(cores)}
 		}
@@ -963,8 +926,9 @@ func Figure8(ctx context.Context, cores int) (*FigureResult, error) {
 // figure9Cells lists Figure 9's cells: per CINT2000 workload, HCCv3
 // code on conventional hardware, then on the ring cache.
 func figure9Cells(cores int) []simCell {
-	var cells []simCell
-	for _, name := range workloads.IntNames() {
+	names := workloads.IntNames()
+	cells := make([]simCell, 0, 2*len(names))
+	for _, name := range names {
 		cells = append(cells,
 			simCell{name: name, level: hcc.V3, arch: sim.Conventional(cores), base: sim.Conventional(cores)},
 			simCell{name: name, level: hcc.V3, arch: sim.HelixRC(cores), base: sim.Conventional(cores)})

@@ -15,9 +15,10 @@ import (
 // type (2-way in-order, 2-way and 4-way out-of-order), HCCv3 code on the
 // ring cache against a sequential baseline on the same core.
 func figure10Cells(cores int) []simCell {
-	var cells []simCell
-	for _, name := range workloads.IntNames() {
-		for _, cc := range []cpu.Config{cpu.InOrder2(), cpu.OoO2(), cpu.OoO4()} {
+	names, ccs := workloads.IntNames(), []cpu.Config{cpu.InOrder2(), cpu.OoO2(), cpu.OoO4()}
+	cells := make([]simCell, 0, len(names)*len(ccs))
+	for _, name := range names {
+		for _, cc := range ccs {
 			arch, base := sim.HelixRC(cores), sim.Conventional(cores)
 			arch.Core, base.Core = cc, cc
 			cells = append(cells, simCell{name: name, level: hcc.V3, arch: arch, base: base})
@@ -139,8 +140,9 @@ func figure11Cells(which string) []simCell {
 	if err != nil {
 		return nil
 	}
-	var cells []simCell
-	for _, name := range workloads.IntNames() {
+	names := workloads.IntNames()
+	cells := make([]simCell, 0, len(names)*len(variants))
+	for _, name := range names {
 		for _, v := range variants {
 			cells = append(cells, simCell{name: name, level: hcc.V3,
 				arch: v.arch, base: sim.Conventional(v.arch.Cores)})
@@ -184,8 +186,9 @@ type Figure12Row struct {
 // figure12Cells lists Figure 12's cells: per workload, HELIX-RC
 // (HCCv3 on the ring cache).
 func figure12Cells(cores int) []simCell {
-	var cells []simCell
-	for _, name := range workloads.Names() {
+	names := workloads.Names()
+	cells := make([]simCell, 0, len(names))
+	for _, name := range names {
 		cells = append(cells, simCell{name: name, level: hcc.V3, arch: sim.HelixRC(cores), base: sim.Conventional(cores)})
 	}
 	return cells
@@ -248,23 +251,25 @@ func (r *TLPResult) Format() string {
 		r.ConservativeTLP, r.ConservativeSeg, r.AggressiveTLP, r.AggressiveSeg)
 }
 
-// tlpRun serves one Section 6.2 cell: the workload compiled at level
-// for 16 cores with communication-free loop selection, then simulated
-// execution-driven on the abstract machine over the ref input. The
-// Result is a pure function of content, so it persists in the result
-// tier under its own key grammar (res/tlp/...) and a warm run neither
-// compiles nor simulates.
+// tlpRun serves one Section 6.2 cell: the workload's build compiled at
+// level for 16 cores with communication-free loop selection, then
+// simulated execution-driven on the abstract machine over the ref
+// input. The Result is a pure function of content, so it persists in
+// the result tier under its own key grammar (res/tlp/...) and a warm run
+// neither compiles nor simulates.
 func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, error) {
+	b, err := workloadBuild(ctx, name)
+	if err != nil {
+		return nil, err
+	}
 	arch := sim.Abstract(16)
-	run := func(ctx context.Context) (*sim.Result, error) {
-		prof, err := trainedProfile(ctx, name, 16)
+	key := fmt.Sprintf("res/tlp/%s/L%d/c16/sel1/ref=true/%s/%s", name, level, b.fp, arch.Fingerprint())
+	return resStore.Get(ctx, key, func(ctx context.Context) (*sim.Result, error) {
+		prof, err := trainedProfile(ctx, b, 16)
 		if err != nil {
 			return nil, err
 		}
-		w, err := workloads.Get(name)
-		if err != nil {
-			return nil, err
-		}
+		w := b.w
 		compiles.Add(1)
 		comp, err := hcc.CompileWith(w.Prog, w.Entry, hcc.Options{
 			Level: level, Cores: 16, TrainArgs: w.TrainArgs,
@@ -275,13 +280,7 @@ func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, err
 			return nil, err
 		}
 		return sim.Run(ctx, w.Prog, comp, w.Entry, arch, w.RefArgs...)
-	}
-	fp, err := workloadFingerprint(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("res/tlp/%s/L%d/c16/sel1/ref=true/%s/%s", name, level, fp, arch.Fingerprint())
-	return resStore.Get(ctx, key, run)
+	})
 }
 
 // TLP measures thread-level parallelism on the abstract machine for

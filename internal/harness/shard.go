@@ -144,14 +144,14 @@ func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
 	var members []*member
 	planned := map[string]bool{}
 	for _, g := range groups {
-		fp, err := workloadFingerprint(ctx, g.name)
+		b, err := workloadBuild(ctx, g.name)
 		if err != nil {
 			return nil, fmt.Errorf("harness: planning %s: %w", g.name, err)
 		}
-		m := &member{g: g, fp: fp}
+		m := &member{g: g, b: b}
 		m.g.archs = nil
 		for _, arch := range g.archs {
-			if k := g.resultKey(fp, arch); !planned[k] {
+			if k := g.resultKey(b.fp, arch); !planned[k] {
 				planned[k] = true
 				m.g.archs = append(m.g.archs, arch)
 				m.keys = append(m.keys, k)
@@ -185,9 +185,10 @@ func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
 }
 
 // plan drops m's configs whose Results are already available and, if
-// any remain, names the trace m's run replays and the program that
-// records it: a baseline's is the workload itself, a parallel run's its
-// compilation, whose Fingerprint names the trace by content.
+// any remain, names the trace m's run replays and the compile that
+// records it: none for a baseline, which records the workload's build
+// itself, and otherwise the run's compilation, whose Fingerprint names
+// the trace by content.
 func (m *member) plan(ctx context.Context) error {
 	archs, keys := m.g.archs[:0], m.keys[:0]
 	for j, k := range m.keys {
@@ -198,15 +199,15 @@ func (m *member) plan(ctx context.Context) error {
 	}
 	m.g.archs, m.keys = archs, keys
 	if len(keys) == 0 || m.g.baseline {
-		m.tkey, m.load = traceKey(m.fp, true, 0, ""), baselineLoader(m.g.name)
+		m.tkey = traceKey(m.b.fp, true, 0, "")
 		return nil
 	}
 	cores := archs[0].Cores
-	e, err := cachedCompile(ctx, m.g.name, m.g.level, cores, m.g.tier)
+	e, err := cachedCompile(ctx, m.b, m.g.level, cores, m.g.tier)
 	if err != nil {
 		return err
 	}
-	m.tkey, m.load = traceKey(m.fp, true, cores, e.fp), e.load
+	m.tkey, m.comp = traceKey(m.b.fp, true, cores, e.fp), e.comp
 	return nil
 }
 

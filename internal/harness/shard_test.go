@@ -144,12 +144,12 @@ func checkPlanReads(t *testing.T, what string, units []WorkUnit, cells []simCell
 	}
 	read := map[string]bool{}
 	for _, c := range cells {
-		fp, err := workloadFingerprint(context.Background(), c.name)
+		b, err := workloadBuild(context.Background(), c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		read[baseKey(c.name, true, c.base, fp)] = true
-		read[resultKey(runKey(c.name, c.level, c.arch.Cores, c.tier, true, fp), c.arch)] = true
+		read[baseKey(c.name, true, c.base, b.fp)] = true
+		read[resultKey(runKey(c.name, c.level, c.arch.Cores, c.tier, true, b.fp), c.arch)] = true
 	}
 	for k := range read {
 		if !published[k] {

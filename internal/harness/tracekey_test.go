@@ -51,20 +51,17 @@ func TestContentTraceKeysSound(t *testing.T) {
 	keys := map[string]bool{} // the keys the compiles name
 	compiles, loopFree := 0, 0
 	for _, in := range inputs {
-		fp, err := workloadFingerprint(ctx, in.name)
+		b, err := workloadBuild(ctx, in.name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w, fp := b.w, b.fp
 		if base := traceKey(fp, false, 0, ""); traces[base] == nil {
-			w, err := workloads.Get(in.name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			traces[base] = encoded(w, nil, seqCores)
 		}
 		for _, level := range []hcc.Level{hcc.V1, hcc.V2, hcc.V3} {
 			for tier := 0; tier <= len(alias.Tiers); tier++ {
-				w, comp, err := compileTier(ctx, in.name, level, in.cores, tier)
+				comp, err := compileTier(ctx, b, level, in.cores, tier)
 				if err != nil {
 					t.Fatal(err)
 				}

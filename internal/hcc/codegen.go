@@ -13,24 +13,12 @@ import (
 // generate clones a selected loop into a per-iteration body function and
 // produces the ParallelLoop plan. The body's single parameter is the
 // iteration index; it returns 0 (ran), 1 (not run) or 2+k (exited via
-// edge k).
+// edge k). compileWith passes only loops with one latch and no return
+// or allocation. The body, its type and its control and slot globals go
+// into prog, the compile's extension of its input; the loop's own
+// function and blocks are only read.
 func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop,
 	level Level, seg *segmentation, classes map[ir.Reg]induction.Info, id int) (*ParallelLoop, error) {
-
-	if len(loop.Latches) != 1 {
-		return nil, fmt.Errorf("hcc: %s has %d latches; loops must be normalized", loop, len(loop.Latches))
-	}
-	for _, b := range loop.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Op == ir.OpRet {
-			return nil, fmt.Errorf("hcc: %s returns from inside the loop", loop)
-		}
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpAlloc {
-				return nil, fmt.Errorf("hcc: %s allocates inside the loop", loop)
-			}
-		}
-	}
 
 	pl := &ParallelLoop{
 		ID: id, Fn: fn, Loop: loop, Header: loop.Header,

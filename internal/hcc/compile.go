@@ -16,6 +16,12 @@ import (
 // analyze every loop, select the profitable ones and generate parallel
 // bodies. entry is the function executed by the training run (and later by
 // the simulator). It is Train followed by CompileWith.
+//
+// Compile only reads prog: the bodies, slots and types it generates go
+// into Compiled.Prog, a new program that extends prog (ir.Program.Extend),
+// so concurrent compiles may share one input. The one write it may make
+// is numbering an input that was never numbered (ir.Program.AssignUIDs);
+// workloads.Get and the difftest builders return numbered programs.
 func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, error) {
 	opts.fillDefaults()
 	fl, err := prepare(prog)
@@ -33,8 +39,8 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 // sequential run of entry over opts.TrainArgs on a ring of opts.Cores
 // cores, bounded by opts.ProfileBudget. The profile depends on nothing
 // else in opts — not the level, not the alias tier — and names loops and
-// blocks by position, so one profile serves every CompileWith of any
-// fresh build of the same program.
+// blocks by position, so one profile serves every CompileWith of the
+// same program content. Like Compile, Train only reads a numbered prog.
 func Train(prog *ir.Program, entry *ir.Function, opts Options) (*interp.Profile, error) {
 	opts.fillDefaults()
 	fl, err := prepare(prog)
@@ -46,8 +52,9 @@ func Train(prog *ir.Program, entry *ir.Function, opts Options) (*interp.Profile,
 
 // CompileWith is Compile with the training profile supplied: prof must
 // come from Train on a program of the same content with the same cores,
-// training args and profile budget, or CompileWith returns an error. prof
-// is only read, so concurrent compilations may share it.
+// training args and profile budget, or CompileWith returns an error.
+// prof and a numbered prog are only read, so concurrent compilations may
+// share both.
 func CompileWith(prog *ir.Program, entry *ir.Function, opts Options, prof *interp.Profile) (*Compiled, error) {
 	opts.fillDefaults()
 	fl, err := prepare(prog)
@@ -64,9 +71,9 @@ type flow struct {
 	forests map[*ir.Function]*cfg.Forest
 }
 
-// prepare numbers the program's instructions, verifies it (which checks
-// that every function's blocks are numbered positionally) and computes
-// its control-flow structure.
+// prepare numbers the program's instructions if they are not numbered
+// yet, verifies it (which checks that every function's blocks are
+// numbered positionally) and computes its control-flow structure.
 func prepare(prog *ir.Program) (*flow, error) {
 	prog.AssignUIDs()
 	if err := prog.Verify(); err != nil {
@@ -115,7 +122,7 @@ func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, p
 	}
 	an := alias.New(prog, tier)
 
-	out := &Compiled{Prog: prog, Level: opts.Level, Options: opts, Profile: profile}
+	out := &Compiled{Prog: prog.Extend(), Level: opts.Level, Options: opts, Profile: profile}
 
 	var cands []candidate
 
@@ -246,7 +253,7 @@ func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, p
 	}
 
 	for i, c := range picked {
-		pl, err := generate(prog, c.fn, fl.graphs[c.fn], c.loop, opts.Level, c.seg, c.classes, i)
+		pl, err := generate(out.Prog, c.fn, fl.graphs[c.fn], c.loop, opts.Level, c.seg, c.classes, i)
 		if err != nil {
 			out.Rejected = append(out.Rejected, RejectedLoop{Loop: c.loop, Fn: c.fn, Reason: err.Error(), Estimate: c.est})
 			continue

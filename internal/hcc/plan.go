@@ -113,6 +113,10 @@ type ParallelLoop struct {
 
 // Compiled is the result of compiling a program at some level.
 type Compiled struct {
+	// Prog is the program HCC emitted: an extension of the input
+	// (ir.Program.Extend) holding its functions and globals plus every
+	// loop body, slot and control global the compile added. The
+	// simulator executes it.
 	Prog    *ir.Program
 	Level   Level
 	Options Options

@@ -15,7 +15,7 @@ import (
 
 // summary renders everything a compilation decided: coverage, the
 // selected loops with their estimates, the rejected loops with their
-// reasons and estimates, and the compiled program's fingerprint.
+// reasons and estimates, and the fingerprint of the program it emitted.
 func summary(w *workloads.Workload, c *hcc.Compiled) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "coverage %v\n", c.Coverage)
@@ -26,7 +26,7 @@ func summary(w *workloads.Workload, c *hcc.Compiled) string {
 	for _, rej := range c.Rejected {
 		fmt.Fprintf(&sb, "rejected %s@%s %q est %v\n", rej.Fn.Name, rej.Loop.Header.Name, rej.Reason, rej.Estimate)
 	}
-	fmt.Fprintf(&sb, "program %s\n", w.Prog.Fingerprint(w.Entry))
+	fmt.Fprintf(&sb, "program %s\n", c.Prog.Fingerprint(w.Entry))
 	return sb.String()
 }
 

@@ -27,8 +27,8 @@ func canonPair(a, b int32) DepPair {
 // function's index in Program.Funcs and Header the header block's
 // Block.Index. Every block constructor numbers blocks positionally
 // (ir.Program.Verify checks it) and AssignUIDs is deterministic, so the
-// key names the same loop in every fresh build of the same program
-// content, and one profile serves them all.
+// key names the same loop in every build of the same program content,
+// and one profile serves them all.
 type LoopKey struct {
 	Fn, Header int32
 }

@@ -2,6 +2,8 @@ package ir
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -107,11 +109,33 @@ type Program struct {
 	nextSite  Site
 	typeNames map[TypeID]string
 	nextType  TypeID
+	base      *Program // the program this one extends, if any (Extend)
 }
 
+// Extend returns a program that extends p: it shares p's functions and
+// globals, and its UID, address, site and type counters continue p's.
+// NewFunction, NewType, NewSite, AddGlobal and AssignUIDs on the
+// extension never write p, so HCC adds its loop bodies, slots and types
+// to an extension of its input while other readers share the input.
+// Extend a numbered program (AssignUIDs), or the extension's AssignUIDs
+// numbers p's instructions in place.
+func (p *Program) Extend() *Program {
+	q := *p
+	q.Funcs = slices.Clip(p.Funcs)
+	q.Globals = slices.Clip(p.Globals)
+	q.typeNames = maps.Clone(p.typeNames)
+	q.base = p
+	return &q
+}
+
+// Base returns the program p extends, or nil if p was not made by Extend.
+func (p *Program) Base() *Program { return p.base }
+
 // AssignUIDs numbers every instruction that does not yet have a UID and
-// returns the total UID count. Analyses key results by these ids; HCC
-// codegen calls this again after cloning so new instructions get fresh ids.
+// returns the total UID count. Analyses key results by these ids. A
+// program is numbered once, when it is built (workloads.Get, the
+// difftest builders) or by HCC on a caller-built input; HCC calls it
+// again on its extension so the cloned loop bodies get fresh ids.
 func (p *Program) AssignUIDs() int {
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {

@@ -274,6 +274,9 @@ func (pr *parser) line(line string, entryName *string) error {
 		}
 		return nil
 	case "sites":
+		if pr.p == nil || len(fields) != 2 {
+			return fmt.Errorf("malformed sites directive")
+		}
 		n, err := strconv.Atoi(fields[1])
 		if err != nil {
 			return err
@@ -339,7 +342,7 @@ func (pr *parser) global(fields []string) error {
 }
 
 func (pr *parser) globalInit(fields []string) error {
-	if len(fields) < 2 {
+	if pr.p == nil || len(fields) < 2 {
 		return fmt.Errorf("malformed init")
 	}
 	var g *Global
@@ -362,7 +365,7 @@ func (pr *parser) globalInit(fields []string) error {
 }
 
 func (pr *parser) extern(fields []string) error {
-	if len(fields) < 2 {
+	if pr.p == nil || len(fields) < 2 {
 		return fmt.Errorf("malformed extern")
 	}
 	name := fields[1]

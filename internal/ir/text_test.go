@@ -93,6 +93,10 @@ func TestParseTextErrors(t *testing.T) {
 		{"undeclared target", "program x\nfunc f params=0 regs=1\nblock entry\nbr tgt=nowhere\nentry f\n", nil, "never declared"},
 		{"extern not in registry", text, map[string]*Extern{}, "not in registry"},
 		{"extern summary mismatch", text, map[string]*Extern{"hash": {Name: "hash", Latency: 1}}, "disagrees"},
+		{"sites without count", "sites\n", nil, "malformed sites"},
+		{"sites before program", "sites 3\nprogram x\n", nil, "malformed sites"},
+		{"init before program", "init g 1 2\nprogram x\n", nil, "malformed init"},
+		{"extern before program", "extern hash\nprogram x\n", nil, "malformed extern"},
 	}
 	for _, tc := range cases {
 		_, _, err := ParseText(tc.src, tc.ext)

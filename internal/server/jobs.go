@@ -8,6 +8,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -85,8 +86,8 @@ func (r *JobRequest) normalize() error {
 		if r.Workload == "" {
 			return fmt.Errorf("%s job requires a workload (one of %v)", r.Kind, workloads.Names())
 		}
-		if _, err := workloads.Get(r.Workload); err != nil {
-			return err
+		if known := workloads.Registered(); !slices.Contains(known, r.Workload) {
+			return fmt.Errorf("unknown workload %q (have %v)", r.Workload, known)
 		}
 		if r.Level == 0 {
 			r.Level = 3

@@ -26,7 +26,10 @@ var ErrBudget = errors.New("sim: step budget exceeded")
 const ctxCheckEvery = 1 << 16
 
 // Run simulates entry(args...) on the platform. comp may be nil, in which
-// case the program runs purely sequentially on core 0 (the baseline).
+// case prog runs purely sequentially on core 0 (the baseline). Otherwise
+// Run executes comp.Prog, the program HCC emitted, and prog must be
+// either comp.Prog or the input it extends; any other program is an
+// error.
 //
 // Run watches ctx on the step-accounting path: a cancelled context makes
 // it return ctx.Err() (with the partial Result accumulated so far),
@@ -64,6 +67,12 @@ func run(ctx context.Context, prog *ir.Program, comp *hcc.Compiled, entry *ir.Fu
 	}
 	if arch.Cores <= 0 {
 		arch.Cores = 16
+	}
+	if comp != nil {
+		if prog != comp.Prog && prog != comp.Prog.Base() {
+			return nil, 0, fmt.Errorf("sim: program %s is neither the compiled program nor its input", prog.Name)
+		}
+		prog = comp.Prog
 	}
 	r := &runner{
 		ctx:  ctx,
@@ -181,7 +190,6 @@ func (r *runner) runSequential(entry *ir.Function, args []int64) error {
 	core := cpu.NewCore(r.arch.Core, r.maxRegs)
 	core.Reset(0)
 	ctx := interp.NewContext(r.prog, r.mem, entry, args...)
-	l1 := int64(r.arch.Mem.L1Latency)
 
 	for !ctx.Done() {
 		if r.steps >= r.check {
@@ -204,11 +212,6 @@ func (r *runner) runSequential(entry *ir.Function, args []int64) error {
 		if in.Op.IsMem() {
 			addr := ctx.EffectiveAddr(in)
 			lat = r.memLat(0, addr, in.Op == ir.OpStore)
-			if lat > l1 {
-				// Sequential memory stalls are not "overhead" — they exist
-				// in the baseline too — but keep global stats meaningful.
-				_ = lat
-			}
 		} else if in.Op == ir.OpCall && in.Extern != nil && in.Extern.Latency > 0 {
 			lat = int64(in.Extern.Latency)
 		}

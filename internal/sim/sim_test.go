@@ -163,6 +163,38 @@ func TestParallelMatchesSequentialMixed(t *testing.T) {
 	}
 }
 
+// TestRunRejectsForeignProgram pins which programs a compile runs
+// with: its input and the program HCC emitted run alike, and a program
+// the compile does not extend — here another build of the same source,
+// whose blocks the compile's loops do not name — is an error rather
+// than a silently sequential run.
+func TestRunRejectsForeignProgram(t *testing.T) {
+	p, f := buildMixed(t, 600)
+	comp := compileFor(t, p, f, hcc.V3, 600)
+	if len(comp.Loops) == 0 {
+		t.Fatal("no loop selected")
+	}
+	ctx := context.Background()
+	in, err := Run(ctx, p, comp, f, HelixRC(16), 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(ctx, comp.Prog, comp, f, HelixRC(16), 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *in != *out {
+		t.Errorf("the input and the emitted program run differently:\n%+v\n%+v", in, out)
+	}
+	other, otherF := buildMixed(t, 600)
+	if _, err := Run(ctx, other, comp, otherF, HelixRC(16), 600); err == nil {
+		t.Error("Run accepted a program the compile does not extend")
+	}
+	if _, _, err := Record(ctx, other, comp, otherF, HelixRC(16), 600); err == nil {
+		t.Error("Record accepted a program the compile does not extend")
+	}
+}
+
 func TestParallelSpeedsUpMixed(t *testing.T) {
 	p, f := buildMixed(t, 2000)
 	comp := compileFor(t, p, f, hcc.V3, 2000)

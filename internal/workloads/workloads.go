@@ -71,9 +71,8 @@ var (
 
 // Register adds a named workload builder to the registry, making it
 // resolvable through Get (and therefore through the whole cached
-// harness path) alongside the ten SPEC analogues. The builder must
-// return a fresh, deterministic workload on every call: HCC mutates
-// programs, so Get hands each caller its own copy, and the harness
+// harness path) alongside the ten SPEC analogues. The builder must be
+// deterministic: the harness builds each workload once per process and
 // keys artifacts by content fingerprint, so two calls must produce
 // byte-identical textual IR. internal/scenarios registers its
 // generated families here; Names() deliberately keeps reporting only
@@ -105,7 +104,9 @@ func IntNames() []string { return Names()[:6] }
 // FPNames returns the CFP2000 subset.
 func FPNames() []string { return Names()[6:] }
 
-// Get builds a workload by name.
+// Get builds a workload by name. Its program comes back numbered
+// (ir.Program.AssignUIDs), so compiling, profiling and simulating it
+// only read it, and one build may be shared by all of them.
 func Get(name string) (*Workload, error) {
 	registryMu.RLock()
 	f, ok := registry[name]
@@ -119,7 +120,9 @@ func Get(name string) (*Workload, error) {
 		return nil, fmt.Errorf("workloads: unknown %q (have %v)", name, known)
 	}
 	registryMu.RUnlock()
-	return f(), nil
+	w := f()
+	w.Prog.AssignUIDs()
+	return w, nil
 }
 
 // Registered lists every registered workload name in sorted order —
@@ -134,16 +137,6 @@ func Registered() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// All builds the full suite in paper order.
-func All() []*Workload {
-	out := make([]*Workload, 0, len(registry))
-	for _, n := range Names() {
-		w, _ := Get(n)
-		out = append(out, w)
-	}
-	return out
 }
 
 // lcg is a deterministic pseudo-random sequence for data initialization.

@@ -44,9 +44,18 @@ remoteaddr=.check-remote.addr
 remoteblobs=.check-remote-blobs
 servepid=
 remotepid=
+# One clean-up for every exit path: remove what the stages below leave
+# behind and stop whichever daemon is still running.
+cleanup() {
+  rm -f "$report" "$shardreport" "$explorereport" "$report.lock" "$shardreport.lock" "$explorereport.lock" \
+    "$servereport" "$servereport.lock" "$serveaddr" "$remotereport" "$remotereport.lock" "$remoteaddr" .check-helix-serve
+  rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"
+  if [ -n "$servepid" ]; then kill "$servepid" 2>/dev/null || true; fi
+  if [ -n "$remotepid" ]; then kill "$remotepid" 2>/dev/null || true; fi
+}
 rm -f "$report" "$shardreport" "$explorereport" "$servereport" "$serveaddr" "$remotereport" "$remoteaddr"
 rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"
-trap 'rm -f "$report" "$shardreport" "$explorereport" "$report.lock" "$shardreport.lock" "$explorereport.lock" "$servereport" "$servereport.lock" "$serveaddr" "$remotereport" "$remotereport.lock" "$remoteaddr"; rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"' EXIT
+trap cleanup EXIT
 go run ./cmd/helix-bench -quiet -verify BENCH_2026-08-07.json -jsonfile "$report" >/dev/null
 go run ./scripts -enforce -budgets perf/budgets.json "$report"
 
@@ -97,7 +106,6 @@ awk -v c="$cover" 'BEGIN { exit (c+0 >= 80.0) ? 0 : 1 }' || {
 # latency regressions, spurious shedding, figure divergence, or a
 # broken drain path all fail the gate.
 go build -o .check-helix-serve ./cmd/helix-serve
-trap 'rm -f "$report" "$shardreport" "$explorereport" "$report.lock" "$shardreport.lock" "$explorereport.lock" "$servereport" "$servereport.lock" "$serveaddr" "$remotereport" "$remotereport.lock" "$remoteaddr" .check-helix-serve; rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"; kill "$servepid" "$remotepid" 2>/dev/null || true' EXIT
 ./.check-helix-serve -addr 127.0.0.1:0 -addrfile "$serveaddr" -cachedir "$servecache" -quiet -concurrency 2 &
 servepid=$!
 for _ in $(seq 1 50); do [ -s "$serveaddr" ] && break; sleep 0.1; done
@@ -107,6 +115,7 @@ go run ./cmd/helix-load -addr "http://$(cat "$serveaddr")" \
   -verify BENCH_2026-08-07.json -jsonfile "$servereport" -label serve-smoke >/dev/null
 kill -TERM "$servepid"
 wait "$servepid"
+servepid=
 go run ./scripts/slocheck -budgets perf/serve_slo_budgets.json "$servereport"
 
 # Multi-machine smoke: two -shard workers with DISJOINT caches (-remote
@@ -124,4 +133,5 @@ scripts/shard2.sh "$remotereport" go run ./cmd/helix-bench -only fig9 -quiet -re
   -verify BENCH_2026-08-05.json
 kill -TERM "$remotepid"
 wait "$remotepid"
+remotepid=
 go run ./scripts -enforce -budgets perf/remote_budgets.json "$remotereport"
