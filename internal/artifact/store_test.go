@@ -1,12 +1,14 @@
 package artifact
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -23,7 +25,7 @@ var intCodec = &Codec[int64]{
 	},
 }
 
-func newDiskStore(t *testing.T, kind, scheme string) *Store[int64] {
+func newDiskStore(t testing.TB, kind, scheme string) *Store[int64] {
 	t.Helper()
 	s := NewStore(kind, scheme, func(int64) int64 { return 8 }, intCodec)
 	s.SetDir(t.TempDir())
@@ -31,7 +33,7 @@ func newDiskStore(t *testing.T, kind, scheme string) *Store[int64] {
 }
 
 // get fetches key, recording whether the compute function ran.
-func get(t *testing.T, s *Store[int64], key string, v int64) (got int64, computed bool) {
+func get(t testing.TB, s *Store[int64], key string, v int64) (got int64, computed bool) {
 	t.Helper()
 	got, err := s.Get(context.Background(), key, func(context.Context) (int64, error) {
 		computed = true
@@ -45,7 +47,7 @@ func get(t *testing.T, s *Store[int64], key string, v int64) (got int64, compute
 
 // entryFile locates the single disk entry of a store (there must be
 // exactly one).
-func entryFile(t *testing.T, s *Store[int64]) string {
+func entryFile(t testing.TB, s *Store[int64]) string {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(s.Dir(), s.kind, "*.art"))
 	if err != nil || len(matches) != 1 {
@@ -322,4 +324,52 @@ func TestEnvelopeExhaustiveTruncation(t *testing.T) {
 			t.Fatalf("envelope accepted under scheme=%q key=%q", tc.scheme, tc.key)
 		}
 	}
+}
+
+// heapBytes returns the bytes f allocates on the heap.
+func heapBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzOpenEnvelope feeds openEnvelope mutated envelope bodies under
+// fuzzed schemes and keys, resealed with a fresh checksum so the
+// mutations reach the header checks; every disk and remote tier load
+// passes through it. Opening must never panic, must allocate no more
+// than the input's size allows, and every envelope it accepts must
+// reseal to exactly the bytes it was given. Seeds: entries a disk tier
+// wrote, under harness-shaped schemes and keys.
+func FuzzOpenEnvelope(f *testing.F) {
+	const scheme = "irfp2+simcfg1+hkey2"
+	for _, key := range []string{
+		"res/run/164.gzip/L3/c16/t0/ref=true/0123abcd/4567ef89",
+		"cell/tlp/181.mcf/L2/c16/sel1/ref=true/4567ef89/0123abcd",
+		"",
+	} {
+		s := newDiskStore(f, "fuzz", scheme)
+		get(f, s, key, 42)
+		data, err := os.ReadFile(entryFile(f, s))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data[:len(data)-sha256.Size], scheme, key)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, scheme, key string) {
+		sum := sha256.Sum256(body)
+		data := append(body[:len(body):len(body)], sum[:]...)
+		var payload []byte
+		var ok bool
+		if n := heapBytes(func() { payload, ok = openEnvelope(data, scheme, key) }); n > 64<<10+8*uint64(len(data)) {
+			t.Fatalf("opening %d bytes allocated %d", len(data), n)
+		}
+		if !ok {
+			return
+		}
+		if again := sealEnvelope(payload, scheme, key); !bytes.Equal(again, data) {
+			t.Fatalf("accepted envelope reseals differently:\nin  %x\nout %x", data, again)
+		}
+	})
 }

@@ -141,34 +141,37 @@ func TestCorruptDiskEntryDegrades(t *testing.T) {
 }
 
 // TestClearDiskCache pins -cacheclear's backing call: after Clear, a
-// fresh run finds no disk entries and re-records.
+// fresh run finds no disk entries, a baseline's or an analysis cell's,
+// and re-records.
 func TestClearDiskCache(t *testing.T) {
 	dir := withCacheDir(t)
 	ctx := context.Background()
 	if _, err := CachedBaseline(ctx, "181.mcf", sim.Conventional(2), true); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := filepath.Glob(filepath.Join(dir, "*", "*.art"))
-	if len(entries) == 0 {
-		t.Fatal("no disk entries to clear")
+	if _, err := coverageCell(ctx, "181.mcf", hcc.V1); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"baseline", "cell"} {
+		if entries, _ := filepath.Glob(filepath.Join(dir, kind, "*.art")); len(entries) == 0 {
+			t.Fatalf("no %s entries to clear", kind)
+		}
 	}
 	if err := ClearDiskCache(); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ = filepath.Glob(filepath.Join(dir, "*", "*.art"))
-	if len(entries) != 0 {
+	if entries, _ := filepath.Glob(filepath.Join(dir, "*", "*.art")); len(entries) != 0 {
 		t.Fatalf("entries survived ClearDiskCache: %v", entries)
 	}
 }
 
-// TestWarmRunServedWithoutCompiling pins the lazy-compile contract:
-// once a cold pass has persisted every Result, a warm pass (fresh
-// memory tier, same directory) over a recording-bound sweep and the
-// TLP cells records nothing, replays nothing and compiles nothing, and
-// renders byte-identical output. The analysis experiments a warm run
-// still compiles for — Table 1 and Figures 2-4 — then cost exactly what
-// a warm helix-bench run reports: 30 compiles (ten workloads at three
-// levels) from 10 training profiles (one per workload).
+// TestWarmRunServedWithoutCompiling pins that a warm run executes
+// nothing: once a cold pass has persisted every Result and every
+// analysis and TLP cell, a warm pass (fresh memory tier, same
+// directory) over a recording-bound sweep and the TLP cells, and then
+// over the analysis experiments (Table 1, Figures 2-4), records
+// nothing, replays nothing, compiles nothing and trains no profile, and
+// renders byte-identical output.
 func TestWarmRunServedWithoutCompiling(t *testing.T) {
 	withCacheDir(t)
 	ctx := context.Background()
@@ -203,41 +206,37 @@ func TestWarmRunServedWithoutCompiling(t *testing.T) {
 		return FormatTable1(rows) + f2.Format() + f3.Format() + f4.Format()
 	}
 
-	comp0 := CompileStats()
-	cold := render()
-	if CompileStats() == comp0 {
-		t.Fatal("cold pass compiled nothing; test is vacuous")
+	comp0, prof0 := CompileStats(), ProfileStats()
+	cold, coldAnalyses := render(), analyses()
+	if CompileStats() == comp0 || ProfileStats() == prof0 {
+		t.Fatal("cold pass compiled or profiled nothing; test is vacuous")
 	}
-	coldAnalyses := analyses()
 
 	ResetCaches()
-	rec1, rep1 := ReplayStats()
-	comp1 := CompileStats()
-	warm := render()
-	rec2, rep2 := ReplayStats()
-	if rec2 != rec1 {
-		t.Errorf("warm pass recorded %d traces, want 0", rec2-rec1)
-	}
-	if rep2 != rep1 {
-		t.Errorf("warm pass replayed %d traces, want 0", rep2-rep1)
-	}
-	if n := CompileStats() - comp1; n != 0 {
-		t.Errorf("warm pass compiled %d times, want 0", n)
-	}
-	if warm != cold {
-		t.Errorf("warm output differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
-	}
-
-	comp2, prof2 := CompileStats(), ProfileStats()
-	warmAnalyses := analyses()
-	if n := CompileStats() - comp2; n != 30 {
-		t.Errorf("warm analyses compiled %d times, want 30", n)
-	}
-	if n := ProfileStats() - prof2; n != 10 {
-		t.Errorf("warm analyses trained %d profiles, want 10", n)
-	}
-	if warmAnalyses != coldAnalyses {
-		t.Errorf("warm analyses differ from cold:\ncold:\n%s\nwarm:\n%s", coldAnalyses, warmAnalyses)
+	for _, pass := range []struct {
+		name string
+		run  func() string
+		want string
+	}{{"warm pass", render, cold}, {"warm analyses", analyses, coldAnalyses}} {
+		rec1, rep1 := ReplayStats()
+		comp1, prof1 := CompileStats(), ProfileStats()
+		got := pass.run()
+		rec2, rep2 := ReplayStats()
+		if n := rec2 - rec1; n != 0 {
+			t.Errorf("%s recorded %d traces, want 0", pass.name, n)
+		}
+		if n := rep2 - rep1; n != 0 {
+			t.Errorf("%s replayed %d traces, want 0", pass.name, n)
+		}
+		if n := CompileStats() - comp1; n != 0 {
+			t.Errorf("%s compiled %d times, want 0", pass.name, n)
+		}
+		if n := ProfileStats() - prof1; n != 0 {
+			t.Errorf("%s trained %d profiles, want 0", pass.name, n)
+		}
+		if got != pass.want {
+			t.Errorf("%s output differs from cold:\ncold:\n%s\nwarm:\n%s", pass.name, pass.want, got)
+		}
 	}
 }
 

@@ -99,9 +99,9 @@ func ReplayStats() (recordings, replays int64) {
 }
 
 // compiles counts every hcc.Compile the harness issues (the cached
-// compile tier's fills and the TLP cells' fills). A warm run that finds
-// its Results cached compiles only for the analysis experiments that
-// read loops and profiles. Cumulative across ResetCaches.
+// compile tier's fills and the TLP cells' fills). A warm run finds every
+// Result and every analysis and TLP cell persisted, so it compiles
+// nothing. Cumulative across ResetCaches.
 var compiles atomic.Int64
 
 // CompileStats returns the cumulative count of harness compilations.

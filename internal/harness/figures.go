@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"helixrc/internal/alias"
@@ -29,9 +30,10 @@ const cacheScheme = ir.FingerprintScheme + "+" + sim.ConfigFingerprintScheme + "
 // compiler level, core count, timing config). All are concurrency-safe
 // with singleflight semantics: when many experiment cells need the same
 // compilation, baseline or dynamic trace, exactly one goroutine
-// computes it and the rest wait for the result. Baseline Results and
-// recorded traces can persist to a disk tier (SetCacheDir) because
-// their keys are process-independent; compilations stay memory-only
+// computes it and the rest wait for the result. Baseline and replayed
+// Results, recorded traces and the analysis cells (cellStore) can
+// persist to a disk tier (SetCacheDir) because their keys are
+// process-independent; compilations stay memory-only
 // behind the same interface (a compile is cheap relative to its
 // serialized size, and its product is pointer-rich).
 var (
@@ -66,40 +68,57 @@ func init() {
 	SetCacheBudget(DefaultCacheBudget)
 }
 
+// store is what the harness does alike to each of its artifact stores.
+type store interface {
+	SetBudget(int64)
+	SetDir(string)
+	SetRemote(string)
+	Clear() error
+	Stats() artifact.Stats
+	Reset()
+}
+
+// stores lists every harness store once, for the functions below that
+// configure, clear, count and reset them all. share is the store's part
+// of the memory budget in 1/1024ths: traces take three quarters, and
+// the compile tier three times the profile tier's share. The memory-only
+// stores (no codec) ignore a cache dir and remote.
+var stores = []struct {
+	store
+	share int64
+}{
+	{traceStore, 768},
+	{seqStore, 16},
+	{resStore, 16},
+	{cellStore, 4},
+	{profStore, 55},
+	{compStore, 165},
+}
+
 // SetCacheBudget bounds the summed estimated size of the harness memo
-// caches, splitting the total across them (traces take three quarters;
-// training profiles take a quarter of the compile share).
+// caches, splitting the total across them by their shares (stores).
 // Least-recently-used entries are evicted past the budget, with a log
 // line per eviction. total <= 0 removes the bound. The disk tier is
 // never evicted by budget — only -cacheclear (or Clear) empties it.
 func SetCacheBudget(total int64) {
-	if total <= 0 {
-		traceStore.SetBudget(0)
-		compStore.SetBudget(0)
-		profStore.SetBudget(0)
-		seqStore.SetBudget(0)
-		resStore.SetBudget(0)
-		return
+	for _, s := range stores {
+		b := total * s.share / 1024
+		if total > 0 {
+			b = max(b, 1) // a budget of 0 would lift the bound
+		}
+		s.SetBudget(b)
 	}
-	traces := total * 3 / 4
-	baselines := total / 64
-	results := total / 64
-	compiles := total - traces - baselines - results
-	traceStore.SetBudget(traces)
-	seqStore.SetBudget(baselines)
-	resStore.SetBudget(results)
-	profStore.SetBudget(compiles / 4)
-	compStore.SetBudget(compiles - compiles/4)
 }
 
 // SetCacheDir installs dir as the disk tier root for persistable
-// artifacts: recorded traces and baseline Results survive the process
-// and serve later runs at disk-read cost. Compilations stay
-// memory-only. "" disables the disk tier (the default).
+// artifacts: recorded traces, baseline and replayed Results, and the
+// analysis and TLP cells survive the process and serve later runs at
+// disk-read cost. Compilations and profiles stay memory-only. ""
+// disables the disk tier (the default).
 func SetCacheDir(dir string) {
-	seqStore.SetDir(dir)
-	traceStore.SetDir(dir)
-	resStore.SetDir(dir)
+	for _, s := range stores {
+		s.SetDir(dir)
+	}
 }
 
 // CacheDir returns the configured disk-tier root, or "" when disabled.
@@ -111,9 +130,9 @@ func CacheDir() string { return traceStore.Dir() }
 // backend. "" disables the remote tier (the default). Remote failures
 // are silent misses — a dead daemon degrades to local recomputation.
 func SetCacheRemote(base string) {
-	seqStore.SetRemote(base)
-	traceStore.SetRemote(base)
-	resStore.SetRemote(base)
+	for _, s := range stores {
+		s.SetRemote(base)
+	}
 }
 
 // CacheRemote returns the configured remote-tier base URL, or "" when
@@ -123,13 +142,12 @@ func CacheRemote() string { return traceStore.Remote() }
 // ClearDiskCache removes every persisted artifact under the configured
 // cache dir (no-op without one). helix-bench -cacheclear calls it.
 func ClearDiskCache() error {
-	if err := seqStore.Clear(); err != nil {
-		return err
+	for _, s := range stores {
+		if err := s.Clear(); err != nil {
+			return err
+		}
 	}
-	if err := resStore.Clear(); err != nil {
-		return err
-	}
-	return traceStore.Clear()
+	return nil
 }
 
 // CacheStats aggregates the per-tier counters of every harness store:
@@ -137,11 +155,9 @@ func ClearDiskCache() error {
 // memory tier's cumulative evictions (for the helix-bench JSON report).
 func CacheStats() artifact.Stats {
 	var t artifact.Stats
-	t.Add(compStore.Stats())
-	t.Add(profStore.Stats())
-	t.Add(seqStore.Stats())
-	t.Add(traceStore.Stats())
-	t.Add(resStore.Stats())
+	for _, s := range stores {
+		t.Add(s.Stats())
+	}
 	return t
 }
 
@@ -251,17 +267,15 @@ func baseKey(name string, ref bool, arch sim.Config, fp string) string {
 	return fmt.Sprintf("base/%s/ref=%v/%s/%s", name, ref, arch.Fingerprint(), fp)
 }
 
-// ResetCaches clears the memory tier of memoized compilations,
-// baselines and traces (tests use this to bound memory, and to force
-// warm-start paths). Disk-tier entries and all counters survive. Safe
-// to call concurrently with cache users: in-flight computations
-// complete for their waiters and are dropped.
+// ResetCaches clears the memory tier of every harness store (tests use
+// this to bound memory, and to force warm-start paths). Disk-tier
+// entries, the workload builds and all counters survive. Safe to call
+// concurrently with cache users: in-flight computations complete for
+// their waiters and are dropped.
 func ResetCaches() {
-	compStore.Reset()
-	profStore.Reset()
-	seqStore.Reset()
-	traceStore.Reset()
-	resStore.Reset()
+	for _, s := range stores {
+		s.Reset()
+	}
 }
 
 // resultKey derives the result-store key for one (run, timing config)
@@ -503,46 +517,20 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 	// One cell per workload, not per (workload, tier): the five tiers
 	// share one CFG per loop function.
 	names := workloads.IntNames()
-	cell := func(i int) string { return fmt.Sprintf("%s/L%d/alias", names[i], hcc.V3) }
-	rows, err := parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) ([]float64, error) {
-		name := names[i]
-		_, comp, err := CachedCompile(ctx, name, hcc.V3, 16)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(alias.Tiers))
-		graphs := map[string]*cfg.Graph{}
-		for ti, tier := range alias.Tiers {
-			an := alias.New(comp.Prog, tier)
-			var acc float64
-			var n int
-			for _, pl := range comp.Loops {
-				g, ok := graphs[pl.Fn.Name]
-				if !ok {
-					g = cfg.New(pl.Fn)
-					graphs[pl.Fn.Name] = g
-				}
-				dg := ddg.Build(comp.Prog, pl.Fn, g, pl.Loop, an)
-				if len(dg.MemEdges) == 0 {
-					continue
-				}
-				acc += ddg.Accuracy(dg, pl.Profile)
-				n++
-			}
-			v := 1.0
-			if n > 0 {
-				v = acc / float64(n)
-			}
-			vals[ti] = v
-		}
-		return vals, nil
+	label := func(i int) string { return fmt.Sprintf("%s/L%d/alias", names[i], hcc.V3) }
+	rows, err := parMapCells(ctx, len(names), label, func(ctx context.Context, i int) (*cell, error) {
+		return accuracyCell(ctx, names[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 	for ni, name := range names {
-		f.Rows = append(f.Rows, SpeedupRow{Name: name, Values: rows[ni]})
-		for ti, v := range rows[ni] {
+		row := SpeedupRow{Name: name}
+		if rows[ni] != nil { // nil: degraded under a cell deadline
+			row.Values = append([]float64(nil), rows[ni].floats...)
+		}
+		f.Rows = append(f.Rows, row)
+		for ti, v := range row.Values {
 			sums[ti] += v
 			counts[ti]++
 		}
@@ -554,6 +542,44 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 		}
 	}
 	return f, nil
+}
+
+// accuracyCell serves one workload's row of Figure 2, accuracyRow of
+// its HCCv3 compile.
+func accuracyCell(ctx context.Context, name string) (*cell, error) {
+	return compiledCell(ctx, "accuracy", name, hcc.V3, []string{fmt.Sprintf("tiers=%d", alias.Tiers)},
+		func(comp *hcc.Compiled, _ *build) *cell { return &cell{floats: accuracyRow(comp)} })
+}
+
+// accuracyRow is one workload's row of Figure 2: per alias tier, the
+// mean dependence-analysis accuracy over comp's selected loops that
+// carry a memory dependence (1 when none does).
+func accuracyRow(comp *hcc.Compiled) []float64 {
+	vals := make([]float64, len(alias.Tiers))
+	graphs := map[string]*cfg.Graph{}
+	for ti, tier := range alias.Tiers {
+		an := alias.New(comp.Prog, tier)
+		var acc float64
+		var n int
+		for _, pl := range comp.Loops {
+			g, ok := graphs[pl.Fn.Name]
+			if !ok {
+				g = cfg.New(pl.Fn)
+				graphs[pl.Fn.Name] = g
+			}
+			dg := ddg.Build(comp.Prog, pl.Fn, g, pl.Loop, an)
+			if len(dg.MemEdges) == 0 {
+				continue
+			}
+			acc += ddg.Accuracy(dg, pl.Profile)
+			n++
+		}
+		vals[ti] = 1.0
+		if n > 0 {
+			vals[ti] = acc / float64(n)
+		}
+	}
+	return vals
 }
 
 // Figure3 measures how much register communication the predictability
@@ -592,43 +618,20 @@ func (r *Figure3Result) Format() string {
 // the CINT2000 analogues.
 func Figure3(ctx context.Context) (*Figure3Result, error) {
 	out := &Figure3Result{ByClass: map[string]int{}}
-	// One cell per workload; integer partial counts merge
-	// order-independently.
+	// One cell per workload; its integer counts sum order-independently.
 	names := workloads.IntNames()
-	cell := func(i int) string { return fmt.Sprintf("%s/L%d/census", names[i], hcc.V3) }
-	parts, err := parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) (*Figure3Result, error) {
-		p := &Figure3Result{ByClass: map[string]int{}}
-		_, comp, err := CachedCompile(ctx, names[i], hcc.V3, 16)
-		if err != nil {
-			return nil, err
-		}
-		an := alias.New(comp.Prog, alias.TierLib)
-		for _, pl := range comp.Loops {
-			g := cfg.New(pl.Fn)
-			dg := ddg.Build(comp.Prog, pl.Fn, g, pl.Loop, an)
-			classes := induction.Classify(pl.Fn, g, pl.Loop, dg.CarriedRegs)
-			p.CarriedRegs += len(dg.CarriedRegs)
-			if len(dg.MemEdges) > 0 {
-				p.MemClusters++
-			}
-			for _, info := range classes {
-				p.ByClass[info.Class.String()]++
-				if !info.Class.Predictable() {
-					p.SharedRegs++
-				}
-			}
-		}
-		return p, nil
+	label := func(i int) string { return fmt.Sprintf("%s/L%d/census", names[i], hcc.V3) }
+	parts, err := parMapCells(ctx, len(names), label, func(ctx context.Context, i int) (*cell, error) {
+		return censusCell(ctx, names[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range parts {
-		out.CarriedRegs += p.CarriedRegs
-		out.SharedRegs += p.SharedRegs
-		out.MemClusters += p.MemClusters
-		for k, v := range p.ByClass {
-			out.ByClass[k] += v
+	sum := sumInts(parts, censusLen)
+	out.CarriedRegs, out.SharedRegs, out.MemClusters = int(sum[0]), int(sum[1]), int(sum[2])
+	for cl, n := range sum[3:] {
+		if n > 0 {
+			out.ByClass[induction.Class(cl).String()] += int(n)
 		}
 	}
 	if out.CarriedRegs > 0 {
@@ -638,6 +641,55 @@ func Figure3(ctx context.Context) (*Figure3Result, error) {
 		out.MemShare = float64(out.MemClusters) / float64(out.MemClusters+out.SharedRegs)
 	}
 	return out, nil
+}
+
+// censusLen is the length of a Figure 3 cell: the carried-register,
+// shared-register and memory-cluster counts, then one count per
+// predictability class in induction.Class order.
+const censusLen = 3 + int(induction.ClassShared) + 1
+
+// censusCell serves one workload's cell of Figure 3, census of its
+// HCCv3 compile.
+func censusCell(ctx context.Context, name string) (*cell, error) {
+	return compiledCell(ctx, "census", name, hcc.V3, []string{fmt.Sprintf("tier=%d", alias.TierLib)},
+		func(comp *hcc.Compiled, _ *build) *cell { return &cell{ints: census(comp)} })
+}
+
+// census counts, over comp's selected loops and under the library-call
+// alias tier, what one workload's cell of Figure 3 holds (censusLen).
+func census(comp *hcc.Compiled) []int64 {
+	p := make([]int64, censusLen)
+	an := alias.New(comp.Prog, alias.TierLib)
+	for _, pl := range comp.Loops {
+		g := cfg.New(pl.Fn)
+		dg := ddg.Build(comp.Prog, pl.Fn, g, pl.Loop, an)
+		p[0] += int64(len(dg.CarriedRegs))
+		if len(dg.MemEdges) > 0 {
+			p[2]++
+		}
+		for _, info := range induction.Classify(pl.Fn, g, pl.Loop, dg.CarriedRegs) {
+			p[3+int(info.Class)]++
+			if !info.Class.Predictable() {
+				p[1]++
+			}
+		}
+	}
+	return p
+}
+
+// sumInts adds up the cells' integer counts element by element, n of
+// them, skipping cells degraded under a cell deadline (nil).
+func sumInts(cells []*cell, n int) []int64 {
+	sum := make([]int64, n)
+	for _, c := range cells {
+		if c == nil {
+			continue
+		}
+		for i, v := range c.ints {
+			sum[i] += v
+		}
+	}
+	return sum
 }
 
 // Figure4Result holds the loop-characterization statistics of Figure 4.
@@ -677,103 +729,94 @@ func (r *Figure4Result) Format() string {
 // Figure4 collects iteration-length, hop-distance and consumer statistics
 // over the HCCv3-selected CINT2000 loops.
 func Figure4(ctx context.Context) (*Figure4Result, error) {
-	out := &Figure4Result{
-		IterCyclesBounds: []int64{10, 25, 50, 75, 110, 260, 1 << 30},
-		HopDist:          make([]float64, 9),
-		Consumers:        make([]float64, 17),
+	out := &Figure4Result{IterCyclesBounds: slices.Clone(fig4Bounds)}
+	// One cell per workload; its integer counts sum order-independently.
+	names := workloads.IntNames()
+	label := func(i int) string { return fmt.Sprintf("%s/L%d/loopstats", names[i], hcc.V3) }
+	parts, err := parMapCells(ctx, len(names), label, func(ctx context.Context, i int) (*cell, error) {
+		return loopStatsCell(ctx, names[i])
+	})
+	if err != nil {
+		return nil, err
 	}
-	cdfCounts := make([]int64, len(out.IterCyclesBounds))
-	var iterTotal int64
-	var hopTotal, consTotal int64
-	hops := make([]int64, 9)
-	cons := make([]int64, 17)
+	nb := len(fig4Bounds)
+	sum := sumInts(parts, 3+nb+fig4Hops+fig4Consumers)
+	out.IterCyclesCDF = fractions(sum[3:3+nb], sum[0])
+	out.HopDist = fractions(sum[3+nb:3+nb+fig4Hops], sum[1])
+	out.Consumers = fractions(sum[3+nb+fig4Hops:], sum[2])
+	return out, nil
+}
+
+// Figure 4's histograms: iteration cycle bounds, hop distances 0..8 on
+// 16 cores, and 0..16 consumers per shared value.
+var fig4Bounds = []int64{10, 25, 50, 75, 110, 260, 1 << 30}
+
+const (
+	fig4Hops      = 9
+	fig4Consumers = 17
+)
+
+// loopStatsCell serves one workload's cell of Figure 4, loopStats of its
+// HCCv3 compile.
+func loopStatsCell(ctx context.Context, name string) (*cell, error) {
+	return compiledCell(ctx, "loopstats", name, hcc.V3, nil,
+		func(comp *hcc.Compiled, _ *build) *cell { return &cell{ints: loopStats(comp)} })
+}
+
+// loopStats is one workload's cell of Figure 4 over comp's small
+// selected loops: the number of iterations, shared-value transfers and
+// shared values counted, then the iterations within each of fig4Bounds,
+// the transfers at each hop distance (fig4Hops) and the shared values
+// with each consumer count (fig4Consumers).
+func loopStats(comp *hcc.Compiled) []int64 {
 	const cpi = 1.4 // measured in-order CPI on compute-bound code
 	// The paper's Figure 4 characterizes the *small* hot loops; exclude
 	// the long-iteration passes (their per-iteration bookkeeping sharing
 	// is trivially adjacent and would drown the table-driven patterns).
 	const smallIterLimit = 75
-	// One cell per workload; each returns integer partial counts that
-	// merge order-independently.
-	type part struct {
-		cdf                        []int64
-		hops, cons                 []int64
-		iters, hopTotal, consTotal int64
-	}
-	names := workloads.IntNames()
-	cell := func(i int) string { return fmt.Sprintf("%s/L%d/loopstats", names[i], hcc.V3) }
-	parts, err := parMapCells(ctx, len(names), cell, func(ctx context.Context, i int) (*part, error) {
-		p := &part{
-			cdf:  make([]int64, len(out.IterCyclesBounds)),
-			hops: make([]int64, len(hops)),
-			cons: make([]int64, len(cons)),
+	p := make([]int64, 3+len(fig4Bounds)+fig4Hops+fig4Consumers)
+	cdf := p[3 : 3+len(fig4Bounds)]
+	hops := p[3+len(fig4Bounds) : 3+len(fig4Bounds)+fig4Hops]
+	cons := p[3+len(fig4Bounds)+fig4Hops:]
+	for _, pl := range comp.Loops {
+		lp := pl.Profile
+		if pl.AvgIterLen > smallIterLimit || pl.AvgIterLen < 10 {
+			continue
 		}
-		_, comp, err := CachedCompile(ctx, names[i], hcc.V3, 16)
-		if err != nil {
-			return nil, err
-		}
-		for _, pl := range comp.Loops {
-			lp := pl.Profile
-			if pl.AvgIterLen > smallIterLimit || pl.AvgIterLen < 10 {
-				continue
-			}
-			for _, il := range lp.IterLens {
-				cycles := int64(float64(il) * cpi)
-				for bi, b := range out.IterCyclesBounds {
-					if cycles <= b {
-						p.cdf[bi]++
-					}
-				}
-				p.iters++
-			}
-			for d, c := range lp.HopDist {
-				if d < len(p.hops) {
-					p.hops[d] += c
-					p.hopTotal += c
+		for _, il := range lp.IterLens {
+			cycles := int64(float64(il) * cpi)
+			for bi, b := range fig4Bounds {
+				if cycles <= b {
+					cdf[bi]++
 				}
 			}
-			for k, c := range lp.ConsumerCounts {
-				if k >= 1 && k < len(p.cons) {
-					p.cons[k] += c
-					p.consTotal += c
-				}
+			p[0]++
+		}
+		for d, c := range lp.HopDist {
+			if d < len(hops) {
+				hops[d] += c
+				p[1] += c
 			}
 		}
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		for bi, c := range p.cdf {
-			cdfCounts[bi] += c
-		}
-		for d, c := range p.hops {
-			hops[d] += c
-		}
-		for k, c := range p.cons {
-			cons[k] += c
-		}
-		iterTotal += p.iters
-		hopTotal += p.hopTotal
-		consTotal += p.consTotal
-	}
-	out.IterCyclesCDF = make([]float64, len(out.IterCyclesBounds))
-	for i := range cdfCounts {
-		if iterTotal > 0 {
-			out.IterCyclesCDF[i] = float64(cdfCounts[i]) / float64(iterTotal)
+		for k, c := range lp.ConsumerCounts {
+			if k >= 1 && k < len(cons) {
+				cons[k] += c
+				p[2] += c
+			}
 		}
 	}
-	for d := range hops {
-		if hopTotal > 0 {
-			out.HopDist[d] = float64(hops[d]) / float64(hopTotal)
+	return p
+}
+
+// fractions divides each count by total (all zero when total is zero).
+func fractions(counts []int64, total int64) []float64 {
+	fs := make([]float64, len(counts))
+	if total > 0 {
+		for i, c := range counts {
+			fs[i] = float64(c) / float64(total)
 		}
 	}
-	for k := range cons {
-		if consTotal > 0 {
-			out.Consumers[k] = float64(cons[k]) / float64(consTotal)
-		}
-	}
-	return out, nil
+	return fs
 }
 
 // Table1Row is one benchmark's row of Table 1.
@@ -787,38 +830,40 @@ type Table1Row struct {
 func Table1(ctx context.Context) ([]Table1Row, error) {
 	names := workloads.Names()
 	levels := []hcc.Level{hcc.V1, hcc.V2, hcc.V3}
-	// One cell per (workload, level); the phases column rides with the
-	// first level's cell.
-	type cell struct {
-		coverage float64
-		phases   int
-	}
+	// One cell per (workload, level): the compile's coverage and the
+	// workload's phase count, which the row takes from its first level.
 	label := func(i int) string {
 		return fmt.Sprintf("%s/L%d/coverage", names[i/len(levels)], levels[i%len(levels)])
 	}
-	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (cell, error) {
-		name, li := names[i/len(levels)], i%len(levels)
-		w, comp, err := CachedCompile(ctx, name, levels[li], 16)
-		if err != nil {
-			return cell{}, err
-		}
-		c := cell{coverage: comp.Coverage}
-		if li == 0 {
-			c.phases = w.Phases
-		}
-		return c, nil
+	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (*cell, error) {
+		return coverageCell(ctx, names[i/len(levels)], levels[i%len(levels)])
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table1Row, len(names))
 	for ni, name := range names {
-		rows[ni] = Table1Row{Name: name, Phases: cells[ni*len(levels)].phases}
+		rows[ni].Name = name
 		for li := range levels {
-			rows[ni].Coverage[li] = cells[ni*len(levels)+li].coverage
+			c := cells[ni*len(levels)+li]
+			if c == nil { // degraded under a cell deadline
+				continue
+			}
+			if li == 0 {
+				rows[ni].Phases = int(c.ints[0])
+			}
+			rows[ni].Coverage[li] = c.floats[0]
 		}
 	}
 	return rows, nil
+}
+
+// coverageCell serves one (workload, level) cell of Table 1: the
+// workload's phase count and its compile's coverage.
+func coverageCell(ctx context.Context, name string, level hcc.Level) (*cell, error) {
+	return compiledCell(ctx, "coverage", name, level, nil, func(comp *hcc.Compiled, b *build) *cell {
+		return &cell{ints: []int64{int64(b.w.Phases)}, floats: []float64{comp.Coverage}}
+	})
 }
 
 // FormatTable1 renders Table 1.

@@ -251,20 +251,15 @@ func (r *TLPResult) Format() string {
 		r.ConservativeTLP, r.ConservativeSeg, r.AggressiveTLP, r.AggressiveSeg)
 }
 
-// tlpRun serves one Section 6.2 cell: the workload's build compiled at
-// level for 16 cores with communication-free loop selection, then
-// simulated execution-driven on the abstract machine over the ref
-// input. The Result is a pure function of content, so it persists in
-// the result tier under its own key grammar (res/tlp/...) and a warm run
-// neither compiles nor simulates.
+// tlpRun serves one Section 6.2 cell from the cell store: the
+// workload's build compiled at level for 16 cores with
+// communication-free loop selection, then simulated execution-driven on
+// the abstract machine over the ref input. The cell keeps the run's
+// whole Result.
 func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, error) {
-	b, err := workloadBuild(ctx, name)
-	if err != nil {
-		return nil, err
-	}
 	arch := sim.Abstract(16)
-	key := fmt.Sprintf("res/tlp/%s/L%d/c16/sel1/ref=true/%s/%s", name, level, b.fp, arch.Fingerprint())
-	return resStore.Get(ctx, key, func(ctx context.Context) (*sim.Result, error) {
+	params := []string{"sel1", "ref=true", arch.Fingerprint()}
+	c, err := persistedCell(ctx, "tlp", name, level, 16, params, func(ctx context.Context, b *build) (*cell, error) {
 		prof, err := trainedProfile(ctx, b, 16)
 		if err != nil {
 			return nil, err
@@ -279,8 +274,16 @@ func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, err
 		if err != nil {
 			return nil, err
 		}
-		return sim.Run(ctx, w.Prog, comp, w.Entry, arch, w.RefArgs...)
+		res, err := sim.Run(ctx, w.Prog, comp, w.Entry, arch, w.RefArgs...)
+		if err != nil {
+			return nil, err
+		}
+		return &cell{res: res}, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return c.res, nil
 }
 
 // TLP measures thread-level parallelism on the abstract machine for
@@ -293,19 +296,19 @@ func TLP(ctx context.Context) (*TLPResult, error) {
 	// One cell per (workload, splitting policy), each served by tlpRun
 	// (V2 under abstract selection differs from the compile-tier key),
 	// so cells are fully independent.
-	type cell struct {
+	type stat struct {
 		tlp, seg float64
 		hasSeg   bool
 	}
 	label := func(i int) string {
 		return fmt.Sprintf("%s/L%d/abstract16", names[i/len(levels)], levels[i%len(levels)])
 	}
-	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (cell, error) {
+	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (stat, error) {
 		res, err := tlpRun(ctx, names[i/len(levels)], levels[i%len(levels)])
 		if err != nil {
-			return cell{}, err
+			return stat{}, err
 		}
-		return cell{tlp: res.TLP(), seg: res.AvgSegInstrs(), hasSeg: res.SegEntries > 0}, nil
+		return stat{tlp: res.TLP(), seg: res.AvgSegInstrs(), hasSeg: res.SegEntries > 0}, nil
 	})
 	if err != nil {
 		return nil, err

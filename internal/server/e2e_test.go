@@ -295,51 +295,64 @@ func TestE2EWarmFigureZeroRecordingsZeroReplays(t *testing.T) {
 	}
 }
 
-// TestE2EWarmTLPZeroCompiles pins the persisted TLP cells at the
-// service boundary: a repeated tlp figure job is answered entirely by
-// the result tier — zero compiles, zero recordings — with the cold
-// job's bytes, and /metrics counts the cold job's compiles and training
-// profiles since start (one profile per workload, shared by its V2 and
-// V3 cells).
-func TestE2EWarmTLPZeroCompiles(t *testing.T) {
+// TestE2EWarmAnalysesZeroCompiles pins the persisted analysis and TLP
+// cells at the service boundary: each of fig2, fig3, fig4, table1 and
+// tlp, submitted a second time, is answered from the cell store's
+// memory tier — zero compiles, zero training profiles, zero recordings,
+// zero disk reads — with the first job's bytes, and a third time, after
+// the memory tier is dropped as a restarted daemon's would be, from the
+// disk tier, still without compiling. /metrics counts only the first
+// jobs' compiles and profiles (the cold tlp job trains one profile per
+// workload, shared by its V2 and V3 cells).
+func TestE2EWarmAnalysesZeroCompiles(t *testing.T) {
 	withTestCache(t)
 	s, ts := newTestServer(t, Config{Concurrency: 2})
 
-	submit := func() jobView {
-		v, code, _ := postJob(t, ts.URL, `{"kind":"figure","experiment":"tlp"}`)
+	submit := func(exp string) jobView {
+		v, code, _ := postJob(t, ts.URL, fmt.Sprintf(`{"kind":"figure","experiment":%q}`, exp))
 		if code != http.StatusAccepted {
-			t.Fatalf("submit: HTTP %d", code)
+			t.Fatalf("submit %s: HTTP %d", exp, code)
 		}
 		v = await(t, ts.URL, v.ID)
 		if v.Status != StatusDone || v.Result == nil {
-			t.Fatalf("tlp ended %s (%s)", v.Status, v.Error)
+			t.Fatalf("%s ended %s (%s)", exp, v.Status, v.Error)
 		}
 		return v
 	}
 
-	cold := submit()
-	coldCompiles := s.MetricsSnapshot().Replay.Compiles
-	if coldCompiles == 0 {
-		t.Fatal("cold tlp job compiled nothing; test is vacuous")
-	}
-	if got, want := s.MetricsSnapshot().Replay.Profiles, coldCompiles/2; got != want {
-		t.Errorf("cold tlp job trained %d profiles for %d compiles, want %d", got, coldCompiles, want)
-	}
-	rec0, _ := harness.ReplayStats()
-	comp0 := harness.CompileStats()
-	warm := submit()
-	rec1, _ := harness.ReplayStats()
-	if n := harness.CompileStats() - comp0; n != 0 {
-		t.Errorf("warm tlp job compiled %d times, want 0", n)
-	}
-	if rec1 != rec0 {
-		t.Errorf("warm tlp job recorded %d traces, want 0", rec1-rec0)
-	}
-	if warm.Result.OutputSHA256 != cold.Result.OutputSHA256 {
-		t.Errorf("warm hash %s != cold hash %s", warm.Result.OutputSHA256, cold.Result.OutputSHA256)
-	}
-	if got := s.MetricsSnapshot().Replay.Compiles; got != coldCompiles {
-		t.Errorf("snapshot compiles = %d after the warm job, want %d", got, coldCompiles)
+	for _, exp := range []string{"tlp", "fig2", "fig3", "fig4", "table1"} {
+		cold := submit(exp)
+		before := s.MetricsSnapshot().Replay
+		if exp == "tlp" {
+			if before.Compiles == 0 {
+				t.Fatal("cold tlp job compiled nothing; test is vacuous")
+			}
+			if want := before.Compiles / 2; before.Profiles != want {
+				t.Errorf("cold tlp job trained %d profiles for %d compiles, want %d", before.Profiles, before.Compiles, want)
+			}
+		}
+		for _, tier := range []string{"memory", "disk"} {
+			if tier == "disk" {
+				harness.ResetCaches()
+			}
+			warm := submit(exp)
+			after := s.MetricsSnapshot().Replay
+			if n := after.Compiles - before.Compiles; n != 0 {
+				t.Errorf("%s job served from %s compiled %d times, want 0", exp, tier, n)
+			}
+			if n := after.Profiles - before.Profiles; n != 0 {
+				t.Errorf("%s job served from %s trained %d profiles, want 0", exp, tier, n)
+			}
+			if n := after.Recordings - before.Recordings; n != 0 {
+				t.Errorf("%s job served from %s recorded %d traces, want 0", exp, tier, n)
+			}
+			if hits := after.DiskHits - before.DiskHits; (tier == "memory") != (hits == 0) {
+				t.Errorf("%s job served from %s read %d disk entries", exp, tier, hits)
+			}
+			if warm.Result.OutputSHA256 != cold.Result.OutputSHA256 {
+				t.Errorf("%s job served from %s: hash %s != cold hash %s", exp, tier, warm.Result.OutputSHA256, cold.Result.OutputSHA256)
+			}
+		}
 	}
 }
 

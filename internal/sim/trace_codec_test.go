@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
+	"runtime"
 	"testing"
 
 	"helixrc/internal/hcc"
@@ -296,6 +298,61 @@ func FuzzDecodeTrace(f *testing.F) {
 		}
 		for _, arch := range []Config{HelixRC(got.cores), Conventional(got.cores)} {
 			Replay(context.Background(), got, arch)
+		}
+	})
+}
+
+// heapBytes returns the bytes f allocates on the heap.
+func heapBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeResult feeds DecodeResult mutated Result bodies, resealed
+// with a fresh checksum so the mutations reach the field checks; the
+// disk and remote tiers hand it bytes from outside the process.
+// Decoding must never panic, must allocate no more than the input's
+// size allows, and must re-encode every Result it accepts to exactly
+// the bytes it was given. Seeds: a parallel run's Result and a
+// sequential baseline's.
+func FuzzDecodeResult(f *testing.F) {
+	pm, fm := buildMixed(f, 24)
+	comp := compileFor(f, pm, fm, hcc.V3, 24)
+	par, _, err := Record(context.Background(), pm, comp, fm, HelixRC(16), 24)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seq, err := Run(context.Background(), pm, nil, fm, Conventional(16), 24)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []*Result{par, seq} {
+		data, err := EncodeResult(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data[:len(data)-sha256.Size])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := sha256.Sum256(body)
+		data := append(body[:len(body):len(body)], sum[:]...)
+		var got *Result
+		var err error
+		if n := heapBytes(func() { got, err = DecodeResult(data) }); n > 64<<10+8*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		again, err := EncodeResult(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted Result re-encodes differently:\nin  %x\nout %x", data, again)
 		}
 	})
 }
