@@ -40,6 +40,7 @@ bench-smoke:
 	@echo "bench-smoke: fig9 output hash matches BENCH_2026-08-05.json"
 	go test ./internal/sim ./internal/interp ./internal/mem ./internal/cfg -count=1 -run 'Allocs' -bench 'ProfilerSPEC' -benchtime 1x
 	go test ./internal/sim -run '^$$' -bench 'Replay|Trace' -benchtime 1x
+	go test ./internal/hcc -run '^$$' -bench 'CompileGrid' -benchmem -benchtime 1x
 
 # Sweep the full design space (ring latency x signal depth x cores x
 # alias tier) over every generated workload family and append a report

@@ -1,6 +1,8 @@
 package alias
 
 import (
+	"sync"
+
 	"helixrc/internal/cfg"
 	"helixrc/internal/ir"
 )
@@ -49,7 +51,10 @@ type Desc struct {
 	Off   int64
 }
 
-// Analysis is a solved may-alias query structure for one program.
+// Analysis is a solved may-alias query structure for one program at one
+// tier: a view of a Solution (Solution.At), which it shares with every
+// other tier's view. It is only read once built, so concurrent queries
+// are safe.
 type Analysis struct {
 	Prog *ir.Program
 	Tier Tier
@@ -63,46 +68,87 @@ type Analysis struct {
 }
 
 // New solves the points-to problem for prog at the given tier. The program
-// must already have UIDs assigned.
+// must already have UIDs assigned. It is Solve(prog).At(tier); to query
+// several tiers of one program, solve once and take each tier's view.
 func New(prog *ir.Program, tier Tier) *Analysis {
-	a := &Analysis{
-		Prog:   prog,
-		Tier:   tier,
+	return Solve(prog).At(tier)
+}
+
+// Solution is the points-to solution of one program, shared by every
+// tier: the flow-insensitive Andersen solve, then per-access descriptors
+// from one of two passes — flow-insensitive for TierBase, flow-sensitive
+// for every tier above, which differ only in what MayAlias and
+// EffectOfCall answer. Each pass runs on first use. A Solution is safe
+// for concurrent use and never changes once a pass completes.
+type Solution struct {
+	prog *ir.Program
+	and  *andersen
+	// typeOf and pathOf hold every memory instruction's declared type
+	// and access path, by UID.
+	typeOf map[int32]ir.TypeID
+	pathOf map[int32]string
+	// insensitive and flow run their pass once and return its
+	// descriptors by UID.
+	insensitive, flow func() map[int32]*Desc
+}
+
+// Solve solves the flow-insensitive points-to problem for prog, which
+// must already have UIDs assigned. Its per-tier views (At) share it.
+func Solve(prog *ir.Program) *Solution {
+	s := &Solution{
+		prog:   prog,
 		and:    solveAndersen(prog),
-		desc:   map[int32]*Desc{},
 		typeOf: map[int32]ir.TypeID{},
 		pathOf: map[int32]string{},
 	}
 	for _, f := range prog.Funcs {
-		g := cfg.New(f)
-		if tier >= TierFlow {
-			a.flowPass(f, g)
-		} else {
-			a.insensitivePass(f)
-		}
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				if in.Op.IsMem() {
-					a.typeOf[in.UID] = in.Type
-					a.pathOf[in.UID] = in.Path
+					s.typeOf[in.UID] = in.Type
+					s.pathOf[in.UID] = in.Path
 				}
 			}
 		}
 	}
-	return a
+	s.insensitive = sync.OnceValue(func() map[int32]*Desc {
+		desc := map[int32]*Desc{}
+		for _, f := range prog.Funcs {
+			s.and.insensitivePass(f, desc)
+		}
+		return desc
+	})
+	s.flow = sync.OnceValue(func() map[int32]*Desc {
+		desc := map[int32]*Desc{}
+		for _, f := range prog.Funcs {
+			s.and.flowPass(f, cfg.New(f), desc)
+		}
+		return desc
+	})
+	return s
 }
 
-// insensitivePass records flow-insensitive descriptors for memory ops.
-func (a *Analysis) insensitivePass(f *ir.Function) {
+// At returns the solution's view at tier, running the pass the tier
+// reads if no earlier view did.
+func (s *Solution) At(tier Tier) *Analysis {
+	desc := s.insensitive
+	if tier >= TierFlow {
+		desc = s.flow
+	}
+	return &Analysis{Prog: s.prog, Tier: tier, and: s.and, desc: desc(), typeOf: s.typeOf, pathOf: s.pathOf}
+}
+
+// insensitivePass records flow-insensitive descriptors for f's memory
+// ops into desc.
+func (a *andersen) insensitivePass(f *ir.Function, desc map[int32]*Desc) {
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if !in.Op.IsMem() {
 				continue
 			}
-			d := &Desc{Pts: a.and.valPts(f, in.A).Clone()}
-			a.desc[in.UID] = d
+			desc[in.UID] = &Desc{Pts: a.valPts(f, in.A).Clone()}
 		}
 	}
 }
@@ -172,10 +218,4 @@ func (a *Analysis) EffectOfCall(f *ir.Function, in *ir.Instr) (CallEffect, bool)
 		}
 	}
 	return eff, true
-}
-
-// PointsToOfReg exposes the flow-insensitive register solution (used by
-// tests and by HCC diagnostics).
-func (a *Analysis) PointsToOfReg(f *ir.Function, r ir.Reg) *SiteSet {
-	return a.and.regPts[f][r]
 }

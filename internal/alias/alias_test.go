@@ -265,9 +265,20 @@ func TestTierMonotonicity(t *testing.T) {
 	p.AssignUIDs()
 	mem := findMem(f)
 
+	// Every tier's view of one shared solution must answer like a solve
+	// of its own.
+	sol := Solve(p)
 	var an []*Analysis
 	for _, tier := range Tiers {
 		an = append(an, New(p, tier))
+		view := sol.At(tier)
+		for i := range mem {
+			for j := i; j < len(mem); j++ {
+				if got, want := view.MayAlias(mem[i], mem[j]), an[len(an)-1].MayAlias(mem[i], mem[j]); got != want {
+					t.Errorf("tier %v: the shared solution says MayAlias(%d,%d) = %t, a solve of its own %t", tier, i, j, got, want)
+				}
+			}
+		}
 	}
 	for ti := 1; ti < len(an); ti++ {
 		for i := 0; i < len(mem); i++ {

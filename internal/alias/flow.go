@@ -76,9 +76,8 @@ func meetState(a, b state) (state, bool) {
 }
 
 // flowPass runs an intra-procedural forward dataflow over f, then records
-// a Desc for each memory instruction at its program point.
-func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
-	and := an.and
+// a Desc for each memory instruction at its program point into desc.
+func (and *andersen) flowPass(f *ir.Function, g *cfg.Graph, desc map[int32]*Desc) {
 	baseOf := func(st state, v ir.Value) absVal {
 		switch v.Kind {
 		case ir.KindReg:
@@ -112,7 +111,7 @@ func (an *Analysis) flowPass(f *ir.Function, g *cfg.Graph) {
 			if a.exact {
 				d.Exact, d.Site, d.Off = true, a.site, a.off+in.Off
 			}
-			an.desc[in.UID] = d
+			desc[in.UID] = d
 		}
 		set := func(dst ir.Reg, v absVal) {
 			if dst != ir.NoReg {

@@ -60,9 +60,43 @@ type Graph struct {
 
 // Build computes the dependence graph for loop under the given alias tier.
 func Build(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop, an *alias.Analysis) *Graph {
+	return ForLoop(fn, g, cfg.ComputeLiveness(g), loop).WithAlias(g, an)
+}
+
+// ForLoop computes the part of loop's dependence graph no alias analysis
+// changes: the instructions executed under the loop and its register
+// dependences, from lv, the liveness of fn's graph g. Its MemEdges are
+// empty; WithAlias adds them.
+func ForLoop(fn *ir.Function, g *cfg.Graph, lv *cfg.Liveness, loop *cfg.Loop) *Graph {
 	dg := &Graph{Fn: fn, Loop: loop}
 	collectInstrs(dg, fn, loop, map[*ir.Function]bool{})
 
+	// Register dependences: live at header, defined inside the loop.
+	dg.LiveIn = lv.LiveAtHeader(loop)
+	defined := map[ir.Reg]bool{}
+	for _, b := range loop.Blocks {
+		for i := range b.Instrs {
+			if d := b.Instrs[i].Def(); d != ir.NoReg {
+				defined[d] = true
+			}
+		}
+	}
+	for r := range dg.LiveIn {
+		if defined[r] {
+			dg.CarriedRegs = append(dg.CarriedRegs, r)
+		}
+	}
+	sort.Slice(dg.CarriedRegs, func(i, j int) bool { return dg.CarriedRegs[i] < dg.CarriedRegs[j] })
+	return dg
+}
+
+// WithAlias returns dg's graph with the loop-carried memory dependences
+// an reports, replacing any dg has; g is the graph of the loop's
+// function. The result shares dg's instructions and register
+// dependences, so one ForLoop serves every alias tier.
+func (dg *Graph) WithAlias(g *cfg.Graph, an *alias.Analysis) *Graph {
+	out := &Graph{Fn: dg.Fn, Loop: dg.Loop, Instrs: dg.Instrs, CarriedRegs: dg.CarriedRegs, LiveIn: dg.LiveIn}
+	fn, loop := dg.Fn, dg.Loop
 	// Memory dependences: every pair with at least one write that may
 	// alias. A conservative compiler must assume such a pair is carried
 	// between all iterations (the paper's Section 3 premise).
@@ -105,7 +139,7 @@ func Build(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop, an *
 			if affCtx.provablyIndependent(refs[i].aff, refs[j].aff) {
 				continue
 			}
-			dg.MemEdges = append(dg.MemEdges, canonEdge(MemDep, refs[i].uid, refs[j].uid))
+			out.MemEdges = append(out.MemEdges, canonEdge(MemDep, refs[i].uid, refs[j].uid))
 		}
 	}
 	// External calls interact with memory according to their effect at
@@ -125,7 +159,7 @@ func Build(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop, an *
 					continue
 				}
 			}
-			dg.MemEdges = append(dg.MemEdges, canonEdge(CallDep, c.uid, r.uid))
+			out.MemEdges = append(out.MemEdges, canonEdge(CallDep, c.uid, r.uid))
 		}
 		// Two clobbering calls also depend on each other.
 		for _, c2 := range calls {
@@ -134,30 +168,12 @@ func Build(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop, an *
 			}
 			eff2, ok2 := an.EffectOfCall(c2.fn, c2.in)
 			if ok2 && (eff.Writes || eff2.Writes) && (eff.Reads || eff.Writes) && (eff2.Reads || eff2.Writes) {
-				dg.MemEdges = append(dg.MemEdges, canonEdge(CallDep, c.uid, c2.uid))
+				out.MemEdges = append(out.MemEdges, canonEdge(CallDep, c.uid, c2.uid))
 			}
 		}
 	}
-	dedupEdges(dg)
-
-	// Register dependences: live at header, defined inside the loop.
-	lv := cfg.ComputeLiveness(g)
-	dg.LiveIn = lv.LiveAtHeader(loop)
-	defined := map[ir.Reg]bool{}
-	for _, b := range loop.Blocks {
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d != ir.NoReg {
-				defined[d] = true
-			}
-		}
-	}
-	for r := range dg.LiveIn {
-		if defined[r] {
-			dg.CarriedRegs = append(dg.CarriedRegs, r)
-		}
-	}
-	sort.Slice(dg.CarriedRegs, func(i, j int) bool { return dg.CarriedRegs[i] < dg.CarriedRegs[j] })
-	return dg
+	dedupEdges(out)
+	return out
 }
 
 func collectInstrs(dg *Graph, fn *ir.Function, loop *cfg.Loop, seen map[*ir.Function]bool) {

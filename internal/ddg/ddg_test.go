@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"slices"
 	"testing"
 
 	"helixrc/internal/alias"
@@ -149,10 +150,17 @@ func TestAccuracyLadderImproves(t *testing.T) {
 	}
 	lp := prof.Loops[loopKey(p, f, loop)]
 
+	// One alias-free part serves every tier (WithAlias) and reads the
+	// same edges as a Build of its own.
+	shared := ForLoop(f, g, cfg.ComputeLiveness(g), loop)
 	prev := -1.0
 	for _, tier := range alias.Tiers {
 		an := alias.New(p, tier)
 		dg := Build(p, f, g, loop, an)
+		if got := shared.WithAlias(g, an); !slices.Equal(got.MemEdges, dg.MemEdges) || !slices.Equal(got.CarriedRegs, dg.CarriedRegs) {
+			t.Errorf("tier %v: the shared part gives edges %v and carried registers %v, Build %v and %v",
+				tier, got.MemEdges, got.CarriedRegs, dg.MemEdges, dg.CarriedRegs)
+		}
 		if bad := Unsound(dg, lp); len(bad) > 0 {
 			t.Fatalf("tier %v unsound: misses %v", tier, bad)
 		}

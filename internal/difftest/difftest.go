@@ -18,10 +18,13 @@
 //     hcc.Compiled.Fingerprint is equal record byte-identical traces, and
 //     a compile that selects no loop records the uncompiled program's
 //     trace (the harness names traces by these keys);
-//  6. immutable input: a compile leaves its input's fingerprint,
-//     function and global counts and NextUID unchanged, and a second
-//     compile of the same input gives the same Fingerprint (the harness
-//     shares one build of each workload among all its compiles).
+//  6. immutable, shared input: a compile leaves its input's
+//     fingerprint, function and global counts and NextUID unchanged,
+//     and a second compile, through the one hcc.Input that every level
+//     and core count reuses, decides what the fresh compile decided:
+//     the same Fingerprint, coverage, loop estimates and rejections
+//     (the harness shares one prepared build of each workload among
+//     all its compiles).
 //
 // Failures carry the offending program in its textual form; shrink.go
 // reduces them to minimal reproducers for the testdata corpus.
@@ -32,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"helixrc/internal/alias"
 	"helixrc/internal/cfg"
@@ -138,12 +142,14 @@ func Check(ctx context.Context, build Builder, opt Options) *Failure {
 }
 
 // subject is the one build of the program under test that every oracle
-// reads, with its inputState before any compile (Oracle 6).
+// reads, with its inputState before any compile and the hcc.Input its
+// second compiles share (Oracle 6).
 type subject struct {
 	p      *ir.Program
 	f      *ir.Function
 	args   []int64
 	before string
+	in     *hcc.Input
 }
 
 // inputState renders what a compile must leave unchanged in its input.
@@ -182,6 +188,9 @@ func check(ctx context.Context, build Builder, opt Options) *Failure {
 	}
 
 	// Oracles 1-3, 5 and 6 across the compile matrix.
+	if s.in, err = hcc.Prepare(p); err != nil {
+		return fail("compile", "%v", err)
+	}
 	traces := map[string][]byte{} // Oracle 5: first trace per (cores, fingerprint)
 	for _, level := range opt.Levels {
 		for _, cores := range opt.Cores {
@@ -211,8 +220,9 @@ func checkAlias(s *subject, opt Options, fail func(string, string, ...any) *Fail
 	if err != nil {
 		return fail("interp", "profiler failed: %v", err)
 	}
+	sol := alias.Solve(p)
 	for _, tier := range alias.Tiers {
-		an := alias.New(p, tier)
+		an := sol.At(tier)
 		for fi, fn := range p.Funcs {
 			for _, loop := range forests[fn].Loops {
 				lp := prof.Loops[interp.LoopKey{Fn: int32(fi), Header: int32(loop.Header.Index)}]
@@ -231,24 +241,26 @@ func checkAlias(s *subject, opt Options, fail func(string, string, ...any) *Fail
 }
 
 // checkConfig compiles the program at (level, cores), checks that the
-// compile left its input unchanged and compiles again to the same
-// Fingerprint (Oracle 6), and drives the functional, fast/slow and
-// record/replay oracles, including the cross-architecture sweep and
-// budget probes, and the content-key oracle against the traces other
-// levels recorded — all on that one compile.
+// compile left its input unchanged and that a second compile through
+// the shared Input decides the same (Oracle 6), and drives the
+// functional, fast/slow and record/replay oracles, including the
+// cross-architecture sweep and budget probes, and the content-key
+// oracle against the traces other levels recorded — all on that one
+// compile.
 func checkConfig(ctx context.Context, s *subject, opt Options, level hcc.Level, cores int,
 	want int64, traces map[string][]byte, fail func(string, string, ...any) *Failure) *Failure {
 
 	p, f, args := s.p, s.f, s.args
 	tag := fmt.Sprintf("L%d/%dc", level, cores)
-	compile := func() (*hcc.Compiled, *Failure) {
-		comp, err := hcc.Compile(p, f, hcc.Options{
-			Level: level, Cores: cores, TrainArgs: args,
-			ProfileBudget: opt.Budget,
-			// Select aggressively: the differential harness wants loops
-			// parallelized even when the model sees no benefit.
-			MinSpeedup: 1.0,
-		})
+	opts := hcc.Options{
+		Level: level, Cores: cores, TrainArgs: args,
+		ProfileBudget: opt.Budget,
+		// Select aggressively: the differential harness wants loops
+		// parallelized even when the model sees no benefit.
+		MinSpeedup: 1.0,
+	}
+	compile := func(run func() (*hcc.Compiled, error)) (*hcc.Compiled, *Failure) {
+		comp, err := run()
 		if err != nil {
 			if errors.Is(err, interp.ErrBudget) {
 				return nil, nil // profiling over budget: skip config
@@ -263,18 +275,24 @@ func checkConfig(ctx context.Context, s *subject, opt Options, level hcc.Level, 
 		return comp, nil
 	}
 
-	comp, ff := compile()
+	comp, ff := compile(func() (*hcc.Compiled, error) { return hcc.Compile(p, f, opts) })
 	if ff != nil || comp == nil {
 		return ff
 	}
-	again, ff := compile()
+	again, ff := compile(func() (*hcc.Compiled, error) {
+		prof, err := s.in.Train(f, opts)
+		if err != nil {
+			return nil, err
+		}
+		return s.in.CompileWith(f, opts, prof)
+	})
 	if ff != nil || again == nil {
 		return ff
 	}
-	compFP := comp.Fingerprint()
-	if fp := again.Fingerprint(); fp != compFP {
-		return fail("input", "%s: a second compile of the same program has fingerprint %q, want %q", tag, fp, compFP)
+	if got, want := decisions(again), decisions(comp); got != want {
+		return fail("input", "%s: a compile through the shared input decided\n%s\na fresh compile\n%s", tag, got, want)
 	}
+	compFP := comp.Fingerprint()
 
 	helix := sim.HelixRC(cores)
 	helix.MaxSteps = opt.Budget
@@ -379,6 +397,21 @@ func checkConfig(ctx context.Context, s *subject, opt Options, level hcc.Level, 
 		}
 	}
 	return nil
+}
+
+// decisions renders what a compile decided: its Fingerprint and
+// coverage, each selected loop's estimated speedup and each rejected
+// loop's reason.
+func decisions(c *hcc.Compiled) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "fingerprint %q coverage %v\n", c.Fingerprint(), c.Coverage)
+	for _, pl := range c.Loops {
+		fmt.Fprintf(&sb, "loop %s@%d est %v\n", pl.Fn.Name, pl.Header.Index, pl.EstSpeedup)
+	}
+	for _, r := range c.Rejected {
+		fmt.Fprintf(&sb, "rejected %s@%d %q\n", r.Fn.Name, r.Loop.Header.Index, r.Reason)
+	}
+	return sb.String()
 }
 
 // runBothWays re-runs a configuration through the reference stepper and

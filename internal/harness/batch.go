@@ -168,14 +168,27 @@ func (g *retimeGroup) store() *artifact.Store[*sim.Result] {
 	return resStore
 }
 
-// resultKey is the key g's Result under arch publishes under:
-// CachedBaseline's core-normalized key for a baseline, runOnTier's
-// otherwise. fp is the workload's fingerprint.
-func (g *retimeGroup) resultKey(fp string, arch sim.Config) string {
+// resultKeys returns the key g's Result under each arch publishes
+// under, in arch order: CachedBaseline's core-normalized key for a
+// baseline, runOnTier's otherwise. fp is the workload's fingerprint. A
+// parallel group's configs share one core count (cellGroups), so its
+// run key is formatted once.
+func (g *retimeGroup) resultKeys(fp string) []string {
+	keys := make([]string, len(g.archs))
 	if g.baseline {
-		return baseKey(g.name, true, arch, fp)
+		for i, arch := range g.archs {
+			keys[i] = baseKey(g.name, true, arch, fp)
+		}
+		return keys
 	}
-	return resultKey(runKey(g.name, g.level, arch.Cores, g.tier, true, fp), arch)
+	var rk string
+	for i, arch := range g.archs {
+		if i == 0 || arch.Cores != g.archs[i-1].Cores {
+			rk = runKey(g.name, g.level, arch.Cores, g.tier, true, fp)
+		}
+		keys[i] = resultKey(rk, arch)
+	}
+	return keys
 }
 
 // prefetchRetimes warms the result caches for the groups: plan them,

@@ -265,8 +265,7 @@ func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, err
 			return nil, err
 		}
 		w := b.w
-		compiles.Add(1)
-		comp, err := hcc.CompileWith(w.Prog, w.Entry, hcc.Options{
+		comp, err := b.compile(hcc.Options{
 			Level: level, Cores: 16, TrainArgs: w.TrainArgs,
 			// Selection under the abstract machine: communication-free.
 			SelectLatency: 1,

@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 
 	"helixrc/internal/artifact"
 	"helixrc/internal/hcc"
@@ -29,6 +30,12 @@ type build struct {
 	// positionally) plus the train/ref argument vectors, which compiles
 	// and traces depend on but the program text does not contain.
 	fp string
+	// input is the program prepared for HCC (hcc.Prepare), whose
+	// analyses every training and compile of the build share. The first
+	// profile or compile fill prepares it, so a run served entirely from
+	// the caches prepares nothing. Like the program, it lives as long as
+	// the build and is not charged to any store's budget.
+	input func() (*hcc.Input, error)
 }
 
 // builds memoizes one build per workload name. Registry content is
@@ -45,7 +52,10 @@ func workloadBuild(ctx context.Context, name string) (*build, error) {
 		}
 		sum := sha256.Sum256(fmt.Appendf(nil, "%s train=%v ref=%v",
 			w.Prog.Fingerprint(w.Entry), w.TrainArgs, w.RefArgs))
-		return &build{name: name, w: w, fp: hex.EncodeToString(sum[:])}, nil
+		return &build{
+			name: name, w: w, fp: hex.EncodeToString(sum[:]),
+			input: sync.OnceValues(func() (*hcc.Input, error) { return hcc.Prepare(w.Prog) }),
+		}, nil
 	})
 }
 
@@ -59,14 +69,24 @@ func compileTier(ctx context.Context, b *build, level hcc.Level, cores, tier int
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.name, err)
 	}
-	compiles.Add(1)
-	comp, err := hcc.CompileWith(b.w.Prog, b.w.Entry, hcc.Options{
+	comp, err := b.compile(hcc.Options{
 		Level: level, Cores: cores, TrainArgs: b.w.TrainArgs, AliasTier: tier,
 	}, prof)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.name, err)
 	}
 	return comp, nil
+}
+
+// compile compiles the build's prepared input under opts from the
+// training profile prof, counting the compile.
+func (b *build) compile(opts hcc.Options, prof *interp.Profile) (*hcc.Compiled, error) {
+	in, err := b.input()
+	if err != nil {
+		return nil, err
+	}
+	compiles.Add(1)
+	return in.CompileWith(b.w.Entry, opts, prof)
 }
 
 // trainedProfile serves the training profile of the workload on a ring
@@ -77,8 +97,12 @@ func compileTier(ctx context.Context, b *build, level hcc.Level, cores, tier int
 func trainedProfile(ctx context.Context, b *build, cores int) (*interp.Profile, error) {
 	key := fmt.Sprintf("profile/%s/c%d/%s", b.name, cores, b.fp)
 	return profStore.Get(ctx, key, func(context.Context) (*interp.Profile, error) {
+		in, err := b.input()
+		if err != nil {
+			return nil, err
+		}
 		profiles.Add(1)
-		return hcc.Train(b.w.Prog, b.w.Entry, hcc.Options{Cores: cores, TrainArgs: b.w.TrainArgs})
+		return in.Train(b.w.Entry, hcc.Options{Cores: cores, TrainArgs: b.w.TrainArgs})
 	})
 }
 

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"helixrc/internal/artifact"
+	"helixrc/internal/sim"
 )
 
 // ExperimentNames returns the canonical experiment order — the
@@ -149,11 +150,12 @@ func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
 			return nil, fmt.Errorf("harness: planning %s: %w", g.name, err)
 		}
 		m := &member{g: g, b: b}
-		m.g.archs = nil
-		for _, arch := range g.archs {
-			if k := g.resultKey(b.fp, arch); !planned[k] {
+		m.g.archs = make([]sim.Config, 0, len(g.archs))
+		m.keys = make([]string, 0, len(g.archs))
+		for i, k := range g.resultKeys(b.fp) {
+			if !planned[k] {
 				planned[k] = true
-				m.g.archs = append(m.g.archs, arch)
+				m.g.archs = append(m.g.archs, g.archs[i])
 				m.keys = append(m.keys, k)
 			}
 		}

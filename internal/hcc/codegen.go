@@ -16,8 +16,9 @@ import (
 // edge k). compileWith passes only loops with one latch and no return
 // or allocation. The body, its type and its control and slot globals go
 // into prog, the compile's extension of its input; the loop's own
-// function and blocks are only read.
-func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop,
+// function and blocks, its graph g and liveness lv, and classes are
+// only read.
+func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, lv *cfg.Liveness, loop *cfg.Loop,
 	level Level, seg *segmentation, classes map[ir.Reg]induction.Info, id int) (*ParallelLoop, error) {
 
 	pl := &ParallelLoop{
@@ -144,7 +145,7 @@ func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop,
 	}
 
 	// Reductions and last-value bookkeeping.
-	liveOut := liveOutRegs(fn, g, loop)
+	liveOut := liveOutRegs(lv, loop)
 	origLastDefs := map[int32]ir.Reg{}
 	for r, info := range classes {
 		switch info.Class {
@@ -171,12 +172,14 @@ func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, loop *cfg.Loop,
 	insertSlots(prog, body, blockMap, loop, seg, pl, helixType, id)
 
 	// ---- wait/signal placement -------------------------------------------
-	if err := prog.Verify(); err != nil {
+	// The rest of prog was verified before (Prepare) or is an earlier
+	// body: only the new body needs checking.
+	if err := prog.VerifyFunc(body); err != nil {
 		return nil, fmt.Errorf("hcc: body malformed before placement: %w", err)
 	}
 	placeSync(body, level, seg.numSegs, pl)
 
-	if err := prog.Verify(); err != nil {
+	if err := prog.VerifyFunc(body); err != nil {
 		return nil, fmt.Errorf("hcc: body malformed after placement: %w", err)
 	}
 	prog.AssignUIDs()
@@ -314,9 +317,9 @@ func isCounted(g *cfg.Graph, loop *cfg.Loop, classes map[ir.Reg]induction.Info) 
 	return true
 }
 
-// liveOutRegs returns the registers live at any loop exit target.
-func liveOutRegs(fn *ir.Function, g *cfg.Graph, loop *cfg.Loop) map[ir.Reg]bool {
-	lv := cfg.ComputeLiveness(g)
+// liveOutRegs returns the registers live at any loop exit target, under
+// the liveness lv of the loop's function.
+func liveOutRegs(lv *cfg.Liveness, loop *cfg.Loop) map[ir.Reg]bool {
 	out := map[ir.Reg]bool{}
 	var regs []ir.Reg
 	for _, e := range loop.Exits {

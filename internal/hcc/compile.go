@@ -2,7 +2,9 @@ package hcc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"sync"
 
 	"helixrc/internal/alias"
 	"helixrc/internal/cfg"
@@ -15,7 +17,9 @@ import (
 // Compile runs the full HCC pipeline on prog: profile the training run,
 // analyze every loop, select the profitable ones and generate parallel
 // bodies. entry is the function executed by the training run (and later by
-// the simulator). It is Train followed by CompileWith.
+// the simulator). It is Prepare, then Train and CompileWith on the
+// prepared Input; to compile one program more than once, prepare it once
+// and call the Input's methods, which share its analyses.
 //
 // Compile only reads prog: the bodies, slots and types it generates go
 // into Compiled.Prog, a new program that extends prog (ir.Program.Extend),
@@ -23,16 +27,15 @@ import (
 // is numbering an input that was never numbered (ir.Program.AssignUIDs);
 // workloads.Get and the difftest builders return numbered programs.
 func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, error) {
-	opts.fillDefaults()
-	fl, err := prepare(prog)
+	in, err := Prepare(prog)
 	if err != nil {
 		return nil, err
 	}
-	profile, err := train(prog, entry, fl, opts)
+	profile, err := in.Train(entry, opts)
 	if err != nil {
 		return nil, err
 	}
-	return compileWith(prog, entry, fl, opts, profile)
+	return in.CompileWith(entry, opts, profile)
 }
 
 // Train runs the training profile loop selection reads: an instrumented
@@ -41,56 +44,92 @@ func Compile(prog *ir.Program, entry *ir.Function, opts Options) (*Compiled, err
 // else in opts — not the level, not the alias tier — and names loops and
 // blocks by position, so one profile serves every CompileWith of the
 // same program content. Like Compile, Train only reads a numbered prog.
+// It is Prepare followed by Input.Train.
 func Train(prog *ir.Program, entry *ir.Function, opts Options) (*interp.Profile, error) {
-	opts.fillDefaults()
-	fl, err := prepare(prog)
+	in, err := Prepare(prog)
 	if err != nil {
 		return nil, err
 	}
-	return train(prog, entry, fl, opts)
+	return in.Train(entry, opts)
 }
 
 // CompileWith is Compile with the training profile supplied: prof must
 // come from Train on a program of the same content with the same cores,
 // training args and profile budget, or CompileWith returns an error.
 // prof and a numbered prog are only read, so concurrent compilations may
-// share both.
+// share both. It is Prepare followed by Input.CompileWith.
 func CompileWith(prog *ir.Program, entry *ir.Function, opts Options, prof *interp.Profile) (*Compiled, error) {
-	opts.fillDefaults()
-	fl, err := prepare(prog)
+	in, err := Prepare(prog)
 	if err != nil {
 		return nil, err
 	}
-	return compileWith(prog, entry, fl, opts, prof)
+	return in.CompileWith(entry, opts, prof)
 }
 
-// flow is the control-flow structure of a program: the graph and loop
-// forest of every function.
-type flow struct {
+// Input is a program prepared for compiling: numbered and verified once,
+// with the facts HCC derives from the code alone, which every Train and
+// CompileWith of it share. Those are each function's control-flow graph,
+// loop forest and liveness, the program's alias solution, and each
+// loop's induction classes and dependence graph per alias tier; only
+// loop selection and code generation depend on the level, the core
+// count and the training profile. Prepare computes the graphs and
+// forests, everything else is computed at most once, on first use. An
+// Input is safe for concurrent use, it never writes its program, and
+// each fact is only read once its fill completes.
+type Input struct {
+	prog    *ir.Program
 	graphs  map[*ir.Function]*cfg.Graph
 	forests map[*ir.Function]*cfg.Forest
+	live    map[*ir.Function]func() *cfg.Liveness
+	alias   func() *alias.Solution
+	loops   map[*cfg.Loop]*loopFacts
 }
 
-// prepare numbers the program's instructions if they are not numbered
+// loopFacts holds one loop's analyses: the part of its dependence graph
+// no alias tier changes (ddg.ForLoop) with the induction classes, which
+// read only its register dependences, and its dependence graph per
+// alias tier.
+type loopFacts struct {
+	once    sync.Once
+	base    *ddg.Graph
+	classes map[ir.Reg]induction.Info
+	tiers   [alias.TierLib + 1]struct {
+		once sync.Once
+		dg   *ddg.Graph
+	}
+}
+
+// Prepare numbers the program's instructions if they are not numbered
 // yet, verifies it (which checks that every function's blocks are
 // numbered positionally) and computes its control-flow structure.
-func prepare(prog *ir.Program) (*flow, error) {
+func Prepare(prog *ir.Program) (*Input, error) {
 	prog.AssignUIDs()
 	if err := prog.Verify(); err != nil {
 		return nil, fmt.Errorf("hcc: input program: %w", err)
 	}
-	fl := &flow{graphs: map[*ir.Function]*cfg.Graph{}, forests: map[*ir.Function]*cfg.Forest{}}
+	in := &Input{
+		prog:    prog,
+		graphs:  make(map[*ir.Function]*cfg.Graph, len(prog.Funcs)),
+		forests: make(map[*ir.Function]*cfg.Forest, len(prog.Funcs)),
+		live:    make(map[*ir.Function]func() *cfg.Liveness, len(prog.Funcs)),
+		alias:   sync.OnceValue(func() *alias.Solution { return alias.Solve(prog) }),
+		loops:   map[*cfg.Loop]*loopFacts{},
+	}
 	for _, f := range prog.Funcs {
 		g := cfg.New(f)
-		fl.graphs[f] = g
-		fl.forests[f] = cfg.FindLoops(g)
+		forest := cfg.FindLoops(g)
+		in.graphs[f], in.forests[f] = g, forest
+		in.live[f] = sync.OnceValue(func() *cfg.Liveness { return cfg.ComputeLiveness(g) })
+		for _, l := range forest.Loops {
+			in.loops[l] = &loopFacts{}
+		}
 	}
-	return fl, nil
+	return in, nil
 }
 
 // loopAt returns the loop of fn headed by its block at position header.
-func (fl *flow) loopAt(fn *ir.Function, header int32) *cfg.Loop {
-	for _, l := range fl.forests[fn].Loops {
+func (in *Input) loopAt(fn *ir.Function, header int32) *cfg.Loop {
+	for _, l := range in.forests[fn].Loops {
 		if l.Header.Index == int(header) {
 			return l
 		}
@@ -98,10 +137,28 @@ func (fl *flow) loopAt(fn *ir.Function, header int32) *cfg.Loop {
 	return nil
 }
 
-func train(prog *ir.Program, entry *ir.Function, fl *flow, opts Options) (*interp.Profile, error) {
+// analyze returns loop's dependence graph under tier and its induction
+// classes, computing each on first use. Both are shared: callers only
+// read them.
+func (in *Input) analyze(fn *ir.Function, loop *cfg.Loop, tier alias.Tier) (*ddg.Graph, map[ir.Reg]induction.Info) {
+	lf := in.loops[loop]
+	g := in.graphs[fn]
+	lf.once.Do(func() {
+		lf.base = ddg.ForLoop(fn, g, in.live[fn](), loop)
+		lf.classes = induction.Classify(fn, g, loop, lf.base.CarriedRegs)
+	})
+	t := &lf.tiers[tier]
+	t.once.Do(func() { t.dg = lf.base.WithAlias(g, in.alias().At(tier)) })
+	return t.dg, lf.classes
+}
+
+// Train runs the training profile of entry on the prepared program, as
+// the package-level Train does, over the Input's loop forests.
+func (in *Input) Train(entry *ir.Function, opts Options) (*interp.Profile, error) {
+	opts.fillDefaults()
 	profiler := &interp.Profiler{
-		Prog:     prog,
-		Forests:  fl.forests,
+		Prog:     in.prog,
+		Forests:  in.forests,
 		RingSize: opts.Cores,
 		Budget:   opts.ProfileBudget,
 	}
@@ -112,7 +169,12 @@ func train(prog *ir.Program, entry *ir.Function, fl *flow, opts Options) (*inter
 	return profile, nil
 }
 
-func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, profile *interp.Profile) (*Compiled, error) {
+// CompileWith compiles the prepared program under opts from the
+// training profile prof, as the package-level CompileWith does, reading
+// the Input's analyses instead of deriving them again.
+func (in *Input) CompileWith(entry *ir.Function, opts Options, profile *interp.Profile) (*Compiled, error) {
+	opts.fillDefaults()
+	prog := in.prog
 	if err := profile.Matches(prog, entry, opts.Cores, opts.ProfileBudget, opts.TrainArgs); err != nil {
 		return nil, fmt.Errorf("hcc: %w", err)
 	}
@@ -120,7 +182,6 @@ func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, p
 	if err != nil {
 		return nil, err
 	}
-	an := alias.New(prog, tier)
 
 	out := &Compiled{Prog: prog.Extend(), Level: opts.Level, Options: opts, Profile: profile}
 
@@ -128,11 +189,11 @@ func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, p
 
 	for _, lp := range profile.LoopsBy() {
 		fn := prog.Funcs[lp.Key.Fn]
-		loop := fl.loopAt(fn, lp.Key.Header)
+		loop := in.loopAt(fn, lp.Key.Header)
 		if loop == nil {
 			return nil, fmt.Errorf("hcc: profile names a loop at block %d of %s, which heads none", lp.Key.Header, fn.Name)
 		}
-		g := fl.graphs[fn]
+		g := in.graphs[fn]
 		reject := func(reason string, est float64) {
 			out.Rejected = append(out.Rejected, RejectedLoop{Loop: loop, Fn: fn, Reason: reason, Estimate: est})
 		}
@@ -160,10 +221,11 @@ func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, p
 			continue
 		}
 
-		dg := ddg.Build(prog, fn, g, loop, an)
-		classes := induction.Classify(fn, g, loop, dg.CarriedRegs)
+		dg, classes := in.analyze(fn, loop, tier)
 		if !opts.Level.FullPredictability() {
-			// HCCv1 only understands linear inductions: demote the rest.
+			// HCCv1 only understands linear inductions: demote the rest,
+			// in a copy, because the Input shares classes.
+			classes = maps.Clone(classes)
 			for r, info := range classes {
 				switch info.Class {
 				case induction.ClassPoly2, induction.ClassAccum, induction.ClassLastValue:
@@ -253,7 +315,7 @@ func compileWith(prog *ir.Program, entry *ir.Function, fl *flow, opts Options, p
 	}
 
 	for i, c := range picked {
-		pl, err := generate(out.Prog, c.fn, fl.graphs[c.fn], c.loop, opts.Level, c.seg, c.classes, i)
+		pl, err := generate(out.Prog, c.fn, in.graphs[c.fn], in.live[c.fn](), c.loop, opts.Level, c.seg, c.classes, i)
 		if err != nil {
 			out.Rejected = append(out.Rejected, RejectedLoop{Loop: c.loop, Fn: c.fn, Reason: err.Error(), Estimate: c.est})
 			continue

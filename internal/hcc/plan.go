@@ -3,7 +3,9 @@ package hcc
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"maps"
+	"slices"
+	"strconv"
 
 	"helixrc/internal/cfg"
 	"helixrc/internal/induction"
@@ -148,19 +150,105 @@ func (c *Compiled) Fingerprint() string {
 	if len(c.Loops) == 0 {
 		return ""
 	}
-	h := sha256.New()
+	// One buffer, hashed in one write.
+	var text []byte
 	for _, pl := range c.Loops {
-		exits := make([]int, len(pl.ExitTargets))
-		for i, b := range pl.ExitTargets {
-			exits[i] = b.Index
-		}
-		fmt.Fprintf(h, "loop fn=%s header=%d iter=%v counted=%t ctl=%d segs=%d exits=%v liveout=%v\n",
-			pl.Fn.Name, pl.Header.Index, pl.IterParam, pl.Counted, pl.CtlAddr, pl.NumSegs, exits, pl.LiveOutRegs)
-		// fmt prints maps in key order. Body UIDs (LastValue) follow the
-		// input's and earlier bodies' instructions, so the text fixes them.
-		fmt.Fprintf(h, "slots=%v recompute=%v reduce=%v lastvalue=%v\n",
-			pl.SlotOf, pl.Recompute, pl.Reductions, pl.LastValue)
-		pl.Body.WriteCompiledText(h)
+		text = pl.appendText(text)
+		text = pl.Body.AppendCompiledText(text)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(text)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendText appends the loop fields the simulator reads to dst, in
+// two lines whose bytes are fmt's %v form of each field (maps in key
+// order, registers and operands by their String methods), built
+// without fmt. Body UIDs (LastValue) follow the input's and earlier
+// bodies' instructions, so the body text fixes them.
+func (pl *ParallelLoop) appendText(dst []byte) []byte {
+	dst = append(dst, "loop fn="...)
+	dst = append(dst, pl.Fn.Name...)
+	dst = strconv.AppendInt(append(dst, " header="...), int64(pl.Header.Index), 10)
+	dst = appendReg(append(dst, " iter="...), pl.IterParam)
+	dst = strconv.AppendBool(append(dst, " counted="...), pl.Counted)
+	dst = strconv.AppendInt(append(dst, " ctl="...), pl.CtlAddr, 10)
+	dst = strconv.AppendInt(append(dst, " segs="...), int64(pl.NumSegs), 10)
+	dst = append(dst, " exits=["...)
+	for i, b := range pl.ExitTargets {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, int64(b.Index), 10)
+	}
+	dst = append(dst, "] liveout=["...)
+	for i, r := range pl.LiveOutRegs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = appendReg(dst, r)
+	}
+	dst = append(dst, "]\nslots="...)
+	dst = appendRegMap(dst, pl.SlotOf, func(dst []byte, addr int64) []byte {
+		return strconv.AppendInt(dst, addr, 10)
+	})
+	dst = append(dst, " recompute="...)
+	dst = appendRegMap(dst, pl.Recompute, func(dst []byte, r RecomputeRule) []byte {
+		dst = strconv.AppendInt(append(dst, '{'), int64(r.Kind), 10)
+		dst = appendReg(append(dst, ' '), r.Shadow)
+		dst = appendValue(append(dst, ' '), r.Step)
+		dst = strconv.AppendBool(append(dst, ' '), r.Negate)
+		dst = appendReg(append(dst, ' '), r.InnerShadow)
+		dst = appendValue(append(dst, ' '), r.Step2)
+		dst = strconv.AppendBool(append(dst, ' '), r.Step2Negate)
+		return append(dst, '}')
+	})
+	dst = append(dst, " reduce="...)
+	dst = appendRegMap(dst, pl.Reductions, func(dst []byte, k induction.ReduceKind) []byte {
+		return strconv.AppendInt(dst, int64(k), 10)
+	})
+	dst = append(dst, " lastvalue="...)
+	dst = appendRegMap(dst, pl.LastValue, func(dst []byte, uids []int32) []byte {
+		dst = append(dst, '[')
+		for i, u := range uids {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = strconv.AppendInt(dst, int64(u), 10)
+		}
+		return append(dst, ']')
+	})
+	return append(dst, '\n')
+}
+
+// appendRegMap appends m as fmt's %v prints it: "map[k:v ...]" in
+// ascending register order, each value appended by appendV.
+func appendRegMap[V any](dst []byte, m map[ir.Reg]V, appendV func([]byte, V) []byte) []byte {
+	dst = append(dst, "map["...)
+	for i, r := range slices.Sorted(maps.Keys(m)) {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = appendV(append(appendReg(dst, r), ':'), m[r])
+	}
+	return append(dst, ']')
+}
+
+// appendReg appends r as ir.Reg.String prints it.
+func appendReg(dst []byte, r ir.Reg) []byte {
+	if r == ir.NoReg {
+		return append(dst, '_')
+	}
+	return strconv.AppendInt(append(dst, 'r'), int64(r), 10)
+}
+
+// appendValue appends v as ir.Value.String prints it.
+func appendValue(dst []byte, v ir.Value) []byte {
+	switch v.Kind {
+	case ir.KindReg:
+		return appendReg(dst, v.Reg)
+	case ir.KindConst:
+		return strconv.AppendInt(dst, v.Imm, 10)
+	default:
+		return append(dst, '?')
+	}
 }

@@ -49,19 +49,30 @@ func (p *Program) Fingerprint(entry *Function) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// WriteCompiledText writes f for a compiled-program fingerprint: its
-// blocks and instructions in the corpus format with positional block
-// names, each instruction followed by the compiler-assigned state the
-// corpus omits (text.go) but the simulator reads — its shared segment
-// and whether it was cloned from the input program (Origin >= 0).
-func (f *Function) WriteCompiledText(w io.Writer) {
+// AppendCompiledText appends f's text for a compiled-program
+// fingerprint to dst: its blocks and instructions in the corpus format
+// with positional block names, each instruction followed by the
+// compiler-assigned state the corpus omits (text.go) but the simulator
+// reads — its shared segment and whether it was cloned from the input
+// program (Origin >= 0).
+func (f *Function) AppendCompiledText(dst []byte) []byte {
 	pos := func(b *Block) string { return "b" + strconv.Itoa(b.Index) }
-	fmt.Fprintf(w, "func params=%d regs=%d\n", len(f.Params), f.NumRegs)
+	dst = append(dst, "func params="...)
+	dst = strconv.AppendInt(dst, int64(len(f.Params)), 10)
+	dst = append(dst, " regs="...)
+	dst = strconv.AppendInt(dst, int64(f.NumRegs), 10)
+	dst = append(dst, '\n')
 	for _, b := range f.Blocks {
-		fmt.Fprintf(w, "block %s\n", pos(b))
+		dst = append(dst, "block b"...)
+		dst = strconv.AppendInt(dst, int64(b.Index), 10)
+		dst = append(dst, '\n')
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			fmt.Fprintf(w, "  %s shared=%d cloned=%t\n", instrText(in, pos), in.SharedSeg, in.Origin >= 0)
+			dst = appendInstr(append(dst, "  "...), in, pos)
+			dst = strconv.AppendInt(append(dst, " shared="...), int64(in.SharedSeg), 10)
+			dst = strconv.AppendBool(append(dst, " cloned="...), in.Origin >= 0)
+			dst = append(dst, '\n')
 		}
 	}
+	return dst
 }

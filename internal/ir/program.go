@@ -241,34 +241,42 @@ func (p *Program) SiteOfGlobal(s Site) *Global {
 	return nil
 }
 
-// Verify checks structural invariants: every block's Index is its
-// position, every block is terminated, branch targets belong to the
-// function, register indices are in range, and call instructions name a
-// callee or an extern summary.
+// Verify checks structural invariants of every function (VerifyFunc).
 func (p *Program) Verify() error {
 	for _, f := range p.Funcs {
-		if len(f.Blocks) == 0 {
-			return fmt.Errorf("ir: function %s has no blocks", f.Name)
+		if err := p.VerifyFunc(f); err != nil {
+			return err
 		}
-		inFunc := make(map[*Block]bool, len(f.Blocks))
-		for _, b := range f.Blocks {
-			inFunc[b] = true
+	}
+	return nil
+}
+
+// VerifyFunc checks f's structural invariants: every block's Index is
+// its position, every block is terminated, branch targets belong to f,
+// register indices are in range, and call instructions name a callee or
+// an extern summary.
+func (p *Program) VerifyFunc(f *Function) error {
+	if len(f.Blocks) == 0 {
+		return fmt.Errorf("ir: function %s has no blocks", f.Name)
+	}
+	inFunc := make(map[*Block]bool, len(f.Blocks))
+	for _, b := range f.Blocks {
+		inFunc[b] = true
+	}
+	for i, b := range f.Blocks {
+		if b.Index != i {
+			return fmt.Errorf("ir: %s.%s has Index %d at position %d", f.Name, b.Name, b.Index, i)
 		}
-		for i, b := range f.Blocks {
-			if b.Index != i {
-				return fmt.Errorf("ir: %s.%s has Index %d at position %d", f.Name, b.Name, b.Index, i)
+		if len(b.Instrs) == 0 || b.Terminator() == nil {
+			return fmt.Errorf("ir: %s.%s is not terminated", f.Name, b.Name)
+		}
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Op.IsBranch() && i != len(b.Instrs)-1 {
+				return fmt.Errorf("ir: %s.%s has branch %q before block end", f.Name, b.Name, in.String())
 			}
-			if len(b.Instrs) == 0 || b.Terminator() == nil {
-				return fmt.Errorf("ir: %s.%s is not terminated", f.Name, b.Name)
-			}
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if in.Op.IsBranch() && i != len(b.Instrs)-1 {
-					return fmt.Errorf("ir: %s.%s has branch %q before block end", f.Name, b.Name, in.String())
-				}
-				if err := p.verifyInstr(f, b, in, inFunc); err != nil {
-					return err
-				}
+			if err := p.verifyInstr(f, b, in, inFunc); err != nil {
+				return err
 			}
 		}
 	}

@@ -63,12 +63,14 @@ func (p *Program) writeText(w io.Writer, entry *Function, blockName func(*Block)
 		fmt.Fprintf(bw, "extern %s reads=%d writes=%d argsonly=%d lat=%d\n",
 			ext.Name, b2d(ext.ReadsMem), b2d(ext.WritesMem), b2d(ext.ArgsOnly), ext.Latency)
 	}
+	var line []byte
 	for _, f := range p.Funcs {
 		fmt.Fprintf(bw, "func %s params=%d regs=%d\n", f.Name, len(f.Params), f.NumRegs)
 		for _, b := range f.Blocks {
 			fmt.Fprintf(bw, "block %s\n", blockName(b))
 			for i := range b.Instrs {
-				fmt.Fprintf(bw, "  %s\n", instrText(&b.Instrs[i], blockName))
+				line = appendInstr(append(line[:0], "  "...), &b.Instrs[i], blockName)
+				bw.Write(append(line, '\n'))
 			}
 		}
 	}
@@ -109,78 +111,81 @@ func b2d(b bool) int {
 	return 0
 }
 
-// instrText serializes one instruction as "op key=value ...". Only
-// non-default fields are emitted. Branch targets render through
+// appendInstr appends one instruction as "op key=value ..." to dst.
+// Only non-default fields are emitted. Branch targets render through
 // blockName (see writeText).
-func instrText(in *Instr, blockName func(*Block) string) string {
-	var sb strings.Builder
-	sb.WriteString(in.Op.String())
-	field := func(k, v string) {
-		sb.WriteByte(' ')
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(v)
-	}
+func appendInstr(dst []byte, in *Instr, blockName func(*Block) string) []byte {
+	dst = append(dst, in.Op.String()...)
 	if in.Dst != NoReg {
-		field("dst", fmt.Sprintf("r%d", in.Dst))
+		dst = appendVal(appendKey(dst, "dst"), R(in.Dst))
 	}
 	if in.A.Kind != KindNone {
-		field("a", valText(in.A))
+		dst = appendVal(appendKey(dst, "a"), in.A)
 	}
 	if in.B.Kind != KindNone {
-		field("b", valText(in.B))
+		dst = appendVal(appendKey(dst, "b"), in.B)
 	}
 	if in.Off != 0 {
-		field("off", strconv.FormatInt(in.Off, 10))
+		dst = strconv.AppendInt(appendKey(dst, "off"), in.Off, 10)
 	}
 	if in.Imm != 0 {
-		field("imm", strconv.FormatInt(in.Imm, 10))
+		dst = strconv.AppendInt(appendKey(dst, "imm"), in.Imm, 10)
 	}
 	if in.Target != nil {
-		field("tgt", blockName(in.Target))
+		dst = append(appendKey(dst, "tgt"), blockName(in.Target)...)
 	}
 	if in.Els != nil {
-		field("els", blockName(in.Els))
+		dst = append(appendKey(dst, "els"), blockName(in.Els)...)
 	}
 	if in.Callee != nil {
-		field("callee", in.Callee.Name)
+		dst = append(appendKey(dst, "callee"), in.Callee.Name...)
 	}
 	if in.Extern != nil {
-		field("extern", in.Extern.Name)
+		dst = append(appendKey(dst, "extern"), in.Extern.Name...)
 	}
 	if in.Op == OpCall {
-		args := make([]string, len(in.Args))
+		dst = appendKey(dst, "args")
 		for i, a := range in.Args {
-			args[i] = valText(a)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendVal(dst, a)
 		}
-		field("args", strings.Join(args, ","))
 	}
 	if in.Seg != 0 {
-		field("seg", strconv.Itoa(in.Seg))
+		dst = strconv.AppendInt(appendKey(dst, "seg"), int64(in.Seg), 10)
 	}
 	if in.HasA {
-		field("ret", "1")
+		dst = append(appendKey(dst, "ret"), '1')
 	}
 	if in.Type != TypeAny {
-		field("type", strconv.Itoa(int(in.Type)))
+		dst = strconv.AppendInt(appendKey(dst, "type"), int64(in.Type), 10)
 	}
 	if in.Alloc != NoSite {
-		field("site", strconv.Itoa(int(in.Alloc)))
+		dst = strconv.AppendInt(appendKey(dst, "site"), int64(in.Alloc), 10)
 	}
 	if in.Path != "" {
-		field("path", strconv.Quote(in.Path))
+		dst = strconv.AppendQuote(appendKey(dst, "path"), in.Path)
 	}
-	return sb.String()
+	return dst
 }
 
-func valText(v Value) string {
+// appendKey appends " key=" to dst.
+func appendKey(dst []byte, key string) []byte {
+	dst = append(dst, ' ')
+	dst = append(dst, key...)
+	return append(dst, '=')
+}
+
+// appendVal appends an operand: rN, cN or _.
+func appendVal(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindReg:
-		return fmt.Sprintf("r%d", v.Reg)
+		return strconv.AppendInt(append(dst, 'r'), int64(v.Reg), 10)
 	case KindConst:
-		return fmt.Sprintf("c%d", v.Imm)
+		return strconv.AppendInt(append(dst, 'c'), v.Imm, 10)
 	default:
-		return "_"
+		return append(dst, '_')
 	}
 }
 
