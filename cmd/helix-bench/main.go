@@ -20,9 +20,9 @@
 // fig11a fig11b fig11c fig11d fig12 tlp.
 //
 // A run plans first, executes the plan, then renders: it enumerates the
-// trace work units of every selected experiment (harness.PlanUnits),
-// records and batch-retimes them all before the first figure
-// (harness.RunPlan), and the figures then read hot caches. Figure
+// trace work units of every selected experiment (the harness Env's
+// PlanUnits), records and batch-retimes them all before the first
+// figure (RunPlan), and the figures then read hot caches. Figure
 // output is byte-identical at every -parallel level and in every
 // sharded run; only wall-clock changes.
 //
@@ -75,26 +75,28 @@ func main() {
 	if err := cliutil.CheckCores(o.Cores); err != nil {
 		log.Fatal(err)
 	}
-	p, err := plan(&o, only)
-	if err != nil {
+	if err := checkOnly(only); err != nil {
 		log.Fatal(err)
 	}
 
-	os.Exit(drive.Run(&o, p))
+	os.Exit(drive.Run(&o, func(env *harness.Env) *drive.Plan { return plan(env, &o, only) }))
 }
 
-// plan selects the experiments (-only filters the canonical list and
-// must name one of them) and describes the run to the shared
-// orchestrator.
-func plan(o *drive.Options, only string) (*drive.Plan, error) {
-	if only != "" {
-		if err := cliutil.CheckOneOf("only", only, harness.ExperimentNames()...); err != nil {
-			return nil, err
-		}
+// checkOnly fails unless -only is empty or names one of the canonical
+// experiments.
+func checkOnly(only string) error {
+	if only == "" {
+		return nil
 	}
+	return cliutil.CheckOneOf("only", only, harness.ExperimentNames()...)
+}
+
+// plan selects the experiments (-only, which checkOnly accepted, filters
+// the canonical list) and describes the run to the shared orchestrator.
+func plan(env *harness.Env, o *drive.Options, only string) *drive.Plan {
 	var exps []drive.Experiment
 	var names []string
-	for _, e := range harness.Experiments(o.Cores) {
+	for _, e := range env.Experiments(o.Cores) {
 		if only != "" && e.Name != only {
 			continue
 		}
@@ -113,14 +115,14 @@ func plan(o *drive.Options, only string) (*drive.Plan, error) {
 		ReportPrefix:   "BENCH",
 		Experiments:    exps,
 		Work: func(ctx context.Context) ([]harness.WorkUnit, error) {
-			return harness.PlanUnits(ctx, names, o.Cores)
+			return env.PlanUnits(ctx, names, o.Cores)
 		},
 		Banner: func(total time.Duration) string {
 			if only != "" {
 				return ""
 			}
 			return fmt.Sprintf("All experiments complete in %.1fs (%d workers). See EXPERIMENTS.md for the paper-vs-measured comparison.",
-				total.Seconds(), harness.Parallelism())
+				total.Seconds(), env.Workers())
 		},
-	}, nil
+	}
 }

@@ -17,8 +17,8 @@
 // Every (family, scenario) pair is recorded at most once per (cores,
 // tier); the (link, signals) lanes of the grid are pure timing and are
 // served by batched trace replay (sim.ReplayBatch). The sweep plans its
-// work units (harness.PlanSweep) and executes them before any family
-// renders (harness.RunPlan). Units are named by what the compiler
+// work units (the harness Env's PlanSweep) and executes them before any
+// family renders (RunPlan). Units are named by what the compiler
 // emitted: alias tiers often compile to the same program, and a compile
 // that parallelizes no loop runs the baseline's, so those runs share
 // one recording and one traversal, solo or sharded. A 36-point grid
@@ -111,12 +111,12 @@ func main() {
 		}
 	}
 
-	os.Exit(drive.Run(&o, plan(&sf, runs)))
+	os.Exit(drive.Run(&o, func(env *harness.Env) *drive.Plan { return plan(env, &sf, runs) }))
 }
 
 // plan describes the sweep to the shared orchestrator: one experiment
 // per family, the sweep's work units, and the Explore report section.
-func plan(sf *sweepFlags, runs []familyRun) *drive.Plan {
+func plan(env *harness.Env, sf *sweepFlags, runs []familyRun) *drive.Plan {
 	level := hcc.Level(sf.level)
 	var scenarioNames []string
 	for _, fr := range runs {
@@ -135,7 +135,7 @@ func plan(sf *sweepFlags, runs []familyRun) *drive.Plan {
 			Name:     name,
 			ClaimKey: harness.ExperimentClaimKey(name, 0),
 			Run: func(ctx context.Context) (string, error) {
-				fam, err := sweepFamily(ctx, sf, level, fr)
+				fam, err := sweepFamily(ctx, env, sf, level, fr)
 				if err != nil {
 					return "", err
 				}
@@ -152,7 +152,7 @@ func plan(sf *sweepFlags, runs []familyRun) *drive.Plan {
 		ReportPrefix:   "EXPLORE",
 		Experiments:    exps,
 		Work: func(ctx context.Context) ([]harness.WorkUnit, error) {
-			return harness.PlanSweep(ctx, scenarioNames, level, sf.grid)
+			return env.PlanSweep(ctx, scenarioNames, level, sf.grid)
 		},
 		Attach: func(r *benchreport.Report) {
 			if len(fams) > 0 {
@@ -168,13 +168,13 @@ func plan(sf *sweepFlags, runs []familyRun) *drive.Plan {
 
 // sweepFamily sweeps one family: every (grid point × scenario) cell,
 // the geomean across scenarios per point, and the frontier. The plan
-// (harness.PlanSweep over the same cells) has run by now, so
-// harness.Sweep costs cache reads, not simulation.
-func sweepFamily(ctx context.Context, sf *sweepFlags, level hcc.Level, fr familyRun) (benchreport.ExploreFamily, error) {
+// (env.PlanSweep over the same cells) has run by now, so env.Sweep
+// costs cache reads, not simulation.
+func sweepFamily(ctx context.Context, env *harness.Env, sf *sweepFlags, level hcc.Level, fr familyRun) (benchreport.ExploreFamily, error) {
 	ns := len(fr.scenarios)
 	// Cell i is (grid point i/ns, scenario i%ns), so the slice below
 	// recovers each point's per-scenario speedups contiguously.
-	speedups, err := harness.Sweep(ctx, fr.scenarios, level, sf.grid)
+	speedups, err := env.Sweep(ctx, fr.scenarios, level, sf.grid)
 	if err != nil {
 		return benchreport.ExploreFamily{}, err
 	}

@@ -24,7 +24,7 @@ import (
 	"sync"
 	"syscall"
 
-	"helixrc/internal/cliutil"
+	"helixrc/internal/artifact"
 	"helixrc/internal/difftest"
 	"helixrc/internal/harness"
 	"helixrc/internal/hcc"
@@ -42,18 +42,12 @@ func main() {
 		trials   = flag.Int("shrink", 600, "max shrink trials per failure")
 		parallel = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
 		quick    = flag.Bool("quick", false, "narrow oracle matrix (single level/core pair per seed)")
-		cacheDir = flag.String("cachedir", "", "artifact store disk tier (shared with helix-bench/helix-run)")
 		verbose  = flag.Bool("v", false, "log every seed")
 	)
 	flag.Parse()
-	harness.SetParallelism(*parallel)
 	if !*verbose {
 		// Cache-eviction notices would interleave with sweep output.
-		harness.SetQuiet()
-	}
-	if err := cliutil.SetupCache(*cacheDir, false, ""); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		artifact.SetQuiet()
 	}
 
 	if *repro != "" {
@@ -74,7 +68,7 @@ func main() {
 	var mu sync.Mutex
 	var found []verdict
 	swept := 0
-	_, err := harness.ParMap(ctx, int(*seeds), func(ctx context.Context, i int) (struct{}, error) {
+	_, err := harness.ParMap(ctx, *parallel, int(*seeds), func(ctx context.Context, i int) (struct{}, error) {
 		seed := *start + uint64(i)
 		opt := difftest.Options{Budget: *budget}
 		if *quick {

@@ -20,7 +20,6 @@ func main() {
 	bench := flag.String("bench", "164.gzip", "benchmark name")
 	level := flag.Int("level", 3, "compiler generation: 1, 2 or 3")
 	cores := flag.Int("cores", 16, "target core count")
-	cacheDir := flag.String("cachedir", "", "artifact store disk tier (shared with helix-bench/helix-run)")
 	flag.Parse()
 
 	// Validate numeric flags at the edge so a typo fails with the
@@ -29,9 +28,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := cliutil.CheckCores(*cores); err != nil {
-		log.Fatal(err)
-	}
-	if err := cliutil.SetupCache(*cacheDir, false, ""); err != nil {
 		log.Fatal(err)
 	}
 

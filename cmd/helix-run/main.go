@@ -46,14 +46,11 @@ func main() {
 		cliutil.CheckCores(*cores),
 		cliutil.CheckNonNegative("link", *link, "cycles"),
 		cliutil.CheckNonNegative("sigbw", *sigbw, "0 = unbounded"),
-		cliutil.CheckNonNegative("nodebytes", *nodeKB, "0 = unbounded"),
+		cliutil.CheckNodeBytes("nodebytes", *nodeKB, *cores),
 	} {
 		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	if err := cliutil.SetupCache(*cacheDir, false, ""); err != nil {
-		log.Fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -78,17 +75,19 @@ func main() {
 	)
 	if *cacheDir != "" {
 		// Cached path: compilations, sequential baselines and parallel
-		// traces all go through the harness artifact stores, so a warm
-		// run replays persisted traces instead of re-simulating.
+		// traces all go through the stores of a harness Env over the
+		// cache dir, so a warm run replays persisted traces instead of
+		// re-simulating.
+		env := harness.New(harness.Options{CacheDir: *cacheDir, CacheBudget: harness.DefaultCacheBudget})
 		w, err = helixrc.LoadWorkload(*bench)
 		if err != nil {
 			log.Fatal(err)
 		}
-		seq, err = harness.CachedBaseline(ctx, *bench, helixrc.Conventional(*cores), true)
+		seq, err = env.CachedBaseline(ctx, *bench, helixrc.Conventional(*cores), true)
 		if err != nil {
 			log.Fatal(err)
 		}
-		par, comp, err = harness.CachedRun(ctx, *bench, helixrc.Level(*level), arch, true)
+		par, comp, err = env.CachedRun(ctx, *bench, helixrc.Level(*level), arch, true)
 		if err != nil {
 			log.Fatal(err)
 		}

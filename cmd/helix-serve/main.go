@@ -48,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"helixrc/internal/artifact"
 	"helixrc/internal/cliutil"
 	"helixrc/internal/harness"
 	"helixrc/internal/server"
@@ -72,16 +73,17 @@ func main() {
 	)
 	flag.Parse()
 
-	harness.SetParallelism(*parallel)
-	harness.SetCacheBudget(*cacheBudget << 20)
 	if *quiet {
-		harness.SetQuiet()
+		artifact.SetQuiet()
 	}
-	if err := cliutil.SetupCache(*cacheDir, *cacheClear, ""); err != nil {
+	env, err := cliutil.SetupCache(harness.Options{
+		Parallelism: *parallel, CacheBudget: *cacheBudget << 20, CacheDir: *cacheDir,
+	}, *cacheClear)
+	if err != nil {
 		log.Fatal(err)
 	}
 
-	s := server.New(server.Config{
+	s := server.New(env, server.Config{
 		Concurrency:     *concurrency,
 		QueueDepth:      *queueDepth,
 		DefaultDeadline: *defDeadline,

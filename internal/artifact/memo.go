@@ -145,10 +145,11 @@ func (g *Memo[V]) Do(ctx context.Context, key string, fn func(ctx context.Contex
 // compute runs one memoized computation to completion and publishes the
 // result: successes are cached (and LRU-accounted), context errors are
 // dropped so an abandoned or reaped computation never poisons the key,
-// and other errors stay cached until Reset.
+// and other errors stay cached until Reset. The waiters are released
+// only after the accounting, under g.mu, so when Do returns the entry
+// is already charged and the memo already evicted down to its budget.
 func (g *Memo[V]) compute(c *memoCall[V], cctx context.Context, fn func(ctx context.Context) (V, error)) {
 	c.val, c.err = fn(cctx)
-	close(c.done)
 	c.cancel()
 
 	g.mu.Lock()
@@ -165,6 +166,7 @@ func (g *Memo[V]) compute(c *memoCall[V], cctx context.Context, fn func(ctx cont
 			g.evict()
 		}
 	}
+	close(c.done)
 	g.mu.Unlock()
 }
 

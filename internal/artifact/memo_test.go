@@ -219,6 +219,54 @@ func TestMemoConcurrentReset(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMemoEvictsBeforeDoReturns pins the order of publication: a
+// computation wakes its waiters only after its entry is charged to the
+// budget and the LRU victim is gone, so Do never returns while the memo
+// is over budget. The cost function sleeps, which holds the accounting
+// open for 20 ms: a memo that woke its waiters first would show a woken
+// waiter no eviction, every time.
+func TestMemoEvictsBeforeDoReturns(t *testing.T) {
+	ctx := context.Background()
+	g := NewMemo("slowcost", func(v int) int64 {
+		time.Sleep(20 * time.Millisecond)
+		return int64(v)
+	})
+	g.SetBudget(100)
+	for _, key := range []string{"a", "b"} {
+		if _, err := g.Do(ctx, key, func(context.Context) (int, error) { return 40, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// "c" takes the memo to 120 > 100, so "a" must go. Watch the signal
+	// c's waiters wake on, and read the eviction counter (no lock) then.
+	release := make(chan struct{})
+	returned := make(chan error, 1)
+	go func() {
+		_, err := g.Do(ctx, "c", func(context.Context) (int, error) { <-release; return 40, nil })
+		returned <- err
+	}()
+	var done chan struct{}
+	for done == nil {
+		g.mu.Lock()
+		if c, ok := g.m["c"]; ok {
+			done = c.done
+		}
+		g.mu.Unlock()
+		runtime.Gosched()
+	}
+	close(release)
+	<-done
+	if ev, _ := g.EvictionStats(); ev != 1 {
+		t.Errorf("waiters woke with %d evictions, want 1", ev)
+	}
+	if err := <-returned; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.Peek("a"); ok {
+		t.Error("the least recently used entry survived past the budget")
+	}
+}
+
 // TestMemoBudget exercises the byte-budget LRU: eviction order, the
 // never-evict-most-recent rule, and hit-driven reordering.
 func TestMemoBudget(t *testing.T) {

@@ -89,33 +89,6 @@ func (s *Stats) Add(o Stats) {
 	s.DupSuppressed += o.DupSuppressed
 }
 
-// Delta returns the counter-wise difference s - prev. The counters are
-// cumulative for the process, so a long-running service reports a
-// bounded measurement window by snapshotting at window start and
-// subtracting: helix-serve's /metrics endpoint uses it to report cache
-// traffic since the daemon started rather than since process birth
-// (tests and other embedders may have warmed the stores earlier).
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		MemHits:       s.MemHits - prev.MemHits,
-		MemMisses:     s.MemMisses - prev.MemMisses,
-		DiskHits:      s.DiskHits - prev.DiskHits,
-		DiskMisses:    s.DiskMisses - prev.DiskMisses,
-		DiskWrites:    s.DiskWrites - prev.DiskWrites,
-		DiskLoadNS:    s.DiskLoadNS - prev.DiskLoadNS,
-		Evictions:     s.Evictions - prev.Evictions,
-		EvictedBytes:  s.EvictedBytes - prev.EvictedBytes,
-		RemoteHits:    s.RemoteHits - prev.RemoteHits,
-		RemoteMisses:  s.RemoteMisses - prev.RemoteMisses,
-		RemoteWrites:  s.RemoteWrites - prev.RemoteWrites,
-		RemoteLoadNS:  s.RemoteLoadNS - prev.RemoteLoadNS,
-		Claims:        s.Claims - prev.Claims,
-		Steals:        s.Steals - prev.Steals,
-		ExpiredLeases: s.ExpiredLeases - prev.ExpiredLeases,
-		DupSuppressed: s.DupSuppressed - prev.DupSuppressed,
-	}
-}
-
 // chainTier is one slot of a Store's tier chain: the tier plus the
 // Store-owned counters that attribute its traffic (attribution happens
 // after envelope verification, so a tier serving corrupt bytes counts
@@ -189,14 +162,8 @@ func (s *Store[V]) Dir() string { return s.disk.root() }
 // with Get.
 func (s *Store[V]) SetRemote(base string) { s.remote.SetBase(base) }
 
-// Remote returns the remote tier's base URL, or "" when disabled.
-func (s *Store[V]) Remote() string { return s.remote.baseURL() }
-
 // SetBudget bounds the memory tier's summed cost (<= 0 for unbounded).
 func (s *Store[V]) SetBudget(b int64) { s.memo.SetBudget(b) }
-
-// Reset drops the memory tier. Persisted entries and counters survive.
-func (s *Store[V]) Reset() { s.memo.Reset() }
 
 // Stats returns the cumulative counter snapshot.
 func (s *Store[V]) Stats() Stats {

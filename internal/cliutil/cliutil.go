@@ -1,8 +1,7 @@
-// Package cliutil holds the flag validation and cache-dir setup shared
-// by the cmd tools (helix-run, helix-profile, helix-bench, helix-fuzz),
-// so the accepted ranges and their error texts live in exactly one
-// place. Validation happens at the edge: a typo fails with the accepted
-// range instead of a confusing downstream error.
+// Package cliutil holds the flag validation and cache setup shared by
+// the cmd tools, so the accepted ranges and their error texts live in
+// exactly one place. Validation happens at the edge: a typo fails with
+// the accepted range instead of a confusing downstream error.
 package cliutil
 
 import (
@@ -35,6 +34,25 @@ func CheckCores(cores int) error {
 func CheckNonNegative(name string, v int, note string) error {
 	if v < 0 {
 		return fmt.Errorf("-%s %d: accepted range is 0.. (%s)", name, v, note)
+	}
+	return nil
+}
+
+// MaxRingArrayBytes bounds the simulated ring-cache array summed over a
+// ring's nodes (cores × node bytes): 16 MiB, 32 times Figure 11d's
+// largest point (16 cores × 32 KiB). The simulator allocates about 4
+// host bytes per simulated array byte, so a ring's arrays stay near
+// 64 MiB of host memory however the request sizes them.
+const MaxRingArrayBytes = 16 << 20
+
+// CheckNodeBytes validates a ring node array size (helix-run
+// -nodebytes, a simulate job's node_bytes) on a ring of cores nodes:
+// 0 (unbounded) or a size whose total over the ring is at most
+// MaxRingArrayBytes.
+func CheckNodeBytes(name string, nodeBytes, cores int) error {
+	if limit := MaxRingArrayBytes / max(cores, 1); nodeBytes < 0 || nodeBytes > limit {
+		return fmt.Errorf("-%s %d: accepted range is 0..%d on %d cores (0 = unbounded; at most %d MiB of ring array over all nodes)",
+			name, nodeBytes, limit, cores, MaxRingArrayBytes>>20)
 	}
 	return nil
 }
@@ -75,31 +93,21 @@ func CheckRemote(remote string) (string, error) {
 	return remote, nil
 }
 
-// SetupCache wires a tool's -cachedir/-cacheclear/-remote flags into
-// the harness artifact stores: install the disk tier (when dir is
-// non-empty) and the remote blob tier (when remote is non-empty), then
-// optionally wipe the disk tier. -cacheclear without -cachedir is an
-// error — there is nothing to clear (the remote tier is shared with
-// other workers and is never cleared from a client).
-func SetupCache(dir string, clear bool, remote string) error {
-	if dir == "" && clear {
-		return fmt.Errorf("-cacheclear requires -cachedir")
+// SetupCache builds the harness Env a tool's flags describe: o holds
+// -parallel, -celltimeout, -cachebudget (in bytes), -cachedir and a
+// -remote checked by CheckRemote, and clear (-cacheclear) wipes the
+// disk tier first. -cacheclear without -cachedir is an error: there is
+// nothing to clear (the remote tier is shared with other workers and is
+// never cleared from a client).
+func SetupCache(o harness.Options, clear bool) (*harness.Env, error) {
+	if o.CacheDir == "" && clear {
+		return nil, fmt.Errorf("-cacheclear requires -cachedir")
 	}
-	if remote != "" {
-		base, err := CheckRemote(remote)
-		if err != nil {
-			return err
-		}
-		harness.SetCacheRemote(base)
-	}
-	if dir == "" {
-		return nil
-	}
-	harness.SetCacheDir(dir)
+	env := harness.New(o)
 	if clear {
-		if err := harness.ClearDiskCache(); err != nil {
-			return fmt.Errorf("clearing cache dir %s: %w", dir, err)
+		if err := env.ClearDiskCache(); err != nil {
+			return nil, fmt.Errorf("clearing cache dir %s: %w", o.CacheDir, err)
 		}
 	}
-	return nil
+	return env, nil
 }

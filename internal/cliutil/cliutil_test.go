@@ -3,6 +3,8 @@ package cliutil
 import (
 	"strings"
 	"testing"
+
+	"helixrc/internal/harness"
 )
 
 func TestCheckLevel(t *testing.T) {
@@ -43,6 +45,20 @@ func TestCheckNonNegative(t *testing.T) {
 	}
 }
 
+func TestCheckNodeBytes(t *testing.T) {
+	for _, c := range []struct{ bytes, cores int }{{0, 16}, {32 << 10, 16}, {1 << 20, 16}, {MaxRingArrayBytes, 1}} {
+		if err := CheckNodeBytes("nodebytes", c.bytes, c.cores); err != nil {
+			t.Errorf("CheckNodeBytes(%d, %d cores) = %v, want nil", c.bytes, c.cores, err)
+		}
+	}
+	for _, c := range []struct{ bytes, cores int }{{-1, 16}, {1<<20 + 1, 16}, {1 << 31, 1}, {1<<63 - 1, 1024}} {
+		err := CheckNodeBytes("nodebytes", c.bytes, c.cores)
+		if err == nil || !strings.Contains(err.Error(), "accepted range is 0..") {
+			t.Errorf("CheckNodeBytes(%d, %d cores) = %v, want an error naming the accepted range", c.bytes, c.cores, err)
+		}
+	}
+}
+
 func TestCheckFraction(t *testing.T) {
 	for _, ok := range []float64{0.001, 0.9, 1} {
 		if err := CheckFraction("hotfrac", ok); err != nil {
@@ -68,10 +84,10 @@ func TestCheckOneOf(t *testing.T) {
 }
 
 func TestSetupCacheClearWithoutDir(t *testing.T) {
-	if err := SetupCache("", true, ""); err == nil {
-		t.Fatal("SetupCache(\"\", clear, \"\") = nil, want error")
+	if _, err := SetupCache(harness.Options{}, true); err == nil {
+		t.Fatal("SetupCache without a dir, clear = nil error, want error")
 	}
-	if err := SetupCache("", false, ""); err != nil {
-		t.Fatalf("SetupCache(\"\", false, \"\") = %v, want nil", err)
+	if env, err := SetupCache(harness.Options{}, false); err != nil || env == nil {
+		t.Fatalf("SetupCache without a dir = %v, %v; want an Env", env, err)
 	}
 }

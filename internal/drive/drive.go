@@ -12,10 +12,11 @@
 //     when workers share no filesystem — and append a partial report;
 //     `go run ./scripts -merge` reassembles the partial reports.
 //
-// The flag surface (RegisterFlags), shard/runid validation, claimer
-// construction, plan execution and hash verification are all here; the
-// tools contribute only their planning (which experiments exist and
-// which work units they need) through a Plan.
+// The flag surface (RegisterFlags), shard/runid validation, the
+// harness Env the flags describe, claimer construction, plan execution
+// and hash verification are all here; the tools contribute only their
+// planning (which experiments exist and which work units they need)
+// through a Plan built on that Env.
 package drive
 
 import (
@@ -95,8 +96,9 @@ type Experiment struct {
 }
 
 // Plan is what a tool contributes to a run: the selected experiments
-// in canonical order, the wording of its messages, and hooks for
-// planning the work units and adding report sections.
+// in canonical order, rendered by the run's harness Env, the wording of
+// its messages, and hooks for planning the work units and adding report
+// sections.
 type Plan struct {
 	// What names the report in messages ("benchmark", "explore");
 	// Units the experiment plural ("experiment(s)", "famil(ies)");
@@ -107,7 +109,7 @@ type Plan struct {
 	// Experiments is the selected work, in canonical order.
 	Experiments []Experiment
 	// Work optionally plans the trace work units of the selected
-	// experiments; harness.RunPlan executes them before the first
+	// experiments; the Env's RunPlan executes them before the first
 	// experiment renders.
 	Work func(ctx context.Context) ([]harness.WorkUnit, error)
 	// Attach optionally adds tool-specific sections to a local report.
@@ -117,11 +119,12 @@ type Plan struct {
 	Banner func(total time.Duration) string
 }
 
-// Run validates the options and executes the plan in this process,
+// Run validates the options, builds the harness Env they describe and
+// the tool's Plan on it, and executes the plan in this process,
 // returning the process exit code. It owns the signal contract:
 // SIGINT/SIGTERM (and -timeout expiry) cancel in-flight work — workers
 // drain, reports are still written, flagged interrupted.
-func Run(o *Options, p *Plan) int {
+func Run(o *Options, plan func(*harness.Env) *Plan) int {
 	if o.Remote != "" {
 		base, err := cliutil.CheckRemote(o.Remote)
 		if err != nil {
@@ -137,7 +140,7 @@ func Run(o *Options, p *Plan) int {
 		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
 		defer cancel()
 	}
-	return runLocal(ctx, o, p)
+	return runLocal(ctx, o, plan)
 }
 
 // newClaims builds the claim substrate of one -shard worker: the
@@ -153,16 +156,18 @@ func newClaims(o *Options) artifact.Claims {
 
 // runLocal executes the plan in this process: the default solo mode,
 // or one -shard worker of a sharded run.
-func runLocal(ctx context.Context, o *Options, p *Plan) int {
-	harness.SetParallelism(o.Parallel)
-	harness.SetCacheBudget(o.CacheBudget << 20)
-	harness.SetCellTimeout(o.CellTimeout)
+func runLocal(ctx context.Context, o *Options, plan func(*harness.Env) *Plan) int {
 	if o.Quiet {
-		harness.SetQuiet()
+		artifact.SetQuiet()
 	}
-	if err := cliutil.SetupCache(o.CacheDir, o.CacheClear, o.Remote); err != nil {
+	env, err := cliutil.SetupCache(harness.Options{
+		Parallelism: o.Parallel, CellTimeout: o.CellTimeout, CacheBudget: o.CacheBudget << 20,
+		CacheDir: o.CacheDir, Remote: o.Remote,
+	}, o.CacheClear)
+	if err != nil {
 		log.Fatal(err)
 	}
+	p := plan(env)
 
 	var claims artifact.Claims
 	if o.Shard != "" {
@@ -196,7 +201,7 @@ func runLocal(ctx context.Context, o *Options, p *Plan) int {
 		if units, err := p.Work(ctx); err != nil {
 			log.Printf("planning work units: %v (continuing without the plan)", err)
 		} else {
-			harness.RunPlan(ctx, units, claims)
+			env.RunPlan(ctx, units, claims)
 		}
 	}
 
@@ -204,7 +209,7 @@ func runLocal(ctx context.Context, o *Options, p *Plan) int {
 	total := time.Since(start)
 
 	if o.JSONOut || o.JSONFile != "" {
-		if err := appendLocalReport(o, p, claims, reports, total, interrupted, runErr); err != nil {
+		if err := appendLocalReport(o, p, env, claims, reports, total, interrupted, runErr); err != nil {
 			log.Fatalf("writing %s report: %v", p.What, err)
 		}
 	}

@@ -214,7 +214,7 @@ func TestAppendLocalReport(t *testing.T) {
 	attached := false
 	p.Attach = func(r *benchreport.Report) { attached = true; r.Explore = nil }
 	reports := []benchreport.Experiment{{Name: "a", Output: "out-a", OutputSHA256: "x"}}
-	if err := appendLocalReport(o, p, nil, reports, time.Second, false, nil); err != nil {
+	if err := appendLocalReport(o, p, harness.New(harness.Options{}), nil, reports, time.Second, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !attached {
@@ -241,10 +241,6 @@ func writeFile(path string) error {
 // per-cell deadlines does not plan: RunPlan would execute nothing
 // then, and planning compiles.
 func TestRunLocalSkipsPlanUnderCellTimeout(t *testing.T) {
-	t.Cleanup(func() {
-		harness.SetCellTimeout(0)
-		harness.SetCacheBudget(harness.DefaultCacheBudget)
-	})
 	for _, timeout := range []time.Duration{0, time.Hour} {
 		planned := false
 		p := testPlan("a")
@@ -253,7 +249,7 @@ func TestRunLocalSkipsPlanUnderCellTimeout(t *testing.T) {
 			return nil, nil
 		}
 		o := &Options{Quiet: true, CellTimeout: timeout, CacheBudget: harness.DefaultCacheBudget >> 20}
-		if code := runLocal(context.Background(), o, p); code != 0 {
+		if code := runLocal(context.Background(), o, func(*harness.Env) *Plan { return p }); code != 0 {
 			t.Fatalf("-celltimeout %v: runLocal exit %d", timeout, code)
 		}
 		if planned != (timeout == 0) {

@@ -10,46 +10,10 @@ import (
 	"helixrc/internal/harness"
 )
 
-// replaySection assembles the replay/caching counters of this process
-// — recordings, replays, compilations and training profiles, per-tier
-// (memory, disk, remote) hit/miss/write/load-time counters from the
-// artifact stores, plus the work-claiming counters when sharded.
-func replaySection(claims artifact.Claims) *benchreport.Replay {
-	recordings, replays := harness.ReplayStats()
-	batches, batchConfigs, batchFallbacks := harness.BatchStats()
-	cs := harness.CacheStats()
-	if claims != nil {
-		cs.Add(claims.Stats())
-	}
-	return &benchreport.Replay{
-		Recordings:     recordings,
-		Replays:        replays,
-		Compiles:       harness.CompileStats(),
-		Profiles:       harness.ProfileStats(),
-		Batches:        batches,
-		BatchConfigs:   batchConfigs,
-		BatchFallbacks: batchFallbacks,
-		Claims:         cs.Claims,
-		Steals:         cs.Steals,
-		ExpiredLeases:  cs.ExpiredLeases,
-		DupSuppressed:  cs.DupSuppressed,
-		MemHits:        cs.MemHits,
-		MemMisses:      cs.MemMisses,
-		DiskHits:       cs.DiskHits,
-		DiskMisses:     cs.DiskMisses,
-		DiskWrites:     cs.DiskWrites,
-		DiskLoadMS:     float64(cs.DiskLoadNS) / 1e6,
-		RemoteHits:     cs.RemoteHits,
-		RemoteMisses:   cs.RemoteMisses,
-		RemoteWrites:   cs.RemoteWrites,
-		RemoteLoadMS:   float64(cs.RemoteLoadNS) / 1e6,
-		CacheEvictions: cs.Evictions,
-		CacheEvictedMB: float64(cs.EvictedBytes) / (1 << 20),
-	}
-}
-
-// appendLocalReport writes this process's (solo or partial) report.
-func appendLocalReport(o *Options, p *Plan, claims artifact.Claims, reports []benchreport.Experiment, total time.Duration, interrupted bool, runErr error) error {
+// appendLocalReport writes this process's (solo or partial) report. Its
+// replay section holds env's counters plus, when sharded, the
+// work-claiming counters.
+func appendLocalReport(o *Options, p *Plan, env *harness.Env, claims artifact.Claims, reports []benchreport.Experiment, total time.Duration, interrupted bool, runErr error) error {
 	anyPartial := false
 	for _, r := range reports {
 		anyPartial = anyPartial || r.Partial
@@ -62,15 +26,19 @@ func appendLocalReport(o *Options, p *Plan, claims artifact.Claims, reports []be
 	if path == "" {
 		path = fmt.Sprintf("%s_%s.json", p.ReportPrefix, time.Now().Format("2006-01-02"))
 	}
+	st := env.Stats()
+	if claims != nil {
+		st.Cache.Add(claims.Stats())
+	}
 	r := benchreport.Report{
 		Label:       o.Label,
 		Timestamp:   time.Now().Format(time.RFC3339),
-		Parallel:    harness.Parallelism(),
+		Parallel:    env.Workers(),
 		Shard:       o.Shard,
 		Cores:       o.Cores,
 		TotalMillis: float64(total.Microseconds()) / 1e3,
 		Experiments: reports,
-		Replay:      replaySection(claims),
+		Replay:      st.Replay(),
 		Runtime:     snapshotRuntime(),
 		Interrupted: interrupted,
 		Partial:     anyPartial,

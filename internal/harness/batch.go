@@ -24,8 +24,8 @@ package harness
 // its baseline's program. Runs that share a trace land in one unit, so
 // one recording and one traversal serve them all.
 //
-// The prefetch pool is sized by GOMAXPROCS independently of the
-// engine's -parallel setting, so trace *recording* — the dominant cost
+// The prefetch pool is sized by GOMAXPROCS independently of the Env's
+// Options.Parallelism, so trace *recording* — the dominant cost
 // of a cold Figure 11a, which needs a fresh trace per core count —
 // fans out across CPUs even when the cells themselves run
 // sequentially. Figures stay byte-identical at any parallelism: the
@@ -119,14 +119,14 @@ func speedups(rs []cellResult) []float64 {
 // worker pool; label names the cells for errors and partial figures
 // (nil: unnamed). After a warm-up every read is a result-tier hit, and
 // a cold cell records or replays itself, bit-identically.
-func readCells(ctx context.Context, cells []simCell, label func(int) string) ([]cellResult, error) {
-	return parMapCells(ctx, len(cells), label, func(ctx context.Context, i int) (cellResult, error) {
+func (e *Env) readCells(ctx context.Context, cells []simCell, label func(int) string) ([]cellResult, error) {
+	return parMapCells(ctx, e.workers, e.cellTimeout, len(cells), label, func(ctx context.Context, i int) (cellResult, error) {
 		c := cells[i]
-		seq, err := CachedBaseline(ctx, c.name, c.base, true)
+		seq, err := e.CachedBaseline(ctx, c.name, c.base, true)
 		if err != nil {
 			return cellResult{}, err
 		}
-		run, err := runOnTier(ctx, c.name, c.level, c.tier, c.arch, true)
+		run, err := e.runOnTier(ctx, c.name, c.level, c.tier, c.arch, true)
 		if err != nil {
 			return cellResult{}, err
 		}
@@ -137,9 +137,9 @@ func readCells(ctx context.Context, cells []simCell, label func(int) string) ([]
 // simulate warms the result caches for cells — prefetchRetimes on their
 // groups, which only peeks after an evaluation-wide RunPlan — and reads
 // them.
-func simulate(ctx context.Context, cells []simCell, label func(int) string) ([]cellResult, error) {
-	prefetchRetimes(ctx, cellGroups(cells))
-	return readCells(ctx, cells, label)
+func (e *Env) simulate(ctx context.Context, cells []simCell, label func(int) string) ([]cellResult, error) {
+	e.prefetchRetimes(ctx, cellGroups(cells))
+	return e.readCells(ctx, cells, label)
 }
 
 // retimeGroup is one run plus the timing configs its cells read it
@@ -160,12 +160,12 @@ type retimeGroup struct {
 	archs []sim.Config
 }
 
-// store is the tier the group's lanes publish into.
-func (g *retimeGroup) store() *artifact.Store[*sim.Result] {
+// store is the store of e that g's lanes publish into.
+func (g *retimeGroup) store(e *Env) *artifact.Store[*sim.Result] {
 	if g.baseline {
-		return seqStore
+		return e.seqStore
 	}
-	return resStore
+	return e.resStore
 }
 
 // resultKeys returns the key g's Result under each arch publishes
@@ -194,21 +194,21 @@ func (g *retimeGroup) resultKeys(fp string) []string {
 // prefetchRetimes warms the result caches for the groups: plan them,
 // execute the units. See the package comment above for the skip
 // conditions.
-func prefetchRetimes(ctx context.Context, groups []retimeGroup) {
-	if len(groups) == 0 || CellTimeout() > 0 {
+func (e *Env) prefetchRetimes(ctx context.Context, groups []retimeGroup) {
+	if len(groups) == 0 || e.cellTimeout > 0 {
 		return
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if units, err := planGroups(ctx, groups); err == nil {
-		runUnits(ctx, units)
+	if units, err := e.planGroups(ctx, groups); err == nil {
+		e.runUnits(ctx, units)
 	}
 }
 
 // runUnits executes units on the prefetch pool.
-func runUnits(ctx context.Context, units []WorkUnit) {
-	fanOut(ctx, len(units), func(i int) { units[i].run(ctx) })
+func (e *Env) runUnits(ctx context.Context, units []WorkUnit) {
+	fanOut(ctx, len(units), func(i int) { units[i].run(ctx, e) })
 }
 
 // member is one group's share of a work unit: the configs it still
@@ -231,10 +231,10 @@ type member struct {
 // and Puts each lane under every member key that asked for it. A
 // one-lane traversal is counted as a fallback rather than a batch, so
 // the counters keep separating real batching from one-lane retimes.
-func (u *WorkUnit) run(ctx context.Context) {
+func (u *WorkUnit) run(ctx context.Context, e *Env) {
 	first := u.members[0]
 	recArch := first.g.archs[0]
-	tr, recorded, err := loadTrace(ctx, u.Key, first.b.w, first.comp, recArch, true)
+	tr, recorded, err := e.loadTrace(ctx, u.Key, first.b.w, first.comp, recArch, true)
 	if err != nil {
 		return
 	}
@@ -247,7 +247,7 @@ func (u *WorkUnit) run(ctx context.Context) {
 	dests := map[string][]dest{}    // per config fingerprint
 	for _, m := range u.members {
 		for i, arch := range m.g.archs {
-			d, fp := dest{m.g.store(), m.keys[i]}, arch.Fingerprint()
+			d, fp := dest{m.g.store(e), m.keys[i]}, arch.Fingerprint()
 			if recorded != nil && fp == recArch.Fingerprint() {
 				d.store.Put(d.key, recorded)
 				continue
@@ -264,10 +264,10 @@ func (u *WorkUnit) run(ctx context.Context) {
 	for _, c := range cores {
 		batch := lanes[c]
 		if len(batch) == 1 {
-			batchFallbacks.Add(1)
+			e.batchFallbacks.Add(1)
 		} else {
-			batchesIssued.Add(1)
-			batchLanes.Add(int64(len(batch)))
+			e.batches.Add(1)
+			e.batchLanes.Add(int64(len(batch)))
 		}
 		results, errs := sim.ReplayBatch(ctx, tr, batch)
 		for i, arch := range batch {
@@ -276,7 +276,7 @@ func (u *WorkUnit) run(ctx context.Context) {
 			if errs[i] != nil || results[i] == nil {
 				continue
 			}
-			traceReplays.Add(1)
+			e.replays.Add(1)
 			for _, d := range dests[arch.Fingerprint()] {
 				d.store.Put(d.key, results[i])
 			}

@@ -21,35 +21,32 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 	archs := []sim.Config{sim.HelixRC(4), sim.Conventional(4), sim.Abstract(4)}
 
 	// Cold solo reference.
-	ResetCaches()
+	solo := New(Options{})
 	want := make([]*sim.Result, len(archs))
 	for i, arch := range archs {
-		res, err := runOnTier(ctx, bench, hcc.V3, 0, arch, true)
+		res, err := solo.runOnTier(ctx, bench, hcc.V3, 0, arch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res
 	}
 
-	ResetCaches()
-	b0, l0, _ := BatchStats()
-	rec0, _ := ReplayStats()
-	prefetchRetimes(ctx, []retimeGroup{{name: bench, level: hcc.V3, archs: archs}})
-	b1, l1, _ := BatchStats()
-	rec1, _ := ReplayStats()
-	if b1 != b0+1 {
-		t.Errorf("prefetch issued %d batches, want 1", b1-b0)
+	e := New(Options{})
+	e.prefetchRetimes(ctx, []retimeGroup{{name: bench, level: hcc.V3, archs: archs}})
+	st := e.Stats()
+	if st.Batches != 1 {
+		t.Errorf("prefetch issued %d batches, want 1", st.Batches)
 	}
 	// The recording lane's Result is exact already; the other two
 	// configs retime in one batch.
-	if l1 != l0+2 {
-		t.Errorf("prefetch batched %d lanes, want 2", l1-l0)
+	if st.BatchLanes != 2 {
+		t.Errorf("prefetch batched %d lanes, want 2", st.BatchLanes)
 	}
-	if rec1 != rec0+1 {
-		t.Errorf("prefetch recorded %d traces, want 1", rec1-rec0)
+	if st.Recordings != 1 {
+		t.Errorf("prefetch recorded %d traces, want 1", st.Recordings)
 	}
 	for i, arch := range archs {
-		res, err := runOnTier(ctx, bench, hcc.V3, 0, arch, true)
+		res, err := e.runOnTier(ctx, bench, hcc.V3, 0, arch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,9 +55,8 @@ func TestPrefetchRetimesMatchesSolo(t *testing.T) {
 		}
 	}
 	// The cells above must have been served from the result store.
-	rec2, _ := ReplayStats()
-	if rec2 != rec1 {
-		t.Errorf("cells recorded %d traces after prefetch, want 0", rec2-rec1)
+	if n := e.Stats().Recordings - st.Recordings; n != 0 {
+		t.Errorf("cells recorded %d traces after prefetch, want 0", n)
 	}
 }
 
@@ -113,23 +109,22 @@ func TestPrefetchRetimesMergesContentUnits(t *testing.T) {
 	groups := cellGroups(cells)
 
 	// Cold solo reference.
-	ResetCaches()
+	solo := New(Options{})
 	want := make([]*sim.Result, len(cells))
 	wantSpeedup := make([]float64, len(cells))
 	for i, c := range cells {
-		seq, err := CachedBaseline(ctx, c.name, c.base, true)
+		seq, err := solo.CachedBaseline(ctx, c.name, c.base, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runOnTier(ctx, c.name, hcc.V3, c.tier, c.arch, true)
+		res, err := solo.runOnTier(ctx, c.name, hcc.V3, c.tier, c.arch, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i], wantSpeedup[i] = res, sim.Speedup(seq, res)
 	}
 
-	ResetCaches()
-	units, err := planGroups(ctx, groups)
+	units, err := New(Options{}).planGroups(ctx, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,39 +136,37 @@ func TestPrefetchRetimesMergesContentUnits(t *testing.T) {
 
 	for _, warm := range []struct {
 		name string
-		run  func()
+		run  func(*Env)
 	}{
-		{"prefetchRetimes", func() { prefetchRetimes(ctx, groups) }},
-		{"RunPlan", func() {
-			units, err := PlanSweep(ctx, names, hcc.V3, grid)
+		{"prefetchRetimes", func(e *Env) { e.prefetchRetimes(ctx, groups) }},
+		{"RunPlan", func(e *Env) {
+			units, err := e.PlanSweep(ctx, names, hcc.V3, grid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			RunPlan(ctx, units, nil)
+			e.RunPlan(ctx, units, nil)
 		}},
 	} {
-		ResetCaches()
-		rec0, _ := ReplayStats()
-		warm.run()
-		rec1, rep1 := ReplayStats()
-		if got := rec1 - rec0; got != int64(len(units)) {
+		e := New(Options{})
+		warm.run(e)
+		st1 := e.Stats()
+		if got := st1.Recordings; got != int64(len(units)) {
 			t.Errorf("%s recorded %d traces, want one per planned unit: %d", warm.name, got, len(units))
 		}
-		comp1 := CompileStats()
-		got, err := Sweep(ctx, names, hcc.V3, grid)
+		got, err := e.Sweep(ctx, names, hcc.V3, grid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec2, rep2 := ReplayStats()
-		if rec2 != rec1 || rep2 != rep1 || CompileStats() != comp1 {
+		st2 := e.Stats()
+		if st2.Recordings != st1.Recordings || st2.Replays != st1.Replays || st2.Compiles != st1.Compiles {
 			t.Errorf("%s: Sweep recorded %d, replayed %d and compiled %d after the warm-up, want 0 each",
-				warm.name, rec2-rec1, rep2-rep1, CompileStats()-comp1)
+				warm.name, st2.Recordings-st1.Recordings, st2.Replays-st1.Replays, st2.Compiles-st1.Compiles)
 		}
 		for i, c := range cells {
 			if got[i] != wantSpeedup[i] {
 				t.Errorf("%s: Sweep cell %d (%s %+v) = %v, want the cold solo %v", warm.name, i, c.name, c.arch, got[i], wantSpeedup[i])
 			}
-			res, err := runOnTier(ctx, c.name, hcc.V3, c.tier, c.arch, true)
+			res, err := e.runOnTier(ctx, c.name, hcc.V3, c.tier, c.arch, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,8 +174,8 @@ func TestPrefetchRetimesMergesContentUnits(t *testing.T) {
 				t.Errorf("%s: %s tier %d %+v: warmed result differs from solo:\nwant %+v\ngot  %+v", warm.name, c.name, c.tier, c.arch, want[i], res)
 			}
 		}
-		if rec3, _ := ReplayStats(); rec3 != rec2 {
-			t.Errorf("%s: cells recorded %d traces after the warm-up, want 0", warm.name, rec3-rec2)
+		if n := e.Stats().Recordings - st2.Recordings; n != 0 {
+			t.Errorf("%s: cells recorded %d traces after the warm-up, want 0", warm.name, n)
 		}
 	}
 }
@@ -195,26 +188,25 @@ func TestPrefetchBaselineGroup(t *testing.T) {
 	ctx := context.Background()
 	const bench = "181.mcf"
 
-	ResetCaches()
-	want, err := CachedBaseline(ctx, bench, sim.Conventional(4), true)
+	want, err := New(Options{}).CachedBaseline(ctx, bench, sim.Conventional(4), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ResetCaches()
-	prefetchRetimes(ctx, []retimeGroup{{
+	e := New(Options{})
+	e.prefetchRetimes(ctx, []retimeGroup{{
 		name: bench, baseline: true,
 		archs: []sim.Config{sim.Conventional(4)},
 	}})
-	rec1, rep1 := ReplayStats()
-	got, err := CachedBaseline(ctx, bench, sim.Conventional(4), true)
+	st1 := e.Stats()
+	got, err := e.CachedBaseline(ctx, bench, sim.Conventional(4), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, rep2 := ReplayStats()
-	if rec2 != rec1 || rep2 != rep1 {
+	st2 := e.Stats()
+	if st2.Recordings != st1.Recordings || st2.Replays != st1.Replays {
 		t.Errorf("CachedBaseline simulated after prefetch (recordings +%d, replays +%d), want pure hit",
-			rec2-rec1, rep2-rep1)
+			st2.Recordings-st1.Recordings, st2.Replays-st1.Replays)
 	}
 	if *got != *want {
 		t.Errorf("prefetched baseline differs:\nwant %+v\ngot  %+v", want, got)
@@ -226,20 +218,13 @@ func TestPrefetchBaselineGroup(t *testing.T) {
 // on one cell's clock, so prefetch must be a no-op — it must not even
 // plan, which compiles.
 func TestPrefetchSkipsUnderCellTimeout(t *testing.T) {
-	SetCellTimeout(time.Hour)
-	defer SetCellTimeout(0)
-	ResetCaches()
-	b0, l0, f0 := BatchStats()
-	rec0, _ := ReplayStats()
-	comp0 := CompileStats()
-	prefetchRetimes(context.Background(), []retimeGroup{{
+	e := New(Options{CellTimeout: time.Hour})
+	e.prefetchRetimes(context.Background(), []retimeGroup{{
 		name: "164.gzip", level: hcc.V3,
 		archs: []sim.Config{sim.HelixRC(4), sim.Conventional(4)},
 	}})
-	b1, l1, f1 := BatchStats()
-	rec1, _ := ReplayStats()
-	if b1 != b0 || l1 != l0 || f1 != f0 || rec1 != rec0 || CompileStats() != comp0 {
-		t.Errorf("prefetch did work under a cell timeout: batches +%d lanes +%d fallbacks +%d recordings +%d compiles +%d",
-			b1-b0, l1-l0, f1-f0, rec1-rec0, CompileStats()-comp0)
+	if st := e.Stats(); st.Batches != 0 || st.BatchLanes != 0 || st.BatchFallbacks != 0 || st.Recordings != 0 || st.Compiles != 0 {
+		t.Errorf("prefetch did work under a cell timeout: batches %d lanes %d fallbacks %d recordings %d compiles %d",
+			st.Batches, st.BatchLanes, st.BatchFallbacks, st.Recordings, st.Compiles)
 	}
 }

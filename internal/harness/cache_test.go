@@ -8,26 +8,22 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"helixrc/internal/benchreport"
 	"helixrc/internal/hcc"
 	"helixrc/internal/sim"
 	"helixrc/internal/workloads"
 )
 
-// withCacheDir points the harness stores at a fresh disk tier for one
-// test, restoring the memory-only default (and dropping the memory tier
-// so state never leaks between tests) on cleanup.
-func withCacheDir(t *testing.T) string {
+// newDiskEnv returns a cold Env over a fresh disk tier, and the tier's
+// directory. A second New over the same directory is the next process:
+// memory cold, disk warm.
+func newDiskEnv(t *testing.T) (*Env, string) {
 	t.Helper()
 	dir := t.TempDir()
-	ResetCaches()
-	SetCacheDir(dir)
-	t.Cleanup(func() {
-		SetCacheDir("")
-		ResetCaches()
-	})
-	return dir
+	return New(Options{CacheDir: dir}), dir
 }
 
 // TestWarmDiskCacheZeroRecordings pins the tentpole's acceptance
@@ -38,48 +34,45 @@ func withCacheDir(t *testing.T) string {
 // persist per (trace key, config fingerprint), so a warm run does not
 // even pay the trace traversal), and the results are identical.
 func TestWarmDiskCacheZeroRecordings(t *testing.T) {
-	withCacheDir(t)
+	cold, dir := newDiskEnv(t)
 	ctx := context.Background()
 	const bench = "164.gzip"
 	arch := sim.HelixRC(4)
 
-	rec0, _ := ReplayStats()
-	seq1, err := CachedBaseline(ctx, bench, sim.Conventional(4), true)
+	seq1, err := cold.CachedBaseline(ctx, bench, sim.Conventional(4), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par1, _, err := CachedRun(ctx, bench, hcc.V3, arch, true)
+	par1, _, err := cold.CachedRun(ctx, bench, hcc.V3, arch, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec1, rep1 := ReplayStats()
-	if rec1 == rec0 {
+	st1 := cold.Stats()
+	if st1.Recordings == 0 {
 		t.Fatal("cold run recorded no traces; test is vacuous")
 	}
-	st1 := CacheStats()
-	if st1.DiskWrites == 0 {
+	if st1.Cache.DiskWrites == 0 {
 		t.Fatalf("cold run wrote nothing to disk: %+v", st1)
 	}
 
-	// Warm run: drop the memory tier (disk survives ResetCaches).
-	ResetCaches()
-	seq2, err := CachedBaseline(ctx, bench, sim.Conventional(4), true)
+	// Warm run: a fresh memory tier over the same disk tier.
+	warm := New(Options{CacheDir: dir})
+	seq2, err := warm.CachedBaseline(ctx, bench, sim.Conventional(4), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par2, _, err := CachedRun(ctx, bench, hcc.V3, arch, true)
+	par2, _, err := warm.CachedRun(ctx, bench, hcc.V3, arch, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, rep2 := ReplayStats()
-	if rec2 != rec1 {
-		t.Errorf("warm run recorded %d traces, want 0", rec2-rec1)
+	st2 := warm.Stats()
+	if st2.Recordings != 0 {
+		t.Errorf("warm run recorded %d traces, want 0", st2.Recordings)
 	}
-	if rep2 != rep1 {
-		t.Errorf("warm run replayed %d traces, want 0 (Results persist)", rep2-rep1)
+	if st2.Replays != 0 {
+		t.Errorf("warm run replayed %d traces, want 0 (Results persist)", st2.Replays)
 	}
-	st2 := CacheStats()
-	if st2.DiskHits == st1.DiskHits {
+	if st2.Cache.DiskHits == 0 {
 		t.Errorf("warm run had no disk hits: %+v", st2)
 	}
 	if *seq2 != *seq1 {
@@ -90,18 +83,73 @@ func TestWarmDiskCacheZeroRecordings(t *testing.T) {
 	}
 }
 
+// TestEnvsAreIndependent renders fig9 on two Envs of one process at
+// once: one over a cache dir a third Env filled, the other over an
+// empty dir. Neither sees the other's memory tier or counters: the warm
+// Env records nothing and compiles nothing, the cold one does exactly
+// the filling Env's work, the filling Env's counters stay put, and both
+// outputs hash-match the checked-in report.
+func TestEnvsAreIndependent(t *testing.T) {
+	want, err := benchreport.ExpectedHashes("../../BENCH_2026-08-05.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(e *Env) (string, error) {
+		x, _ := e.FindExperiment("fig9", 16)
+		return x.Run(context.Background())
+	}
+	fill, dir := newDiskEnv(t)
+	if _, err := render(fill); err != nil {
+		t.Fatal(err)
+	}
+	filled := fill.Stats()
+
+	warm, cold := New(Options{CacheDir: dir}), New(Options{CacheDir: t.TempDir()})
+	envs := []*Env{warm, cold}
+	outs, errs := make([]string, len(envs)), make([]error, len(envs))
+	var wg sync.WaitGroup
+	for i, e := range envs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = render(e)
+		}()
+	}
+	wg.Wait()
+	for i, name := range []string{"warm", "cold"} {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", name, errs[i])
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(outs[i]))); got != want["fig9"] {
+			t.Errorf("%s fig9 hash %s, want %s", name, got, want["fig9"])
+		}
+	}
+	if st := warm.Stats(); st.Recordings != 0 || st.Compiles != 0 || st.Cache.DiskHits == 0 {
+		t.Errorf("warm Env recorded %d traces, compiled %d times and read %d disk entries; want 0, 0 and some",
+			st.Recordings, st.Compiles, st.Cache.DiskHits)
+	}
+	if st := cold.Stats(); st.Recordings == 0 || st.Recordings != filled.Recordings || st.Replays != filled.Replays ||
+		st.Compiles != filled.Compiles || st.Profiles != filled.Profiles {
+		t.Errorf("cold Env recorded %d, replayed %d, compiled %d and trained %d; the filling Env's cold fig9 did %d, %d, %d and %d",
+			st.Recordings, st.Replays, st.Compiles, st.Profiles, filled.Recordings, filled.Replays, filled.Compiles, filled.Profiles)
+	}
+	if fill.Stats() != filled {
+		t.Errorf("the filling Env's counters moved while other Envs rendered: %+v, then %+v", filled, fill.Stats())
+	}
+}
+
 // TestCorruptDiskEntryDegrades corrupts every persisted entry in place
 // (bit flips, no truncation — same length, different bytes) and pins the
 // corruption policy end to end: the warm run silently recomputes,
 // returns identical results, and records fresh traces instead of
 // erroring.
 func TestCorruptDiskEntryDegrades(t *testing.T) {
-	dir := withCacheDir(t)
+	cold, dir := newDiskEnv(t)
 	ctx := context.Background()
 	const bench = "181.mcf"
 	arch := sim.HelixRC(4)
 
-	par1, _, err := CachedRun(ctx, bench, hcc.V3, arch, true)
+	par1, _, err := cold.CachedRun(ctx, bench, hcc.V3, arch, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,23 +168,20 @@ func TestCorruptDiskEntryDegrades(t *testing.T) {
 		}
 	}
 
-	ResetCaches()
-	rec1, _ := ReplayStats()
-	st1 := CacheStats()
-	par2, _, err := CachedRun(ctx, bench, hcc.V3, arch, true)
+	warm := New(Options{CacheDir: dir})
+	par2, _, err := warm.CachedRun(ctx, bench, hcc.V3, arch, true)
 	if err != nil {
 		t.Fatalf("corrupt cache must degrade to recomputation, got error: %v", err)
 	}
 	if *par2 != *par1 {
 		t.Errorf("recomputed result differs:\nwant %+v\ngot  %+v", par1, par2)
 	}
-	rec2, _ := ReplayStats()
-	if rec2 == rec1 {
+	st := warm.Stats()
+	if st.Recordings == 0 {
 		t.Error("corrupt entries were served instead of re-recorded")
 	}
-	st2 := CacheStats()
-	if st2.DiskMisses == st1.DiskMisses {
-		t.Errorf("corrupt entries did not count as disk misses: %+v", st2)
+	if st.Cache.DiskMisses == 0 {
+		t.Errorf("corrupt entries did not count as disk misses: %+v", st)
 	}
 }
 
@@ -144,12 +189,12 @@ func TestCorruptDiskEntryDegrades(t *testing.T) {
 // fresh run finds no disk entries, a baseline's or an analysis cell's,
 // and re-records.
 func TestClearDiskCache(t *testing.T) {
-	dir := withCacheDir(t)
+	e, dir := newDiskEnv(t)
 	ctx := context.Background()
-	if _, err := CachedBaseline(ctx, "181.mcf", sim.Conventional(2), true); err != nil {
+	if _, err := e.CachedBaseline(ctx, "181.mcf", sim.Conventional(2), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coverageCell(ctx, "181.mcf", hcc.V1); err != nil {
+	if _, err := e.coverageCell(ctx, "181.mcf", hcc.V1); err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"baseline", "cell"} {
@@ -157,7 +202,7 @@ func TestClearDiskCache(t *testing.T) {
 			t.Fatalf("no %s entries to clear", kind)
 		}
 	}
-	if err := ClearDiskCache(); err != nil {
+	if err := e.ClearDiskCache(); err != nil {
 		t.Fatal(err)
 	}
 	if entries, _ := filepath.Glob(filepath.Join(dir, "*", "*.art")); len(entries) != 0 {
@@ -173,65 +218,63 @@ func TestClearDiskCache(t *testing.T) {
 // nothing, replays nothing, compiles nothing and trains no profile, and
 // renders byte-identical output.
 func TestWarmRunServedWithoutCompiling(t *testing.T) {
-	withCacheDir(t)
+	coldEnv, dir := newDiskEnv(t)
 	ctx := context.Background()
-	render := func() string {
-		fig, err := Figure11(ctx, "cores")
+	render := func(e *Env) string {
+		fig, err := e.Figure11(ctx, "cores")
 		if err != nil {
 			t.Fatal(err)
 		}
-		tlp, err := TLP(ctx)
+		tlp, err := e.TLP(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fig.Format() + tlp.Format()
 	}
-	analyses := func() string {
-		rows, err := Table1(ctx)
+	analyses := func(e *Env) string {
+		rows, err := e.Table1(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2, err := Figure2(ctx)
+		f2, err := e.Figure2(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f3, err := Figure3(ctx)
+		f3, err := e.Figure3(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f4, err := Figure4(ctx)
+		f4, err := e.Figure4(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatTable1(rows) + f2.Format() + f3.Format() + f4.Format()
 	}
 
-	comp0, prof0 := CompileStats(), ProfileStats()
-	cold, coldAnalyses := render(), analyses()
-	if CompileStats() == comp0 || ProfileStats() == prof0 {
+	cold, coldAnalyses := render(coldEnv), analyses(coldEnv)
+	if st := coldEnv.Stats(); st.Compiles == 0 || st.Profiles == 0 {
 		t.Fatal("cold pass compiled or profiled nothing; test is vacuous")
 	}
 
-	ResetCaches()
+	warm := New(Options{CacheDir: dir})
 	for _, pass := range []struct {
 		name string
-		run  func() string
+		run  func(*Env) string
 		want string
 	}{{"warm pass", render, cold}, {"warm analyses", analyses, coldAnalyses}} {
-		rec1, rep1 := ReplayStats()
-		comp1, prof1 := CompileStats(), ProfileStats()
-		got := pass.run()
-		rec2, rep2 := ReplayStats()
-		if n := rec2 - rec1; n != 0 {
+		st1 := warm.Stats()
+		got := pass.run(warm)
+		st2 := warm.Stats()
+		if n := st2.Recordings - st1.Recordings; n != 0 {
 			t.Errorf("%s recorded %d traces, want 0", pass.name, n)
 		}
-		if n := rep2 - rep1; n != 0 {
+		if n := st2.Replays - st1.Replays; n != 0 {
 			t.Errorf("%s replayed %d traces, want 0", pass.name, n)
 		}
-		if n := CompileStats() - comp1; n != 0 {
+		if n := st2.Compiles - st1.Compiles; n != 0 {
 			t.Errorf("%s compiled %d times, want 0", pass.name, n)
 		}
-		if n := ProfileStats() - prof1; n != 0 {
+		if n := st2.Profiles - st1.Profiles; n != 0 {
 			t.Errorf("%s trained %d profiles, want 0", pass.name, n)
 		}
 		if got != pass.want {
@@ -252,7 +295,7 @@ func TestConfigFingerprintMemo(t *testing.T) {
 		archs = append(archs, sim.HelixRC(n), sim.Conventional(n), sim.Abstract(n))
 	}
 	var traced []string
-	for _, e := range Experiments(16) {
+	for _, e := range testEnv.Experiments(16) {
 		if e.cells == nil {
 			continue
 		}
@@ -293,17 +336,16 @@ func TestConfigFingerprintMemo(t *testing.T) {
 // stepper's run of a fresh compile under the abstract machine's
 // communication-free loop selection.
 func TestTLPCachedMatchesUncached(t *testing.T) {
-	withCacheDir(t)
+	cold, dir := newDiskEnv(t)
 	ctx := context.Background()
-	if _, err := TLP(ctx); err != nil {
+	if _, err := cold.TLP(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ResetCaches()
-	comp0 := CompileStats()
+	warm := New(Options{CacheDir: dir})
 	cells := 0
 	for _, name := range workloads.IntNames() {
 		for _, level := range []hcc.Level{hcc.V2, hcc.V3} {
-			served, err := tlpRun(ctx, name, level)
+			served, err := warm.tlpRun(ctx, name, level)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,8 +372,8 @@ func TestTLPCachedMatchesUncached(t *testing.T) {
 	if cells != 12 {
 		t.Errorf("checked %d TLP cells, want 12", cells)
 	}
-	// hcc.Compile above bypasses the harness counter; only tlpRun counts.
-	if n := CompileStats() - comp0; n != 0 {
+	// hcc.Compile above bypasses the Env's counter; only tlpRun counts.
+	if n := warm.Stats().Compiles; n != 0 {
 		t.Errorf("warm TLP cells compiled %d times, want 0", n)
 	}
 }

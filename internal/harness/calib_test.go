@@ -23,33 +23,33 @@ func TestCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqRC, err := CachedBaseline(ctx, name, rc, true)
+		seqRC, err := testEnv.CachedBaseline(ctx, name, rc, true)
 		if err != nil {
 			t.Errorf("%s baseline: %v", name, err)
 			continue
 		}
-		seqConv, err := CachedBaseline(ctx, name, conv, true)
+		seqConv, err := testEnv.CachedBaseline(ctx, name, conv, true)
 		if err != nil {
 			t.Errorf("%s baseline conv: %v", name, err)
 			continue
 		}
-		v3, comp3, err := CachedRun(ctx, name, hcc.V3, rc, true)
+		v3, comp3, err := testEnv.CachedRun(ctx, name, hcc.V3, rc, true)
 		if err != nil {
 			t.Errorf("%s V3: %v", name, err)
 			continue
 		}
 		// HCCv3 code on conventional hardware (Figure 9 C bars).
-		v3conv, err := runOnTier(ctx, name, hcc.V3, 0, conv, true)
+		v3conv, err := testEnv.runOnTier(ctx, name, hcc.V3, 0, conv, true)
 		if err != nil {
 			t.Errorf("%s V3conv: %v", name, err)
 			continue
 		}
-		v2, comp2, err := CachedRun(ctx, name, hcc.V2, conv, true)
+		v2, comp2, err := testEnv.CachedRun(ctx, name, hcc.V2, conv, true)
 		if err != nil {
 			t.Errorf("%s V2: %v", name, err)
 			continue
 		}
-		v1, comp1, err := CachedRun(ctx, name, hcc.V1, conv, true)
+		v1, comp1, err := testEnv.CachedRun(ctx, name, hcc.V1, conv, true)
 		if err != nil {
 			t.Errorf("%s V1: %v", name, err)
 			continue

@@ -32,11 +32,14 @@ type cell struct {
 	res    *sim.Result
 }
 
-// cellStore persists the analysis and TLP cells. A cell is a few hundred
-// bytes, so the store keeps every one a run reads.
-var cellStore = artifact.NewStore[*cell]("cell", cacheScheme,
-	func(c *cell) int64 { return 256 + 8*int64(len(c.ints)+len(c.floats)) },
-	&artifact.Codec[*cell]{Encode: encodeCell, Decode: decodeCell})
+// newCellStore returns a store of analysis and TLP cells (an Env's
+// cellStore). A cell is a few hundred bytes, so the store keeps every
+// one a run reads.
+func newCellStore() *artifact.Store[*cell] {
+	return artifact.NewStore[*cell]("cell", cacheScheme,
+		func(c *cell) int64 { return 256 + 8*int64(len(c.ints)+len(c.floats)) },
+		&artifact.Codec[*cell]{Encode: encodeCell, Decode: decodeCell})
+}
 
 // cellKey names one cell by everything its fill reads: the kind of
 // cell, the workload's registry name (which carries the registry's
@@ -58,27 +61,27 @@ func cellKey(kind string, b *build, level hcc.Level, cores int, params []string)
 // every tier misses, fill on the workload's build. Only a fill that
 // returns no error is stored, so a cell that fails, is cancelled or
 // degrades under a cell deadline is computed again by the next run.
-func persistedCell(ctx context.Context, kind, name string, level hcc.Level, cores int, params []string,
+func (e *Env) persistedCell(ctx context.Context, kind, name string, level hcc.Level, cores int, params []string,
 	fill func(context.Context, *build) (*cell, error)) (*cell, error) {
 	b, err := workloadBuild(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return cellStore.Get(ctx, cellKey(kind, b, level, cores, params), func(ctx context.Context) (*cell, error) {
+	return e.cellStore.Get(ctx, cellKey(kind, b, level, cores, params), func(ctx context.Context) (*cell, error) {
 		return fill(ctx, b)
 	})
 }
 
 // compiledCell serves an analysis cell, whose fill reads the workload's
 // build compiled at level for 16 cores (through the compile tier).
-func compiledCell(ctx context.Context, kind, name string, level hcc.Level, params []string,
+func (e *Env) compiledCell(ctx context.Context, kind, name string, level hcc.Level, params []string,
 	f func(*hcc.Compiled, *build) *cell) (*cell, error) {
-	return persistedCell(ctx, kind, name, level, 16, params, func(ctx context.Context, b *build) (*cell, error) {
-		e, err := cachedCompile(ctx, b, level, 16, 0)
+	return e.persistedCell(ctx, kind, name, level, 16, params, func(ctx context.Context, b *build) (*cell, error) {
+		ce, err := e.cachedCompile(ctx, b, level, 16, 0)
 		if err != nil {
 			return nil, err
 		}
-		return f(e.comp, b), nil
+		return f(ce.comp, b), nil
 	})
 }
 

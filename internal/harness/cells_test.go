@@ -20,13 +20,13 @@ import (
 )
 
 // renderAnalyses renders the experiments served by the cell store —
-// Figures 2-4, Table 1 and the TLP statistic — through the Experiments
+// Figures 2-4, Table 1 and the TLP statistic — through env's Experiments
 // registry, as helix-bench does.
-func renderAnalyses(t *testing.T) string {
+func renderAnalyses(t *testing.T, env *Env) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, name := range []string{"fig2", "fig3", "fig4", "table1", "tlp"} {
-		e, ok := FindExperiment(name, 16)
+		e, ok := env.FindExperiment(name, 16)
 		if !ok {
 			t.Fatalf("no experiment %s", name)
 		}
@@ -37,6 +37,14 @@ func renderAnalyses(t *testing.T) string {
 		sb.WriteString(out)
 	}
 	return sb.String()
+}
+
+// sharingCompiles returns a New(o) whose compile and profile tiers are
+// e's, so its cells refill from e's compilations without compiling.
+func sharingCompiles(e *Env, o Options) *Env {
+	n := New(o)
+	n.compStore, n.profStore = e.compStore, e.profStore
+	return n
 }
 
 // sameCell reports whether two cells hold the same values bit for bit.
@@ -60,8 +68,8 @@ func sameCell(t *testing.T, a, b *cell) bool {
 // cell tier) recomputes every cell silently, counts a disk miss for
 // each, writes each again, and renders byte-identical figures.
 func TestCorruptCellEntriesDegrade(t *testing.T) {
-	dir := withCacheDir(t)
-	want := renderAnalyses(t)
+	cold, dir := newDiskEnv(t)
+	want := renderAnalyses(t, cold)
 	entries, err := filepath.Glob(filepath.Join(dir, "cell", "*.art"))
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +111,9 @@ func TestCorruptCellEntriesDegrade(t *testing.T) {
 		t.Fatalf("cell kinds on disk: %v, want accuracy, census, loopstats, coverage and tlp", seen)
 	}
 
-	cellStore.Reset()
-	before := cellStore.Stats()
-	got := renderAnalyses(t)
-	st := cellStore.Stats().Delta(before)
+	warm := sharingCompiles(cold, Options{CacheDir: dir})
+	got := renderAnalyses(t, warm)
+	st := warm.cellStore.Stats()
 	if n := int64(len(entries)); st.DiskMisses != n || st.DiskWrites != n || st.DiskHits != 0 {
 		t.Errorf("disk traffic %+v, want %d misses and %d writes", st, n, n)
 	}
@@ -122,16 +129,15 @@ func TestCorruptCellEntriesDegrade(t *testing.T) {
 // from hcc.Compile on a fresh workloads.Get build.
 // TestTLPCachedMatchesUncached does the same for the TLP cells.
 func TestAnalysisCellsMatchFreshCompiles(t *testing.T) {
-	withCacheDir(t)
+	cold, dir := newDiskEnv(t)
 	ctx := context.Background()
 	for _, name := range []string{"fig2", "fig3", "fig4", "table1"} {
-		e, _ := FindExperiment(name, 16)
+		e, _ := cold.FindExperiment(name, 16)
 		if _, err := e.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ResetCaches()
-	comp0, prof0 := CompileStats(), ProfileStats()
+	warm := New(Options{CacheDir: dir})
 	integer := map[string]bool{}
 	for _, name := range workloads.IntNames() {
 		integer[name] = true
@@ -157,25 +163,25 @@ func TestAnalysisCellsMatchFreshCompiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := coverageCell(ctx, name, level)
+			c, err := warm.coverageCell(ctx, name, level)
 			check(name+" coverage", c, err, &cell{ints: []int64{int64(w.Phases)}, floats: []float64{comp.Coverage}})
 			if level != hcc.V3 || !integer[name] {
 				continue
 			}
-			c, err = accuracyCell(ctx, name)
+			c, err = warm.accuracyCell(ctx, name)
 			check(name+" accuracy", c, err, &cell{floats: accuracyRow(comp)})
-			c, err = censusCell(ctx, name)
+			c, err = warm.censusCell(ctx, name)
 			check(name+" census", c, err, &cell{ints: census(comp)})
-			c, err = loopStatsCell(ctx, name)
+			c, err = warm.loopStatsCell(ctx, name)
 			check(name+" loopstats", c, err, &cell{ints: loopStats(comp)})
 		}
 	}
 	if cells != 48 {
 		t.Errorf("checked %d analysis cells, want 48", cells)
 	}
-	// hcc.Compile above bypasses the harness counters.
-	if n, p := CompileStats()-comp0, ProfileStats()-prof0; n != 0 || p != 0 {
-		t.Errorf("served cells compiled %d times and trained %d profiles, want 0 and 0", n, p)
+	// hcc.Compile above bypasses the Env's counters.
+	if st := warm.Stats(); st.Compiles != 0 || st.Profiles != 0 {
+		t.Errorf("served cells compiled %d times and trained %d profiles, want 0 and 0", st.Compiles, st.Profiles)
 	}
 }
 
@@ -184,10 +190,10 @@ func TestAnalysisCellsMatchFreshCompiles(t *testing.T) {
 // one that outlives its cell deadline (the cell degrades to a hole in
 // its figure) leave no entry, and the next request computes each again.
 func TestFailedCellFillsNotStored(t *testing.T) {
-	dir := withCacheDir(t)
+	e, dir := newDiskEnv(t)
 	ctx := context.Background()
 	serve := func(ctx context.Context, param string, fill func(context.Context, *build) (*cell, error)) (*cell, error) {
-		return persistedCell(ctx, "test", "181.mcf", hcc.V3, 16, []string{param}, fill)
+		return e.persistedCell(ctx, "test", "181.mcf", hcc.V3, 16, []string{param}, fill)
 	}
 	waits := func(ctx context.Context, _ *build) (*cell, error) {
 		<-ctx.Done()
@@ -203,12 +209,10 @@ func TestFailedCellFillsNotStored(t *testing.T) {
 	if _, err := serve(cctx, "cancelled", waits); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled fill: err = %v, want context.Canceled", err)
 	}
-	SetCellTimeout(20 * time.Millisecond)
 	pctx, partial := WithPartials(ctx)
-	out, err := parMapCells(pctx, 1, func(int) string { return "deadline" }, func(ctx context.Context, _ int) (*cell, error) {
+	out, err := parMapCells(pctx, 1, 20*time.Millisecond, 1, func(int) string { return "deadline" }, func(ctx context.Context, _ int) (*cell, error) {
 		return serve(ctx, "deadline", waits)
 	})
-	SetCellTimeout(0)
 	if err != nil || out[0] != nil || len(partial.Cells()) != 1 {
 		t.Fatalf("deadline fill: cells %v, err %v, degraded %v; want one degraded hole", out, err, partial.Cells())
 	}
@@ -216,7 +220,7 @@ func TestFailedCellFillsNotStored(t *testing.T) {
 		t.Fatalf("failed fills left entries: %v", entries)
 	}
 
-	ResetCaches() // the memory tier remembers the failed fill's error until a reset
+	e = New(Options{CacheDir: dir}) // a memory tier remembers the failed fill's error
 	for _, param := range []string{"fails", "cancelled", "deadline"} {
 		ran := false
 		if _, err := serve(ctx, param, func(context.Context, *build) (*cell, error) {
@@ -237,9 +241,9 @@ func TestFailedCellFillsNotStored(t *testing.T) {
 // with that cell degraded and stores nothing for it. The next render
 // computes the cell and matches a complete one.
 func TestDegradedAnalysisFigure(t *testing.T) {
-	withCacheDir(t)
+	cold, _ := newDiskEnv(t)
 	ctx := context.Background()
-	full, err := Figure4(ctx)
+	full, err := cold.Figure4(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +252,7 @@ func TestDegradedAnalysisFigure(t *testing.T) {
 	// A fresh disk tier and cell tier: the other cells recompute from
 	// the compile tier, well within the deadline.
 	dir := t.TempDir()
-	SetCacheDir(dir)
-	cellStore.Reset()
+	e := sharingCompiles(cold, Options{CacheDir: dir, CellTimeout: time.Second})
 	b, err := workloadBuild(ctx, "181.mcf")
 	if err != nil {
 		t.Fatal(err)
@@ -257,17 +260,15 @@ func TestDegradedAnalysisFigure(t *testing.T) {
 	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		cellStore.Get(ctx, cellKey("loopstats", b, hcc.V3, 16, nil), func(context.Context) (*cell, error) {
+		e.cellStore.Get(ctx, cellKey("loopstats", b, hcc.V3, 16, nil), func(context.Context) (*cell, error) {
 			close(started)
 			<-release
 			return nil, errors.New("released")
 		})
 	}()
 	<-started
-	SetCellTimeout(time.Second)
 	pctx, partial := WithPartials(ctx)
-	_, err = Figure4(pctx)
-	SetCellTimeout(0)
+	_, err = e.Figure4(pctx)
 	close(release)
 	<-done
 	if err != nil {
@@ -280,8 +281,7 @@ func TestDegradedAnalysisFigure(t *testing.T) {
 		t.Errorf("%d cell entries after one cell degraded, want %d", len(entries), len(workloads.IntNames())-1)
 	}
 
-	cellStore.Reset()
-	again, err := Figure4(ctx)
+	again, err := sharingCompiles(cold, Options{CacheDir: dir}).Figure4(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,20 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"helixrc/internal/artifact"
 )
+
+// testEnv serves the tests that only check outputs, as one long-running
+// process would: the first test to need a cell fills it, and every later
+// one reads it. A test that counts work or needs cold caches builds its
+// own Env.
+var testEnv = New(Options{CacheBudget: DefaultCacheBudget})
 
 // TestMain silences engine diagnostics (cache-eviction notices) for the
 // whole package's tests.
 func TestMain(m *testing.M) {
-	SetQuiet()
+	artifact.SetQuiet()
 	os.Exit(m.Run())
 }
 
@@ -46,9 +54,7 @@ func checkGoroutineLeaks(t *testing.T) func() {
 }
 
 func TestParMapOrder(t *testing.T) {
-	SetParallelism(8)
-	defer SetParallelism(0)
-	out, err := parMap(context.Background(), 100, func(_ context.Context, i int) (int, error) { return i * 3, nil })
+	out, err := ParMap(context.Background(), 8, 100, func(_ context.Context, i int) (int, error) { return i * 3, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +66,8 @@ func TestParMapOrder(t *testing.T) {
 }
 
 func TestParMapInline(t *testing.T) {
-	SetParallelism(1)
-	defer SetParallelism(0)
 	var order []int
-	_, err := parMap(context.Background(), 5, func(_ context.Context, i int) (int, error) {
+	_, err := ParMap(context.Background(), 1, 5, func(_ context.Context, i int) (int, error) {
 		order = append(order, i) // safe: single worker runs inline
 		return i, nil
 	})
@@ -78,10 +82,8 @@ func TestParMapInline(t *testing.T) {
 }
 
 func TestParMapError(t *testing.T) {
-	SetParallelism(4)
-	defer SetParallelism(0)
 	boom := errors.New("boom")
-	_, err := parMap(context.Background(), 50, func(_ context.Context, i int) (int, error) {
+	_, err := ParMap(context.Background(), 4, 50, func(_ context.Context, i int) (int, error) {
 		if i == 17 {
 			return 0, fmt.Errorf("cell %d: %w", i, boom)
 		}
@@ -97,10 +99,8 @@ func TestParMapError(t *testing.T) {
 // index and cell identity, and no worker goroutine leaks.
 func TestParMapPanic(t *testing.T) {
 	defer checkGoroutineLeaks(t)()
-	SetParallelism(8)
-	defer SetParallelism(0)
 	cell := func(i int) string { return fmt.Sprintf("wl%d/L3/conv16", i) }
-	_, err := parMapCells(context.Background(), 64, cell, func(_ context.Context, i int) (int, error) {
+	_, err := parMapCells(context.Background(), 8, 0, 64, cell, func(_ context.Context, i int) (int, error) {
 		if i == 13 {
 			panic("cell exploded")
 		}
@@ -128,8 +128,6 @@ func TestParMapPanic(t *testing.T) {
 // returns context.Canceled quickly, with all workers drained.
 func TestParMapCancel(t *testing.T) {
 	defer checkGoroutineLeaks(t)()
-	SetParallelism(4)
-	defer SetParallelism(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
 	go func() {
@@ -139,7 +137,7 @@ func TestParMapCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := parMap(ctx, 1000, func(ctx context.Context, i int) (int, error) {
+	_, err := ParMap(ctx, 4, 1000, func(ctx context.Context, i int) (int, error) {
 		started.Add(1)
 		<-ctx.Done() // a well-behaved cell observes cancellation
 		return 0, ctx.Err()
@@ -148,7 +146,7 @@ func TestParMapCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("cancelled parMap took %v, want < 2s", d)
+		t.Errorf("cancelled ParMap took %v, want < 2s", d)
 	}
 }
 
@@ -156,13 +154,9 @@ func TestParMapCancel(t *testing.T) {
 // deadline and a Partials collector installed, a cell that exceeds its
 // deadline yields the zero value and is reported, and the call succeeds.
 func TestCellTimeoutDegradation(t *testing.T) {
-	SetParallelism(2)
-	defer SetParallelism(0)
-	SetCellTimeout(20 * time.Millisecond)
-	defer SetCellTimeout(0)
 	ctx, partial := WithPartials(context.Background())
 	cell := func(i int) string { return fmt.Sprintf("wl%d/L3/rc16", i) }
-	out, err := parMapCells(ctx, 4, cell, func(cctx context.Context, i int) (int, error) {
+	out, err := parMapCells(ctx, 2, 20*time.Millisecond, 4, cell, func(cctx context.Context, i int) (int, error) {
 		if i == 2 { // a slow cell that honours its deadline
 			<-cctx.Done()
 			return 0, cctx.Err()
@@ -191,11 +185,7 @@ func TestCellTimeoutDegradation(t *testing.T) {
 // deadline error propagates, so a partial table can never silently pass
 // for a complete one.
 func TestCellTimeoutWithoutCollectorFails(t *testing.T) {
-	SetParallelism(1)
-	defer SetParallelism(0)
-	SetCellTimeout(10 * time.Millisecond)
-	defer SetCellTimeout(0)
-	_, err := parMapCells(context.Background(), 1, nil, func(cctx context.Context, i int) (int, error) {
+	_, err := parMapCells(context.Background(), 1, 10*time.Millisecond, 1, nil, func(cctx context.Context, i int) (int, error) {
 		<-cctx.Done()
 		return 0, cctx.Err()
 	})
@@ -221,17 +211,13 @@ func TestFigureCancelMidRun(t *testing.T) {
 		t.Skip("starts a full Figure 7 generation")
 	}
 	defer checkGoroutineLeaks(t)()
-	ResetCaches()
-	defer ResetCaches()
-	SetParallelism(4)
-	defer SetParallelism(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Figure7(ctx, 16)
+	_, err := New(Options{Parallelism: 4}).Figure7(ctx, 16)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -255,19 +241,17 @@ func TestParallelDeterminism(t *testing.T) {
 	defer checkGoroutineLeaks(t)()
 	gen := func(workers int) (string, string) {
 		t.Helper()
-		ResetCaches()
-		SetParallelism(workers)
-		f7, err := Figure7(context.Background(), 16)
+		e := New(Options{Parallelism: workers})
+		f7, err := e.Figure7(context.Background(), 16)
 		if err != nil {
 			t.Fatalf("parallel=%d: Figure7: %v", workers, err)
 		}
-		t1, err := Table1(context.Background())
+		t1, err := e.Table1(context.Background())
 		if err != nil {
 			t.Fatalf("parallel=%d: Table1: %v", workers, err)
 		}
 		return f7.Format(), FormatTable1(t1)
 	}
-	defer SetParallelism(0)
 	seqF7, seqT1 := gen(1)
 	parF7, parT1 := gen(8)
 	if seqF7 != parF7 {

@@ -16,25 +16,25 @@ type Experiment struct {
 // name. The second return is false for an unknown name; the server
 // validates figure-job requests with it at admission time so a typo is
 // a 400 at submit, not a failed job.
-func FindExperiment(name string, cores int) (Experiment, bool) {
-	for _, e := range Experiments(cores) {
-		if e.Name == name {
-			return e, true
+func (e *Env) FindExperiment(name string, cores int) (Experiment, bool) {
+	for _, x := range e.Experiments(cores) {
+		if x.Name == name {
+			return x, true
 		}
 	}
 	return Experiment{}, false
 }
 
-// Experiments returns the full evaluation in presentation order. Each
-// experiment internally fans its cells across the engine's worker pool
-// (SetParallelism).
+// Experiments returns the full evaluation in presentation order, each
+// experiment rendered by e. Each experiment internally fans its cells
+// across e's worker pool (Options.Parallelism).
 //
 // Every Run installs a Partials collector before generating its figure:
-// with SetCellTimeout active, cells that exceed their deadline degrade
+// with Options.CellTimeout set, cells that exceed their deadline degrade
 // into zero values and the rendered output ends with a PARTIAL FIGURE
 // note naming them. When every cell completes the note is empty, so
 // output is byte-identical to a run without deadlines.
-func Experiments(cores int) []Experiment {
+func (e *Env) Experiments(cores int) []Experiment {
 	// degrade wraps a generator so timed-out cells mark the figure
 	// partial instead of failing it.
 	degrade := func(f func(ctx context.Context) (string, error)) func(ctx context.Context) (string, error) {
@@ -63,7 +63,7 @@ func Experiments(cores int) []Experiment {
 	}
 	panel := func(name, which string) Experiment {
 		return Experiment{name, degrade(func(ctx context.Context) (string, error) {
-			r, err := Figure11(ctx, which)
+			r, err := e.Figure11(ctx, which)
 			if err != nil {
 				return "", err
 			}
@@ -71,52 +71,52 @@ func Experiments(cores int) []Experiment {
 		}), func() []simCell { return figure11Cells(which) }}
 	}
 	return []Experiment{
-		fig("fig1", Figure1, figure1Cells),
+		fig("fig1", e.Figure1, figure1Cells),
 		{"fig2", degrade(func(ctx context.Context) (string, error) {
-			r, err := Figure2(ctx)
+			r, err := e.Figure2(ctx)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
 		}), nil},
 		{"fig3", degrade(func(ctx context.Context) (string, error) {
-			r, err := Figure3(ctx)
+			r, err := e.Figure3(ctx)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
 		}), nil},
 		{"fig4", degrade(func(ctx context.Context) (string, error) {
-			r, err := Figure4(ctx)
+			r, err := e.Figure4(ctx)
 			if err != nil {
 				return "", err
 			}
 			return r.Format(), nil
 		}), nil},
 		{"table1", degrade(func(ctx context.Context) (string, error) {
-			rows, err := Table1(ctx)
+			rows, err := e.Table1(ctx)
 			if err != nil {
 				return "", err
 			}
 			return FormatTable1(rows), nil
 		}), nil},
-		fig("fig7", Figure7, figure7Cells),
-		fig("fig8", Figure8, figure8Cells),
-		fig("fig9", Figure9, figure9Cells),
-		fig("fig10", Figure10, figure10Cells),
+		fig("fig7", e.Figure7, figure7Cells),
+		fig("fig8", e.Figure8, figure8Cells),
+		fig("fig9", e.Figure9, figure9Cells),
+		fig("fig10", e.Figure10, figure10Cells),
 		panel("fig11a", "cores"),
 		panel("fig11b", "link"),
 		panel("fig11c", "signals"),
 		panel("fig11d", "memory"),
 		{"fig12", degrade(func(ctx context.Context) (string, error) {
-			rows, err := Figure12(ctx, cores)
+			rows, err := e.Figure12(ctx, cores)
 			if err != nil {
 				return "", err
 			}
 			return FormatFigure12(rows), nil
 		}), func() []simCell { return figure12Cells(cores) }},
 		{"tlp", degrade(func(ctx context.Context) (string, error) {
-			r, err := TLP(ctx)
+			r, err := e.TLP(ctx)
 			if err != nil {
 				return "", err
 			}

@@ -26,143 +26,42 @@ import (
 // Disk entries written under any other scheme are misses, never errors.
 const cacheScheme = ir.FingerprintScheme + "+" + sim.ConfigFingerprintScheme + "+hkey2"
 
-// The harness caches are content-addressed artifact stores keyed by
+// An Env's caches are content-addressed artifact stores keyed by
 // stable fingerprints of the inputs (workload content + arguments,
 // compiler level, core count, timing config). All are concurrency-safe
 // with singleflight semantics: when many experiment cells need the same
 // compilation, baseline or dynamic trace, exactly one goroutine
 // computes it and the rest wait for the result. Baseline and replayed
 // Results, recorded traces and the analysis cells (cellStore) can
-// persist to a disk tier (SetCacheDir) because their keys are
-// process-independent; compilations stay memory-only
+// persist to a disk tier (Options.CacheDir) because their keys are
+// process-independent; compilations (compStore) stay memory-only
 // behind the same interface: its product is pointer-rich, and a compile
 // from the build's prepared input (build.input) is cheap, under 0.2 ms
 // on 2 vCPU — the wide explore sweep's 160 compiles take about 27 ms of
 // CPU, preparing its 8 programs included, and hcc's
-// BenchmarkCompileGrid's 600 about 75-85 ms.
-var (
-	compStore = artifact.NewStore[*compEntry]("compile", cacheScheme, compCost, nil)
-	// profStore shares each training profile among the compilations of
-	// one (workload, cores) input; memory-only like the compile tier.
-	profStore = artifact.NewStore[*interp.Profile]("profile", cacheScheme, profCost, nil)
-	seqStore  = artifact.NewStore[*sim.Result]("baseline", cacheScheme,
-		func(*sim.Result) int64 { return 1 << 10 },
-		&artifact.Codec[*sim.Result]{Encode: sim.EncodeResult, Decode: sim.DecodeResult})
-	traceStore = artifact.NewStore[*sim.Trace]("trace", cacheScheme,
+// BenchmarkCompileGrid's 600 about 75-85 ms. profStore shares each
+// training profile among the compilations of one (workload, cores)
+// input; memory-only like the compile tier.
+
+// newTraceStore returns a store of recorded traces.
+func newTraceStore() *artifact.Store[*sim.Trace] {
+	return artifact.NewStore[*sim.Trace]("trace", cacheScheme,
 		(*sim.Trace).SizeBytes,
 		&artifact.Codec[*sim.Trace]{Encode: sim.EncodeTrace, Decode: sim.DecodeTrace})
-	// resStore caches replayed Results per (run key, timing config
-	// fingerprint). It is what makes batched retiming composable with
-	// the cell-oriented figure generators: a work unit retimes N
-	// configs in one trace traversal and Puts each lane here, and the
-	// cells then find their Results without touching the trace. A
-	// Config fingerprint includes MaxSteps, so budget-truncated runs
-	// can never serve full ones (or vice versa).
-	resStore = artifact.NewStore[*sim.Result]("result", cacheScheme,
+}
+
+// newResultStore returns a store of Results under kind: "baseline"
+// (seqStore) for the sequential runs, "result" (resStore) for the
+// replayed ones per (run key, timing config fingerprint). resStore is
+// what makes batched retiming composable with the cell-oriented figure
+// generators: a work unit retimes N configs in one trace traversal and
+// Puts each lane there, and the cells then find their Results without
+// touching the trace. A Config fingerprint includes MaxSteps, so
+// budget-truncated runs can never serve full ones (or vice versa).
+func newResultStore(kind string) *artifact.Store[*sim.Result] {
+	return artifact.NewStore[*sim.Result](kind, cacheScheme,
 		func(*sim.Result) int64 { return 1 << 10 },
 		&artifact.Codec[*sim.Result]{Encode: sim.EncodeResult, Decode: sim.DecodeResult})
-)
-
-// DefaultCacheBudget is the total byte budget shared by the harness
-// memory-tier caches (compilations, baselines, traces). Traces
-// dominate, so they get most of it; see SetCacheBudget.
-const DefaultCacheBudget = int64(1) << 30
-
-func init() {
-	SetCacheBudget(DefaultCacheBudget)
-}
-
-// store is what the harness does alike to each of its artifact stores.
-type store interface {
-	SetBudget(int64)
-	SetDir(string)
-	SetRemote(string)
-	Clear() error
-	Stats() artifact.Stats
-	Reset()
-}
-
-// stores lists every harness store once, for the functions below that
-// configure, clear, count and reset them all. share is the store's part
-// of the memory budget in 1/1024ths: traces take three quarters, and
-// the compile tier three times the profile tier's share. The memory-only
-// stores (no codec) ignore a cache dir and remote.
-var stores = []struct {
-	store
-	share int64
-}{
-	{traceStore, 768},
-	{seqStore, 16},
-	{resStore, 16},
-	{cellStore, 4},
-	{profStore, 55},
-	{compStore, 165},
-}
-
-// SetCacheBudget bounds the summed estimated size of the harness memo
-// caches, splitting the total across them by their shares (stores).
-// Least-recently-used entries are evicted past the budget, with a log
-// line per eviction. total <= 0 removes the bound. The disk tier is
-// never evicted by budget — only -cacheclear (or Clear) empties it.
-func SetCacheBudget(total int64) {
-	for _, s := range stores {
-		b := total * s.share / 1024
-		if total > 0 {
-			b = max(b, 1) // a budget of 0 would lift the bound
-		}
-		s.SetBudget(b)
-	}
-}
-
-// SetCacheDir installs dir as the disk tier root for persistable
-// artifacts: recorded traces, baseline and replayed Results, and the
-// analysis and TLP cells survive the process and serve later runs at
-// disk-read cost. Compilations and profiles stay memory-only. ""
-// disables the disk tier (the default).
-func SetCacheDir(dir string) {
-	for _, s := range stores {
-		s.SetDir(dir)
-	}
-}
-
-// CacheDir returns the configured disk-tier root, or "" when disabled.
-func CacheDir() string { return traceStore.Dir() }
-
-// SetCacheRemote installs base as the remote blob tier's daemon URL
-// for the same persistable stores SetCacheDir covers, so workers on
-// different machines share recordings through one helix-serve blob
-// backend. "" disables the remote tier (the default). Remote failures
-// are silent misses — a dead daemon degrades to local recomputation.
-func SetCacheRemote(base string) {
-	for _, s := range stores {
-		s.SetRemote(base)
-	}
-}
-
-// CacheRemote returns the configured remote-tier base URL, or "" when
-// disabled.
-func CacheRemote() string { return traceStore.Remote() }
-
-// ClearDiskCache removes every persisted artifact under the configured
-// cache dir (no-op without one). helix-bench -cacheclear calls it.
-func ClearDiskCache() error {
-	for _, s := range stores {
-		if err := s.Clear(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CacheStats aggregates the per-tier counters of every harness store:
-// memory hits/misses, disk hits/misses/writes and load time, and the
-// memory tier's cumulative evictions (for the helix-bench JSON report).
-func CacheStats() artifact.Stats {
-	var t artifact.Stats
-	for _, s := range stores {
-		t.Add(s.Stats())
-	}
-	return t
 }
 
 // compCost estimates a cached compilation's footprint: what the compile
@@ -214,30 +113,30 @@ type compEntry struct {
 // are shared — callers must treat them as read-only (HCC and sim.Run
 // do). A cancelled ctx detaches this caller from the shared compilation
 // without aborting it for others.
-func CachedCompile(ctx context.Context, name string, level hcc.Level, cores int) (*workloads.Workload, *hcc.Compiled, error) {
+func (e *Env) CachedCompile(ctx context.Context, name string, level hcc.Level, cores int) (*workloads.Workload, *hcc.Compiled, error) {
 	b, err := workloadBuild(ctx, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := cachedCompile(ctx, b, level, cores, 0)
+	ce, err := e.cachedCompile(ctx, b, level, cores, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.w, e.comp, nil
+	return b.w, ce.comp, nil
 }
 
 // cachedCompile is CachedCompile with an alias-tier override (0 = the
 // level default), returning the compile-tier entry.
-func cachedCompile(ctx context.Context, b *build, level hcc.Level, cores, tier int) (*compEntry, error) {
+func (e *Env) cachedCompile(ctx context.Context, b *build, level hcc.Level, cores, tier int) (*compEntry, error) {
 	key := fmt.Sprintf("compile/%s/L%d/c%d/t%d/%s", b.name, level, cores, tier, b.fp)
-	return compStore.Get(ctx, key, func(cctx context.Context) (*compEntry, error) {
+	return e.compStore.Get(ctx, key, func(cctx context.Context) (*compEntry, error) {
 		// hcc.Compile is not interruptible mid-flight (its profiling is
 		// bounded by ProfileBudget); honour an already-dead context
 		// before starting the work.
 		if err := cctx.Err(); err != nil {
 			return nil, err
 		}
-		comp, err := compileTier(cctx, b, level, cores, tier)
+		comp, err := e.compileTier(cctx, b, level, cores, tier)
 		if err != nil {
 			return nil, err
 		}
@@ -254,13 +153,13 @@ func cachedCompile(ctx context.Context, b *build, level hcc.Level, cores, tier i
 // a baseline has no parallel loops, so its trace is independent of the
 // timing config entirely and each new core model only pays a replay;
 // every compile that selects no loop shares it (traceKey).
-func CachedBaseline(ctx context.Context, name string, arch sim.Config, ref bool) (*sim.Result, error) {
+func (e *Env) CachedBaseline(ctx context.Context, name string, arch sim.Config, ref bool) (*sim.Result, error) {
 	b, err := workloadBuild(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return seqStore.Get(ctx, baseKey(name, ref, arch, b.fp), func(cctx context.Context) (*sim.Result, error) {
-		return simTrace(cctx, traceKey(b.fp, ref, 0, ""), b.w, nil, arch, ref)
+	return e.seqStore.Get(ctx, baseKey(name, ref, arch, b.fp), func(cctx context.Context) (*sim.Result, error) {
+		return e.simTrace(cctx, traceKey(b.fp, ref, 0, ""), b.w, nil, arch, ref)
 	})
 }
 
@@ -269,17 +168,6 @@ func CachedBaseline(ctx context.Context, name string, arch sim.Config, ref bool)
 func baseKey(name string, ref bool, arch sim.Config, fp string) string {
 	arch.Cores = 0
 	return "base/" + name + "/ref=" + strconv.FormatBool(ref) + "/" + arch.Fingerprint() + "/" + fp
-}
-
-// ResetCaches clears the memory tier of every harness store (tests use
-// this to bound memory, and to force warm-start paths). Disk-tier
-// entries, the workload builds and all counters survive. Safe to call
-// concurrently with cache users: in-flight computations complete for
-// their waiters and are dropped.
-func ResetCaches() {
-	for _, s := range stores {
-		s.Reset()
-	}
 }
 
 // resultKey derives the result-store key for one (run, timing config)
@@ -314,7 +202,7 @@ func traceKey(fp string, ref bool, cores int, compFP string) string {
 // record executes the workload's build under arch, as compiled by comp
 // (nil for the sequential baseline), and captures its dynamic trace:
 // the fill behind every trace-store miss.
-func record(ctx context.Context, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (*sim.Result, *sim.Trace, error) {
+func (e *Env) record(ctx context.Context, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (*sim.Result, *sim.Trace, error) {
 	in := w.TrainArgs
 	if ref {
 		in = w.RefArgs
@@ -323,7 +211,7 @@ func record(ctx context.Context, w *workloads.Workload, comp *hcc.Compiled, arch
 	if err != nil {
 		return nil, nil, err
 	}
-	traceRecordings.Add(1)
+	e.recordings.Add(1)
 	return res, tr, nil
 }
 
@@ -331,9 +219,9 @@ func record(ctx context.Context, w *workloads.Workload, comp *hcc.Compiled, arch
 // (and persisting it when a disk tier is configured) if no tier has it.
 // recorded is the recording run's Result when this call recorded, which
 // is already exact for arch.
-func loadTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (tr *sim.Trace, recorded *sim.Result, err error) {
-	tr, err = traceStore.Get(ctx, tkey, func(cctx context.Context) (*sim.Trace, error) {
-		res, tr, err := record(cctx, w, comp, arch, ref)
+func (e *Env) loadTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (tr *sim.Trace, recorded *sim.Result, err error) {
+	tr, err = e.traceStore.Get(ctx, tkey, func(cctx context.Context) (*sim.Trace, error) {
+		res, tr, err := e.record(cctx, w, comp, arch, ref)
 		recorded = res
 		return tr, err
 	})
@@ -347,15 +235,15 @@ func loadTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hc
 // batched retimer hands whole sweeps to the cells: a work unit walks the
 // trace once for N configs and Puts every lane, so the cells hit the
 // result tier and never reach here.
-func simTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (*sim.Result, error) {
-	tr, recorded, err := loadTrace(ctx, tkey, w, comp, arch, ref)
+func (e *Env) simTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hcc.Compiled, arch sim.Config, ref bool) (*sim.Result, error) {
+	tr, recorded, err := e.loadTrace(ctx, tkey, w, comp, arch, ref)
 	if err != nil {
 		return nil, err
 	}
 	if recorded != nil {
 		return recorded, nil
 	}
-	traceReplays.Add(1)
+	e.replays.Add(1)
 	return sim.Replay(ctx, tr, arch)
 }
 
@@ -364,18 +252,18 @@ func simTrace(ctx context.Context, tkey string, w *workloads.Workload, comp *hcc
 // content alone: a cached Result answers without compiling; otherwise
 // it compiles (through the compile tier) to name the trace, then
 // replays the stored trace or records it.
-func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch sim.Config, ref bool) (*sim.Result, error) {
+func (e *Env) runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch sim.Config, ref bool) (*sim.Result, error) {
 	b, err := workloadBuild(ctx, name)
 	if err != nil {
 		return nil, err
 	}
 	key := resultKey(runKey(name, level, arch.Cores, tier, ref, b.fp), arch)
-	res, err := resStore.Get(ctx, key, func(rctx context.Context) (*sim.Result, error) {
-		e, err := cachedCompile(rctx, b, level, arch.Cores, tier)
+	res, err := e.resStore.Get(ctx, key, func(rctx context.Context) (*sim.Result, error) {
+		ce, err := e.cachedCompile(rctx, b, level, arch.Cores, tier)
 		if err != nil {
 			return nil, err
 		}
-		return simTrace(rctx, traceKey(b.fp, ref, arch.Cores, e.fp), b.w, e.comp, arch, ref)
+		return e.simTrace(rctx, traceKey(b.fp, ref, arch.Cores, ce.fp), b.w, ce.comp, arch, ref)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -388,12 +276,12 @@ func runOnTier(ctx context.Context, name string, level hcc.Level, tier int, arch
 // plus simulate through the store-backed record/replay path.
 // cmd/helix-run uses it in -cachedir mode so a repeated run serves its
 // trace from disk.
-func CachedRun(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, *hcc.Compiled, error) {
-	_, comp, err := CachedCompile(ctx, name, level, arch.Cores)
+func (e *Env) CachedRun(ctx context.Context, name string, level hcc.Level, arch sim.Config, ref bool) (*sim.Result, *hcc.Compiled, error) {
+	_, comp, err := e.CachedCompile(ctx, name, level, arch.Cores)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := runOnTier(ctx, name, level, 0, arch, ref)
+	res, err := e.runOnTier(ctx, name, level, 0, arch, ref)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -485,7 +373,7 @@ func figure1Cells(cores int) []simCell {
 
 // Figure1 compares HCCv1 and HCCv2 on the conventional 16-core platform
 // with the optimistic 10-cycle coherence latency.
-func Figure1(ctx context.Context, cores int) (*FigureResult, error) {
+func (e *Env) Figure1(ctx context.Context, cores int) (*FigureResult, error) {
 	f := &FigureResult{
 		Title:  "Figure 1: HCCv1 vs HCCv2 program speedup (conventional hardware)",
 		Series: []string{"HCCv1", "HCCv2"},
@@ -495,7 +383,7 @@ func Figure1(ctx context.Context, cores int) (*FigureResult, error) {
 	label := func(i int) string {
 		return fmt.Sprintf("%s/L%d/conv%d", cells[i].name, cells[i].level, cores)
 	}
-	rs, err := simulate(ctx, cells, label)
+	rs, err := e.simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
@@ -508,7 +396,7 @@ func Figure1(ctx context.Context, cores int) (*FigureResult, error) {
 // hot loops HCCv3 selects in the CINT2000 analogues (the paper's "small
 // hot loops"). Accuracy is actual/reported loop-carried dependences,
 // scored against the profiler's dynamic oracle.
-func Figure2(ctx context.Context) (*FigureResult, error) {
+func (e *Env) Figure2(ctx context.Context) (*FigureResult, error) {
 	f := &FigureResult{
 		Title: "Figure 2: dependence analysis accuracy for small hot loops (CINT2000)",
 		Notes: "Paper shape: 48% (VLLPA) rising to 81% (+lib calls). Mean of per-loop actual/reported.",
@@ -522,8 +410,8 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 	// share one CFG per loop function.
 	names := workloads.IntNames()
 	label := func(i int) string { return fmt.Sprintf("%s/L%d/alias", names[i], hcc.V3) }
-	rows, err := parMapCells(ctx, len(names), label, func(ctx context.Context, i int) (*cell, error) {
-		return accuracyCell(ctx, names[i])
+	rows, err := parMapCells(ctx, e.workers, e.cellTimeout, len(names), label, func(ctx context.Context, i int) (*cell, error) {
+		return e.accuracyCell(ctx, names[i])
 	})
 	if err != nil {
 		return nil, err
@@ -550,8 +438,8 @@ func Figure2(ctx context.Context) (*FigureResult, error) {
 
 // accuracyCell serves one workload's row of Figure 2, accuracyRow of
 // its HCCv3 compile.
-func accuracyCell(ctx context.Context, name string) (*cell, error) {
-	return compiledCell(ctx, "accuracy", name, hcc.V3, []string{fmt.Sprintf("tiers=%d", alias.Tiers)},
+func (e *Env) accuracyCell(ctx context.Context, name string) (*cell, error) {
+	return e.compiledCell(ctx, "accuracy", name, hcc.V3, []string{fmt.Sprintf("tiers=%d", alias.Tiers)},
 		func(comp *hcc.Compiled, _ *build) *cell { return &cell{floats: accuracyRow(comp)} })
 }
 
@@ -621,13 +509,13 @@ func (r *Figure3Result) Format() string {
 
 // Figure3 runs the predictability census over the HCCv3-selected loops of
 // the CINT2000 analogues.
-func Figure3(ctx context.Context) (*Figure3Result, error) {
+func (e *Env) Figure3(ctx context.Context) (*Figure3Result, error) {
 	out := &Figure3Result{ByClass: map[string]int{}}
 	// One cell per workload; its integer counts sum order-independently.
 	names := workloads.IntNames()
 	label := func(i int) string { return fmt.Sprintf("%s/L%d/census", names[i], hcc.V3) }
-	parts, err := parMapCells(ctx, len(names), label, func(ctx context.Context, i int) (*cell, error) {
-		return censusCell(ctx, names[i])
+	parts, err := parMapCells(ctx, e.workers, e.cellTimeout, len(names), label, func(ctx context.Context, i int) (*cell, error) {
+		return e.censusCell(ctx, names[i])
 	})
 	if err != nil {
 		return nil, err
@@ -655,8 +543,8 @@ const censusLen = 3 + int(induction.ClassShared) + 1
 
 // censusCell serves one workload's cell of Figure 3, census of its
 // HCCv3 compile.
-func censusCell(ctx context.Context, name string) (*cell, error) {
-	return compiledCell(ctx, "census", name, hcc.V3, []string{fmt.Sprintf("tier=%d", alias.TierLib)},
+func (e *Env) censusCell(ctx context.Context, name string) (*cell, error) {
+	return e.compiledCell(ctx, "census", name, hcc.V3, []string{fmt.Sprintf("tier=%d", alias.TierLib)},
 		func(comp *hcc.Compiled, _ *build) *cell { return &cell{ints: census(comp)} })
 }
 
@@ -733,13 +621,13 @@ func (r *Figure4Result) Format() string {
 
 // Figure4 collects iteration-length, hop-distance and consumer statistics
 // over the HCCv3-selected CINT2000 loops.
-func Figure4(ctx context.Context) (*Figure4Result, error) {
+func (e *Env) Figure4(ctx context.Context) (*Figure4Result, error) {
 	out := &Figure4Result{IterCyclesBounds: slices.Clone(fig4Bounds)}
 	// One cell per workload; its integer counts sum order-independently.
 	names := workloads.IntNames()
 	label := func(i int) string { return fmt.Sprintf("%s/L%d/loopstats", names[i], hcc.V3) }
-	parts, err := parMapCells(ctx, len(names), label, func(ctx context.Context, i int) (*cell, error) {
-		return loopStatsCell(ctx, names[i])
+	parts, err := parMapCells(ctx, e.workers, e.cellTimeout, len(names), label, func(ctx context.Context, i int) (*cell, error) {
+		return e.loopStatsCell(ctx, names[i])
 	})
 	if err != nil {
 		return nil, err
@@ -763,8 +651,8 @@ const (
 
 // loopStatsCell serves one workload's cell of Figure 4, loopStats of its
 // HCCv3 compile.
-func loopStatsCell(ctx context.Context, name string) (*cell, error) {
-	return compiledCell(ctx, "loopstats", name, hcc.V3, nil,
+func (e *Env) loopStatsCell(ctx context.Context, name string) (*cell, error) {
+	return e.compiledCell(ctx, "loopstats", name, hcc.V3, nil,
 		func(comp *hcc.Compiled, _ *build) *cell { return &cell{ints: loopStats(comp)} })
 }
 
@@ -832,7 +720,7 @@ type Table1Row struct {
 }
 
 // Table1 reports parallelized-loop coverage per compiler generation.
-func Table1(ctx context.Context) ([]Table1Row, error) {
+func (e *Env) Table1(ctx context.Context) ([]Table1Row, error) {
 	names := workloads.Names()
 	levels := []hcc.Level{hcc.V1, hcc.V2, hcc.V3}
 	// One cell per (workload, level): the compile's coverage and the
@@ -840,8 +728,8 @@ func Table1(ctx context.Context) ([]Table1Row, error) {
 	label := func(i int) string {
 		return fmt.Sprintf("%s/L%d/coverage", names[i/len(levels)], levels[i%len(levels)])
 	}
-	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (*cell, error) {
-		return coverageCell(ctx, names[i/len(levels)], levels[i%len(levels)])
+	cells, err := parMapCells(ctx, e.workers, e.cellTimeout, len(names)*len(levels), label, func(ctx context.Context, i int) (*cell, error) {
+		return e.coverageCell(ctx, names[i/len(levels)], levels[i%len(levels)])
 	})
 	if err != nil {
 		return nil, err
@@ -865,8 +753,8 @@ func Table1(ctx context.Context) ([]Table1Row, error) {
 
 // coverageCell serves one (workload, level) cell of Table 1: the
 // workload's phase count and its compile's coverage.
-func coverageCell(ctx context.Context, name string, level hcc.Level) (*cell, error) {
-	return compiledCell(ctx, "coverage", name, level, nil, func(comp *hcc.Compiled, b *build) *cell {
+func (e *Env) coverageCell(ctx context.Context, name string, level hcc.Level) (*cell, error) {
+	return e.compiledCell(ctx, "coverage", name, level, nil, func(comp *hcc.Compiled, b *build) *cell {
 		return &cell{ints: []int64{int64(b.w.Phases)}, floats: []float64{comp.Coverage}}
 	})
 }
@@ -899,7 +787,7 @@ func figure7Cells(cores int) []simCell {
 
 // Figure7 is the headline result: HCCv2 on conventional hardware vs
 // HELIX-RC (HCCv3 + ring cache), both against sequential execution.
-func Figure7(ctx context.Context, cores int) (*FigureResult, error) {
+func (e *Env) Figure7(ctx context.Context, cores int) (*FigureResult, error) {
 	f := &FigureResult{
 		Title:  "Figure 7: HELIX-RC triples the speedup obtained by HCCv2",
 		Series: []string{"HCCv2", "HELIX-RC"},
@@ -913,7 +801,7 @@ func Figure7(ctx context.Context, cores int) (*FigureResult, error) {
 		}
 		return fmt.Sprintf("%s/L%d/%s%d", cells[i].name, cells[i].level, hw, cores)
 	}
-	rs, err := simulate(ctx, cells, label)
+	rs, err := e.simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
@@ -950,7 +838,7 @@ func figure8Cells(cores int) []simCell {
 
 // Figure8 breaks down the benefit of decoupling each communication class
 // (registers, synchronization, memory) for the CINT2000 analogues.
-func Figure8(ctx context.Context, cores int) (*FigureResult, error) {
+func (e *Env) Figure8(ctx context.Context, cores int) (*FigureResult, error) {
 	f := &FigureResult{
 		Title: "Figure 8: breakdown of benefits of decoupling communication",
 		Series: []string{
@@ -964,7 +852,7 @@ func Figure8(ctx context.Context, cores int) (*FigureResult, error) {
 	label := func(i int) string {
 		return fmt.Sprintf("%s/%s/%dcores", cells[i].name, f.Series[i%len(f.Series)], cores)
 	}
-	rs, err := simulate(ctx, cells, label)
+	rs, err := e.simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
@@ -988,7 +876,7 @@ func figure9Cells(cores int) []simCell {
 
 // Figure9 runs HCCv3-generated code on conventional hardware (C) and on
 // the ring cache (R), reporting execution time as % of sequential.
-func Figure9(ctx context.Context, cores int) (*FigureResult, error) {
+func (e *Env) Figure9(ctx context.Context, cores int) (*FigureResult, error) {
 	f := &FigureResult{
 		Title:  "Figure 9: HCCv3 code on conventional hardware (C) vs ring cache (R), % of sequential time",
 		Series: []string{"C %time", "R %time"},
@@ -1004,7 +892,7 @@ func Figure9(ctx context.Context, cores int) (*FigureResult, error) {
 		}
 		return fmt.Sprintf("%s/L%d/%s%d", cells[i].name, hcc.V3, hw, cores)
 	}
-	rs, err := simulate(ctx, cells, label)
+	rs, err := e.simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func figure10Cells(cores int) []simCell {
 // and 4-way out-of-order. The second series block reports each core's
 // sequential time normalized to the 4-way OoO core (the paper's lower
 // panel).
-func Figure10(ctx context.Context, cores int) (*FigureResult, error) {
+func (e *Env) Figure10(ctx context.Context, cores int) (*FigureResult, error) {
 	f := &FigureResult{
 		Title: "Figure 10: speedup by core type (upper) and sequential time vs 4-way OoO (lower)",
 		Series: []string{
@@ -47,7 +47,7 @@ func Figure10(ctx context.Context, cores int) (*FigureResult, error) {
 	label := func(i int) string {
 		return fmt.Sprintf("%s/L%d/%s", cells[i].name, hcc.V3, cells[i].arch.Core.Name)
 	}
-	rs, err := simulate(ctx, cells, label)
+	rs, err := e.simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,7 @@ func figure11Cells(which string) []simCell {
 // Figure11 sweeps one architectural parameter of the ring cache at a time
 // over the CINT2000 analogues. which selects the panel: "cores", "link",
 // "signals" or "memory".
-func Figure11(ctx context.Context, which string) (*FigureResult, error) {
+func (e *Env) Figure11(ctx context.Context, which string) (*FigureResult, error) {
 	title, variants, err := figure11Panel(which)
 	if err != nil {
 		return nil, err
@@ -167,7 +167,7 @@ func Figure11(ctx context.Context, which string) (*FigureResult, error) {
 	label := func(i int) string {
 		return fmt.Sprintf("%s/%s/%s", cells[i].name, which, variants[i%len(variants)].label)
 	}
-	rs, err := simulate(ctx, cells, label)
+	rs, err := e.simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
@@ -195,10 +195,10 @@ func figure12Cells(cores int) []simCell {
 }
 
 // Figure12 categorizes every overhead cycle that prevents ideal speedup.
-func Figure12(ctx context.Context, cores int) ([]Figure12Row, error) {
+func (e *Env) Figure12(ctx context.Context, cores int) ([]Figure12Row, error) {
 	cells := figure12Cells(cores)
 	label := func(i int) string { return fmt.Sprintf("%s/L%d/rc%d", cells[i].name, hcc.V3, cores) }
-	rs, err := simulate(ctx, cells, label)
+	rs, err := e.simulate(ctx, cells, label)
 	if err != nil {
 		return nil, err
 	}
@@ -256,16 +256,16 @@ func (r *TLPResult) Format() string {
 // communication-free loop selection, then simulated execution-driven on
 // the abstract machine over the ref input. The cell keeps the run's
 // whole Result.
-func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, error) {
+func (e *Env) tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, error) {
 	arch := sim.Abstract(16)
 	params := []string{"sel1", "ref=true", arch.Fingerprint()}
-	c, err := persistedCell(ctx, "tlp", name, level, 16, params, func(ctx context.Context, b *build) (*cell, error) {
-		prof, err := trainedProfile(ctx, b, 16)
+	c, err := e.persistedCell(ctx, "tlp", name, level, 16, params, func(ctx context.Context, b *build) (*cell, error) {
+		prof, err := e.trainedProfile(ctx, b, 16)
 		if err != nil {
 			return nil, err
 		}
 		w := b.w
-		comp, err := b.compile(hcc.Options{
+		comp, err := e.compile(b, hcc.Options{
 			Level: level, Cores: 16, TrainArgs: w.TrainArgs,
 			// Selection under the abstract machine: communication-free.
 			SelectLatency: 1,
@@ -288,7 +288,7 @@ func tlpRun(ctx context.Context, name string, level hcc.Level) (*sim.Result, err
 // TLP measures thread-level parallelism on the abstract machine for
 // HCCv2-style merged segments vs HCCv3 aggressive splitting, over the
 // CINT2000 analogues.
-func TLP(ctx context.Context) (*TLPResult, error) {
+func (e *Env) TLP(ctx context.Context) (*TLPResult, error) {
 	out := &TLPResult{}
 	names := workloads.IntNames()
 	levels := []hcc.Level{hcc.V2, hcc.V3}
@@ -302,8 +302,8 @@ func TLP(ctx context.Context) (*TLPResult, error) {
 	label := func(i int) string {
 		return fmt.Sprintf("%s/L%d/abstract16", names[i/len(levels)], levels[i%len(levels)])
 	}
-	cells, err := parMapCells(ctx, len(names)*len(levels), label, func(ctx context.Context, i int) (stat, error) {
-		res, err := tlpRun(ctx, names[i/len(levels)], levels[i%len(levels)])
+	cells, err := parMapCells(ctx, e.workers, e.cellTimeout, len(names)*len(levels), label, func(ctx context.Context, i int) (stat, error) {
+		res, err := e.tlpRun(ctx, names[i/len(levels)], levels[i%len(levels)])
 		if err != nil {
 			return stat{}, err
 		}

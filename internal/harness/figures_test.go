@@ -8,7 +8,7 @@ import (
 )
 
 func TestFigure7Shape(t *testing.T) {
-	f, err := Figure7(context.Background(), 16)
+	f, err := testEnv.Figure7(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	f, err := Figure1(context.Background(), 16)
+	f, err := testEnv.Figure1(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure2Ladder(t *testing.T) {
-	f, err := Figure2(context.Background())
+	f, err := testEnv.Figure2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFigure2Ladder(t *testing.T) {
 }
 
 func TestFigure3Predictability(t *testing.T) {
-	r, err := Figure3(context.Background())
+	r, err := testEnv.Figure3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFigure3Predictability(t *testing.T) {
 }
 
 func TestFigure4Stats(t *testing.T) {
-	r, err := Figure4(context.Background())
+	r, err := testEnv.Figure4(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFigure4Stats(t *testing.T) {
 }
 
 func TestTable1Coverage(t *testing.T) {
-	rows, err := Table1(context.Background())
+	rows, err := testEnv.Table1(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTable1Coverage(t *testing.T) {
 }
 
 func TestFigure8Monotonic(t *testing.T) {
-	f, err := Figure8(context.Background(), 16)
+	f, err := testEnv.Figure8(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFigure8Monotonic(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	f, err := Figure9(context.Background(), 16)
+	f, err := testEnv.Figure9(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	f, err := Figure10(context.Background(), 16)
+	f, err := testEnv.Figure10(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestFigure11Sweeps(t *testing.T) {
 	for _, panel := range []string{"cores", "link", "signals", "memory"} {
-		f, err := Figure11(context.Background(), panel)
+		f, err := testEnv.Figure11(context.Background(), panel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestFigure11Sweeps(t *testing.T) {
 }
 
 func TestFigure12Overheads(t *testing.T) {
-	rows, err := Figure12(context.Background(), 16)
+	rows, err := testEnv.Figure12(context.Background(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFigure12Overheads(t *testing.T) {
 }
 
 func TestTLPStat(t *testing.T) {
-	r, err := TLP(context.Background())
+	r, err := testEnv.TLP(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestTLPStat(t *testing.T) {
 
 func TestDecoupledVariantsFunctional(t *testing.T) {
 	// Every decoupling variant must produce the same result.
-	w, comp, err := CachedCompile(context.Background(), "164.gzip", 3, 16)
+	w, comp, err := testEnv.CachedCompile(context.Background(), "164.gzip", 3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

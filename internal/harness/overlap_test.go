@@ -34,9 +34,7 @@ func TestExperimentsOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCaches()
-	defer ResetCaches()
-	exps := Experiments(16)
+	exps := New(Options{}).Experiments(16)
 	outs := make([]string, len(exps))
 	errs := make([]error, len(exps))
 	var wg sync.WaitGroup
@@ -93,7 +91,7 @@ func snapshotProgram(p *ir.Program, entry *ir.Function) programSnapshot {
 func TestAnalysesOnlyReadCompiledPrograms(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range workloads.Names() {
-		w, comp, err := CachedCompile(ctx, name, hcc.V3, 16)
+		w, comp, err := testEnv.CachedCompile(ctx, name, hcc.V3, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

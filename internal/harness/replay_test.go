@@ -21,11 +21,9 @@ func TestReplayedFiguresMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCaches()
-	defer ResetCaches()
-	rec0, reps0 := ReplayStats()
+	env := New(Options{})
 	for _, name := range []string{"fig10", "fig11c"} {
-		e, ok := FindExperiment(name, 16)
+		e, ok := env.FindExperiment(name, 16)
 		if !ok {
 			t.Fatalf("unknown experiment %s", name)
 		}
@@ -37,8 +35,7 @@ func TestReplayedFiguresMatchReference(t *testing.T) {
 			t.Errorf("%s output hash %s, want %s:\n%s", name, got, want[name], out)
 		}
 	}
-	rec, reps := ReplayStats()
-	if rec == rec0 || reps == reps0 {
-		t.Errorf("expected both recordings and replays, got %d/%d", rec-rec0, reps-reps0)
+	if st := env.Stats(); st.Recordings == 0 || st.Replays == 0 {
+		t.Errorf("expected both recordings and replays, got %d/%d", st.Recordings, st.Replays)
 	}
 }

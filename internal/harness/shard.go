@@ -46,7 +46,9 @@ import (
 // sequence a solo run presents and a merged sharded report must
 // reassemble.
 func ExperimentNames() []string {
-	exps := Experiments(16)
+	// Experiments binds its generators to the Env without calling any,
+	// so no Env is needed to list them.
+	exps := (*Env)(nil).Experiments(16)
 	names := make([]string, len(exps))
 	for i, e := range exps {
 		names[i] = e.Name
@@ -103,11 +105,11 @@ type WorkUnit struct {
 }
 
 // complete reports whether every Result this unit produces is already
-// available (memory or disk tier).
-func (u *WorkUnit) complete() bool {
+// available in e (memory or disk tier).
+func (u *WorkUnit) complete(e *Env) bool {
 	for _, m := range u.members {
 		for _, k := range m.keys {
-			if _, ok := m.g.store().Peek(k); !ok {
+			if _, ok := m.g.store(e).Peek(k); !ok {
 				return false
 			}
 		}
@@ -122,14 +124,14 @@ func (u *WorkUnit) complete() bool {
 // experiments, and skips experiments without one (the analyses, tlp)
 // and unknown names. It compiles the runs it must name by content, and
 // the unit order is deterministic.
-func PlanUnits(ctx context.Context, experiments []string, cores int) ([]WorkUnit, error) {
+func (e *Env) PlanUnits(ctx context.Context, experiments []string, cores int) ([]WorkUnit, error) {
 	var groups []retimeGroup
 	for _, name := range experiments {
-		if e, ok := FindExperiment(name, cores); ok && e.cells != nil {
-			groups = append(groups, cellGroups(e.cells())...)
+		if x, ok := e.FindExperiment(name, cores); ok && x.cells != nil {
+			groups = append(groups, cellGroups(x.cells())...)
 		}
 	}
-	return planGroups(ctx, groups)
+	return e.planGroups(ctx, groups)
 }
 
 // planGroups plans retime groups into work units, the shared core of
@@ -141,7 +143,7 @@ func PlanUnits(ctx context.Context, experiments []string, cores int) ([]WorkUnit
 // unit. So no recording or retiming lane is planned twice, a warm plan
 // compiles nothing, and units list only missing work, in group order.
 // A cancelled ctx stops the compiles and returns ctx.Err().
-func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
+func (e *Env) planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
 	var members []*member
 	planned := map[string]bool{}
 	for _, g := range groups {
@@ -162,7 +164,7 @@ func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
 		members = append(members, m)
 	}
 	errs := make([]error, len(members))
-	fanOut(ctx, len(members), func(i int) { errs[i] = members[i].plan(ctx) })
+	fanOut(ctx, len(members), func(i int) { errs[i] = members[i].plan(ctx, e) })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -191,10 +193,10 @@ func planGroups(ctx context.Context, groups []retimeGroup) ([]WorkUnit, error) {
 // records it: none for a baseline, which records the workload's build
 // itself, and otherwise the run's compilation, whose Fingerprint names
 // the trace by content.
-func (m *member) plan(ctx context.Context) error {
+func (m *member) plan(ctx context.Context, e *Env) error {
 	archs, keys := m.g.archs[:0], m.keys[:0]
 	for j, k := range m.keys {
-		if _, ok := m.g.store().Peek(k); !ok {
+		if _, ok := m.g.store(e).Peek(k); !ok {
 			archs = append(archs, m.g.archs[j])
 			keys = append(keys, k)
 		}
@@ -205,11 +207,11 @@ func (m *member) plan(ctx context.Context) error {
 		return nil
 	}
 	cores := archs[0].Cores
-	e, err := cachedCompile(ctx, m.b, m.g.level, cores, m.g.tier)
+	ce, err := e.cachedCompile(ctx, m.b, m.g.level, cores, m.g.tier)
 	if err != nil {
 		return err
 	}
-	m.tkey, m.comp = traceKey(m.b.fp, true, cores, e.fp), e.comp
+	m.tkey, m.comp = traceKey(m.b.fp, true, cores, ce.fp), ce.comp
 	return nil
 }
 
@@ -223,13 +225,13 @@ func (m *member) plan(ctx context.Context) error {
 // appear or their lease expires and is stolen. Either way RunPlan is
 // best-effort warm-up — a unit that fails here is recomputed by its
 // cells, which attribute the error properly.
-func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
+func (e *Env) RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if claimer == nil {
-		if CellTimeout() == 0 {
-			runUnits(ctx, units)
+		if e.cellTimeout <= 0 {
+			e.runUnits(ctx, units)
 		}
 		return
 	}
@@ -254,7 +256,7 @@ func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
 				continue
 			}
 			u := &units[i]
-			if u.complete() {
+			if u.complete(e) {
 				// Its artifacts appeared without us computing them; if we
 				// ever saw another worker's live lease on it, that worker
 				// recorded it — a duplicate recording the claims suppressed.
@@ -270,14 +272,14 @@ func RunPlan(ctx context.Context, units []WorkUnit, claimer artifact.Claims) {
 				// Claim directory unusable: degrade to solo execution. The
 				// unit is idempotent, so the worst outcome is duplicated
 				// work across workers, never a wrong artifact.
-				u.run(ctx)
+				u.run(ctx, e)
 				finish(i)
 				progress = true
 				continue
 			}
 			switch st {
 			case artifact.ClaimAcquired:
-				u.run(ctx)
+				u.run(ctx, e)
 				lease.Done("")
 				finish(i)
 				progress = true

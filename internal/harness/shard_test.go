@@ -14,28 +14,15 @@ import (
 	"helixrc/internal/irgen"
 )
 
-// shardEnv points the harness caches at a fresh disk tier and restores
-// everything on cleanup, so shard tests neither see nor pollute other
-// tests' artifacts.
-func shardEnv(t *testing.T) {
-	t.Helper()
-	ResetCaches()
-	SetCacheDir(t.TempDir())
-	t.Cleanup(func() {
-		SetCacheDir("")
-		ResetCaches()
-	})
-}
-
 func TestPlanUnitsDeterministicAndDeduplicated(t *testing.T) {
-	shardEnv(t)
+	e := New(Options{})
 	ctx := context.Background()
 	names := []string{"fig7", "fig9", "fig12"}
-	a, err := PlanUnits(ctx, names, 4)
+	a, err := e.PlanUnits(ctx, names, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PlanUnits(ctx, names, 4)
+	b, err := e.PlanUnits(ctx, names, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +56,7 @@ func TestPlanUnitsDeterministicAndDeduplicated(t *testing.T) {
 	// of the per-experiment plans.
 	var sum int
 	for _, n := range names {
-		p, err := PlanUnits(ctx, []string{n}, 4)
+		p, err := e.PlanUnits(ctx, []string{n}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +75,9 @@ func TestPlanUnitsDeterministicAndDeduplicated(t *testing.T) {
 // keys its units publish are the baseline and run keys of the trace
 // figures' cells (or the grid's), none missing and none extra.
 func TestPlansNameTracesByContent(t *testing.T) {
-	shardEnv(t)
+	env := New(Options{})
 	ctx := context.Background()
-	units, err := PlanUnits(ctx, ExperimentNames(), 16)
+	units, err := env.PlanUnits(ctx, ExperimentNames(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +85,7 @@ func TestPlansNameTracesByContent(t *testing.T) {
 		t.Errorf("the evaluation plans %d units, want 50", len(units))
 	}
 	var cells []simCell
-	for _, e := range Experiments(16) {
+	for _, e := range env.Experiments(16) {
 		if e.cells != nil {
 			cells = append(cells, e.cells()...)
 		}
@@ -116,7 +103,7 @@ func TestPlansNameTracesByContent(t *testing.T) {
 		}
 	}
 	names := registerPacks(t, irgen.Families()...)
-	units, err = PlanSweep(ctx, names, hcc.V3, grid)
+	units, err = env.PlanSweep(ctx, names, hcc.V3, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +154,13 @@ func checkPlanReads(t *testing.T, what string, units []WorkUnit, cells []simCell
 // TestPlanCancelled pins that a cancelled context stops the planner
 // before it compiles, and that planning reports the cancellation.
 func TestPlanCancelled(t *testing.T) {
-	shardEnv(t)
+	e := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	comp0 := CompileStats()
-	if _, err := PlanUnits(ctx, []string{"fig9"}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := e.PlanUnits(ctx, []string{"fig9"}, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("PlanUnits on a cancelled context = %v, want context.Canceled", err)
 	}
-	if n := CompileStats() - comp0; n != 0 {
+	if n := e.Stats().Compiles; n != 0 {
 		t.Errorf("a cancelled plan compiled %d times, want 0", n)
 	}
 }
@@ -190,39 +176,46 @@ func TestReportOrder(t *testing.T) {
 	}
 }
 
-// TestRunPlanTwoWorkersNoDuplicateRecordings races two workers over
+// TestRunPlanTwoWorkersNoDuplicateRecordings races two workers, each
+// its own Env over one cache directory as two processes would be, over
 // one claim directory: every unit is claimed (and so recorded) exactly
 // once, and the loser of each claim counts the suppressed duplicate.
 func TestRunPlanTwoWorkersNoDuplicateRecordings(t *testing.T) {
-	shardEnv(t)
+	dir := t.TempDir()
 	ctx := context.Background()
-	units, err := PlanUnits(ctx, []string{"fig9"}, 4)
+	// The second worker reads the first one's compiles, which planning
+	// needs and the property under test does not.
+	w1 := New(Options{CacheDir: dir})
+	workers := []*Env{w1, sharingCompiles(w1, Options{CacheDir: dir})}
+	units, err := w1.PlanUnits(ctx, []string{"fig9"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec0, _ := ReplayStats()
 	claimDir := t.TempDir()
 	claimers := []*artifact.Claimer{
 		artifact.NewClaimer(claimDir, "w1", time.Minute),
 		artifact.NewClaimer(claimDir, "w2", time.Minute),
 	}
 	var wg sync.WaitGroup
-	for _, cl := range claimers {
-		cl := cl
-		u, err := PlanUnits(ctx, []string{"fig9"}, 4)
+	for i, cl := range claimers {
+		cl, e := cl, workers[i]
+		u, err := e.PlanUnits(ctx, []string{"fig9"}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			RunPlan(ctx, u, cl)
+			e.RunPlan(ctx, u, cl)
 		}()
 	}
 	wg.Wait()
-	rec1, _ := ReplayStats()
-	if got, want := rec1-rec0, int64(len(units)); got != want {
-		t.Fatalf("recordings = %d; want exactly %d (one per unit, zero duplicates)", got, want)
+	var recordings int64
+	for _, e := range workers {
+		recordings += e.Stats().Recordings
+	}
+	if want := int64(len(units)); recordings != want {
+		t.Fatalf("recordings = %d; want exactly %d (one per unit, zero duplicates)", recordings, want)
 	}
 	var claims, steals int64
 	for _, cl := range claimers {
@@ -236,8 +229,9 @@ func TestRunPlanTwoWorkersNoDuplicateRecordings(t *testing.T) {
 	if steals != 0 {
 		t.Fatalf("steals = %d; want 0 (no lease expired)", steals)
 	}
+	disk := New(Options{CacheDir: dir})
 	for i := range units {
-		if !units[i].complete() {
+		if !units[i].complete(disk) {
 			t.Fatalf("unit %s incomplete after RunPlan", units[i].Key)
 		}
 	}
@@ -247,9 +241,9 @@ func TestRunPlanTwoWorkersNoDuplicateRecordings(t *testing.T) {
 // and crashes: after its lease expires, a second worker steals the
 // claim and completes the unit.
 func TestRunPlanStealsExpiredLease(t *testing.T) {
-	shardEnv(t)
+	e, _ := newDiskEnv(t)
 	ctx := context.Background()
-	units, err := PlanUnits(ctx, []string{"fig9"}, 4)
+	units, err := e.PlanUnits(ctx, []string{"fig9"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +255,7 @@ func TestRunPlanStealsExpiredLease(t *testing.T) {
 	// The crashed worker never executes the unit or marks it done.
 	time.Sleep(30 * time.Millisecond)
 	b := artifact.NewClaimer(claimDir, "b", time.Minute)
-	RunPlan(ctx, units, b)
+	e.RunPlan(ctx, units, b)
 	bs := b.Stats()
 	if bs.Steals < 1 || bs.ExpiredLeases < 1 {
 		t.Fatalf("stats = %+v; want at least one steal of the expired lease", bs)
@@ -270,7 +264,7 @@ func TestRunPlanStealsExpiredLease(t *testing.T) {
 		t.Fatalf("claims = %d; want %d (b did all the work)", bs.Claims, len(units))
 	}
 	for i := range units {
-		if !units[i].complete() {
+		if !units[i].complete(e) {
 			t.Fatalf("unit %s incomplete after steal recovery", units[i].Key)
 		}
 	}
@@ -283,8 +277,7 @@ func TestRunPlanStealsExpiredLease(t *testing.T) {
 func TestRunPlanOutputByteIdentical(t *testing.T) {
 	ctx := context.Background()
 
-	shardEnv(t)
-	solo, err := Figure9(ctx, 4)
+	solo, err := New(Options{}).Figure9(ctx, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,23 +285,22 @@ func TestRunPlanOutputByteIdentical(t *testing.T) {
 
 	for _, claimer := range []artifact.Claims{nil, artifact.NewClaimer(t.TempDir(), "w", time.Minute)} {
 		// Fresh caches, warmed through the plan this time.
-		ResetCaches()
-		SetCacheDir(t.TempDir())
-		units, err := PlanUnits(ctx, []string{"fig9"}, 4)
+		e, _ := newDiskEnv(t)
+		units, err := e.PlanUnits(ctx, []string{"fig9"}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		RunPlan(ctx, units, claimer)
-		rec0, _ := ReplayStats()
-		warmed, err := Figure9(ctx, 4)
+		e.RunPlan(ctx, units, claimer)
+		rec0 := e.Stats().Recordings
+		warmed, err := e.Figure9(ctx, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if warmedSum := sha256.Sum256([]byte(warmed.Format())); warmedSum != soloSum {
 			t.Fatalf("claimer %T: plan-warmed output differs from solo:\nsolo:\n%s\nwarmed:\n%s", claimer, solo.Format(), warmed.Format())
 		}
-		if rec1, _ := ReplayStats(); rec1 != rec0 {
-			t.Errorf("claimer %T: Figure9 recorded %d traces after the plan, want 0", claimer, rec1-rec0)
+		if n := e.Stats().Recordings - rec0; n != 0 {
+			t.Errorf("claimer %T: Figure9 recorded %d traces after the plan, want 0", claimer, n)
 		}
 	}
 }

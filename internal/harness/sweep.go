@@ -84,13 +84,13 @@ func sweepCells(names []string, level hcc.Level, grid []SweepConfig) []simCell {
 // does for the paper experiments. helix-explore executes them with
 // RunPlan: solo on the prefetch pool, or claim-partitioned across
 // -shard workers, which record each trace exactly once between them.
-func PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) ([]WorkUnit, error) {
+func (e *Env) PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) ([]WorkUnit, error) {
 	for _, c := range grid {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	return planGroups(ctx, cellGroups(sweepCells(names, level, grid)))
+	return e.planGroups(ctx, cellGroups(sweepCells(names, level, grid)))
 }
 
 // Sweep returns the speedup of every (grid point, scenario) cell over
@@ -98,13 +98,13 @@ func PlanSweep(ctx context.Context, names []string, level hcc.Level, grid []Swee
 // warm the caches: helix-explore runs PlanSweep's units first, after
 // which every cell is a cache read, and a warm-up would only peek them
 // all again. A cold cell records or replays itself, bit-identically.
-func Sweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) ([]float64, error) {
+func (e *Env) Sweep(ctx context.Context, names []string, level hcc.Level, grid []SweepConfig) ([]float64, error) {
 	for _, c := range grid {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	rs, err := readCells(ctx, sweepCells(names, level, grid), nil)
+	rs, err := e.readCells(ctx, sweepCells(names, level, grid), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func TestContentTraceKeysSound(t *testing.T) {
 		}
 		for _, level := range []hcc.Level{hcc.V1, hcc.V2, hcc.V3} {
 			for tier := 0; tier <= len(alias.Tiers); tier++ {
-				comp, err := compileTier(ctx, b, level, in.cores, tier)
+				comp, err := testEnv.compileTier(ctx, b, level, in.cores, tier)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,12 +14,12 @@ import (
 // produces the ParallelLoop plan. The body's single parameter is the
 // iteration index; it returns 0 (ran), 1 (not run) or 2+k (exited via
 // edge k). compileWith passes only loops with one latch and no return
-// or allocation. The body, its type and its control and slot globals go
-// into prog, the compile's extension of its input; the loop's own
-// function and blocks, its graph g and liveness lv, and classes are
-// only read.
-func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, lv *cfg.Liveness, loop *cfg.Loop,
-	level Level, seg *segmentation, classes map[ir.Reg]induction.Info, id int) (*ParallelLoop, error) {
+// or allocation, with counted as isCounted computed for its estimate.
+// The body, its type and its control and slot globals go into prog, the
+// compile's extension of its input; the loop's own function and blocks,
+// its liveness lv, and classes are only read.
+func generate(prog *ir.Program, fn *ir.Function, lv *cfg.Liveness, loop *cfg.Loop,
+	level Level, seg *segmentation, classes map[ir.Reg]induction.Info, counted bool, id int) (*ParallelLoop, error) {
 
 	pl := &ParallelLoop{
 		ID: id, Fn: fn, Loop: loop, Header: loop.Header,
@@ -28,8 +28,8 @@ func generate(prog *ir.Program, fn *ir.Function, g *cfg.Graph, lv *cfg.Liveness,
 		Recompute:  map[ir.Reg]RecomputeRule{},
 		Reductions: map[ir.Reg]induction.ReduceKind{},
 		LastValue:  map[ir.Reg][]int32{},
+		Counted:    counted,
 	}
-	pl.Counted = isCounted(g, loop, classes)
 
 	body := prog.NewFunction(fmt.Sprintf("%s$loop%d$body", fn.Name, id), 0)
 	body.NumRegs = fn.NumRegs

@@ -278,7 +278,7 @@ func (in *Input) CompileWith(entry *ir.Function, opts Options, profile *interp.P
 		}
 		cov := lp.Coverage(profile.TotalInstrs)
 		cands = append(cands, candidate{
-			fn: fn, loop: loop, lp: lp, seg: seg, classes: classes,
+			fn: fn, loop: loop, lp: lp, seg: seg, classes: classes, counted: counted,
 			est: est, benefit: cov * (1 - 1/est),
 		})
 	}
@@ -315,7 +315,7 @@ func (in *Input) CompileWith(entry *ir.Function, opts Options, profile *interp.P
 	}
 
 	for i, c := range picked {
-		pl, err := generate(out.Prog, c.fn, in.graphs[c.fn], in.live[c.fn](), c.loop, opts.Level, c.seg, c.classes, i)
+		pl, err := generate(out.Prog, c.fn, in.live[c.fn](), c.loop, opts.Level, c.seg, c.classes, c.counted, i)
 		if err != nil {
 			out.Rejected = append(out.Rejected, RejectedLoop{Loop: c.loop, Fn: c.fn, Reason: err.Error(), Estimate: c.est})
 			continue
@@ -338,6 +338,7 @@ type candidate struct {
 	lp      *interp.LoopProfile
 	seg     *segmentation
 	classes map[ir.Reg]induction.Info
+	counted bool // isCounted(loop, classes)
 	est     float64
 	benefit float64
 }

@@ -30,29 +30,25 @@ import (
 	"testing"
 	"time"
 
+	"helixrc/internal/artifact"
 	"helixrc/internal/benchreport"
 	"helixrc/internal/harness"
+	"helixrc/internal/sim"
 )
 
-// withTestCache gives the harness a fresh disk tier and a clean memory
-// tier for one test, restoring memory-only defaults afterwards, so
-// tests cannot leak cache state into each other.
-func withTestCache(t *testing.T) {
-	t.Helper()
-	harness.SetQuiet()
-	harness.ResetCaches()
-	harness.SetCacheDir(t.TempDir())
-	t.Cleanup(func() {
-		harness.SetCacheDir("")
-		harness.ResetCaches()
-	})
-}
-
-// newTestServer starts a Server behind httptest and registers a
-// graceful teardown.
+// newTestServer starts a Server on its own harness Env over a fresh
+// cache dir, so tests cannot share cache state, behind httptest.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
+	return serveEnv(t, harness.New(harness.Options{CacheDir: t.TempDir()}), cfg)
+}
+
+// serveEnv starts a Server on env behind httptest and registers a
+// graceful teardown.
+func serveEnv(t *testing.T, env *harness.Env, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	artifact.SetQuiet()
+	s := New(env, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -157,11 +153,11 @@ func cancelJob(t *testing.T, base, id string) (jobView, int) {
 	return v, resp.StatusCode
 }
 
-// directFigure renders an experiment through the batch harness path
-// (what helix-bench does), for byte-identity comparison.
-func directFigure(t *testing.T, name string, cores int) (string, string) {
+// directFigure renders an experiment on env through the batch harness
+// path (what helix-bench does), for byte-identity comparison.
+func directFigure(t *testing.T, env *harness.Env, name string, cores int) (string, string) {
 	t.Helper()
-	e, ok := harness.FindExperiment(name, cores)
+	e, ok := env.FindExperiment(name, cores)
 	if !ok {
 		t.Fatalf("unknown experiment %s", name)
 	}
@@ -177,11 +173,9 @@ func directFigure(t *testing.T, name string, cores int) (string, string) {
 // figure output must be byte-identical to the batch harness rendering
 // of the same experiment.
 func TestE2ESubmitPollResultAllKinds(t *testing.T) {
-	withTestCache(t)
+	s, ts := newTestServer(t, Config{Concurrency: 2})
 	// Render the reference figure through the batch harness first.
-	wantOut, wantSHA := directFigure(t, "fig9", 16)
-
-	_, ts := newTestServer(t, Config{Concurrency: 2})
+	wantOut, wantSHA := directFigure(t, s.env, "fig9", 16)
 
 	t.Run("compile", func(t *testing.T) {
 		v, code, _ := postJob(t, ts.URL, `{"kind":"compile","workload":"164.gzip","level":3,"cores":4}`)
@@ -253,7 +247,6 @@ func TestE2ESubmitPollResultAllKinds(t *testing.T) {
 // recordings AND zero trace replays — every cell is a result-tier hit
 // — and the bytes are identical.
 func TestE2EWarmFigureZeroRecordingsZeroReplays(t *testing.T) {
-	withTestCache(t)
 	s, ts := newTestServer(t, Config{Concurrency: 2})
 
 	submit := func() jobView {
@@ -269,15 +262,15 @@ func TestE2EWarmFigureZeroRecordingsZeroReplays(t *testing.T) {
 	}
 
 	cold := submit()
-	rec0, rep0 := harness.ReplayStats()
+	st0 := s.env.Stats()
 	warm := submit()
-	rec1, rep1 := harness.ReplayStats()
+	st1 := s.env.Stats()
 
-	if rec1 != rec0 {
-		t.Errorf("warm service run recorded %d traces, want 0", rec1-rec0)
+	if n := st1.Recordings - st0.Recordings; n != 0 {
+		t.Errorf("warm service run recorded %d traces, want 0", n)
 	}
-	if rep1 != rep0 {
-		t.Errorf("warm service run replayed %d traces, want 0", rep1-rep0)
+	if n := st1.Replays - st0.Replays; n != 0 {
+		t.Errorf("warm service run replayed %d traces, want 0", n)
 	}
 	if warm.Result.OutputSHA256 != cold.Result.OutputSHA256 {
 		t.Errorf("warm hash %s != cold hash %s", warm.Result.OutputSHA256, cold.Result.OutputSHA256)
@@ -299,21 +292,22 @@ func TestE2EWarmFigureZeroRecordingsZeroReplays(t *testing.T) {
 // cells at the service boundary: each of fig2, fig3, fig4, table1 and
 // tlp, submitted a second time, is answered from the cell store's
 // memory tier — zero compiles, zero training profiles, zero recordings,
-// zero disk reads — with the first job's bytes, and a third time, after
-// the memory tier is dropped as a restarted daemon's would be, from the
-// disk tier, still without compiling. /metrics counts only the first
-// jobs' compiles and profiles (the cold tlp job trains one profile per
+// zero disk reads — with the first job's bytes, and a third time, by a
+// restarted daemon (a new Env over the same cache dir), from the disk
+// tier, still without compiling. /metrics counts only the first jobs'
+// compiles and profiles (the cold tlp job trains one profile per
 // workload, shared by its V2 and V3 cells).
 func TestE2EWarmAnalysesZeroCompiles(t *testing.T) {
-	withTestCache(t)
-	s, ts := newTestServer(t, Config{Concurrency: 2})
+	dir := t.TempDir()
+	cfg := Config{Concurrency: 2}
+	s, ts := serveEnv(t, harness.New(harness.Options{CacheDir: dir}), cfg)
 
-	submit := func(exp string) jobView {
-		v, code, _ := postJob(t, ts.URL, fmt.Sprintf(`{"kind":"figure","experiment":%q}`, exp))
+	submit := func(url, exp string) jobView {
+		v, code, _ := postJob(t, url, fmt.Sprintf(`{"kind":"figure","experiment":%q}`, exp))
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s: HTTP %d", exp, code)
 		}
-		v = await(t, ts.URL, v.ID)
+		v = await(t, url, v.ID)
 		if v.Status != StatusDone || v.Result == nil {
 			t.Fatalf("%s ended %s (%s)", exp, v.Status, v.Error)
 		}
@@ -321,22 +315,26 @@ func TestE2EWarmAnalysesZeroCompiles(t *testing.T) {
 	}
 
 	for _, exp := range []string{"tlp", "fig2", "fig3", "fig4", "table1"} {
-		cold := submit(exp)
-		before := s.MetricsSnapshot().Replay
+		cold := submit(ts.URL, exp)
 		if exp == "tlp" {
-			if before.Compiles == 0 {
+			st := s.MetricsSnapshot().Replay
+			if st.Compiles == 0 {
 				t.Fatal("cold tlp job compiled nothing; test is vacuous")
 			}
-			if want := before.Compiles / 2; before.Profiles != want {
-				t.Errorf("cold tlp job trained %d profiles for %d compiles, want %d", before.Profiles, before.Compiles, want)
+			if want := st.Compiles / 2; st.Profiles != want {
+				t.Errorf("cold tlp job trained %d profiles for %d compiles, want %d", st.Profiles, st.Compiles, want)
 			}
 		}
-		for _, tier := range []string{"memory", "disk"} {
-			if tier == "disk" {
-				harness.ResetCaches()
-			}
-			warm := submit(exp)
-			after := s.MetricsSnapshot().Replay
+		restarted, rts := serveEnv(t, harness.New(harness.Options{CacheDir: dir}), cfg)
+		for _, d := range []struct {
+			tier string
+			s    *Server
+			url  string
+		}{{"memory", s, ts.URL}, {"disk", restarted, rts.URL}} {
+			tier := d.tier
+			before := d.s.MetricsSnapshot().Replay
+			warm := submit(d.url, exp)
+			after := d.s.MetricsSnapshot().Replay
 			if n := after.Compiles - before.Compiles; n != 0 {
 				t.Errorf("%s job served from %s compiled %d times, want 0", exp, tier, n)
 			}
@@ -361,7 +359,6 @@ func TestE2EWarmAnalysesZeroCompiles(t *testing.T) {
 // fig9 submitted after it finishes first, with the bytes it served
 // before.
 func TestE2EFigureJobsOverlap(t *testing.T) {
-	withTestCache(t)
 	_, ts := newTestServer(t, Config{Concurrency: 2})
 
 	submit := func(exp string) string {
@@ -400,8 +397,7 @@ func TestE2EFigureJobsOverlap(t *testing.T) {
 // the real figure), and an identical resubmission produces the full,
 // correct figure — the memo tier was not poisoned by the aborted run.
 func TestE2ECancelMidFigureDoesNotPoison(t *testing.T) {
-	withTestCache(t)
-	_, ts := newTestServer(t, Config{Concurrency: 1})
+	s, ts := newTestServer(t, Config{Concurrency: 1})
 
 	v, code, _ := postJob(t, ts.URL, `{"kind":"figure","experiment":"fig1"}`)
 	if code != http.StatusAccepted {
@@ -444,7 +440,7 @@ func TestE2ECancelMidFigureDoesNotPoison(t *testing.T) {
 		t.Error("resubmission flagged partial — cancellation poisoned the caches")
 	}
 	// And match the batch harness byte for byte.
-	wantOut, wantSHA := directFigure(t, "fig1", 16)
+	wantOut, wantSHA := directFigure(t, s.env, "fig1", 16)
 	if v2.Result.OutputSHA256 != wantSHA || v2.Result.Output != wantOut {
 		t.Error("resubmitted figure differs from batch harness output")
 	}
@@ -455,7 +451,6 @@ func TestE2ECancelMidFigureDoesNotPoison(t *testing.T) {
 // job fails with a deadline error and a Partial-flagged result, before
 // doing any work.
 func TestE2EDeadlineSpentInQueue(t *testing.T) {
-	withTestCache(t)
 	_, ts := newTestServer(t, Config{Concurrency: 1})
 
 	// Occupy the only worker with a cold figure.
@@ -492,7 +487,6 @@ func TestE2EDeadlineSpentInQueue(t *testing.T) {
 // overflow submit gets 429 + Retry-After, the shed counter moves, and
 // the shed job id does not exist (nothing half-admitted).
 func TestE2EShedWithRetryAfter(t *testing.T) {
-	withTestCache(t)
 	s, ts := newTestServer(t, Config{Concurrency: 1, QueueDepth: 1})
 
 	running, code, _ := postJob(t, ts.URL, `{"kind":"figure","experiment":"fig9"}`)
@@ -540,7 +534,6 @@ func TestE2EShedWithRetryAfter(t *testing.T) {
 // ill-typed requests are rejected at admission with an explanatory
 // error, unknown ids are 404.
 func TestE2EValidation(t *testing.T) {
-	withTestCache(t)
 	_, ts := newTestServer(t, Config{})
 
 	cases := []struct {
@@ -556,6 +549,9 @@ func TestE2EValidation(t *testing.T) {
 		{"figure without experiment", `{"kind":"figure"}`, "requires an experiment"},
 		{"unknown experiment", `{"kind":"figure","experiment":"fig99"}`, "unknown experiment"},
 		{"negative ring knob", `{"kind":"simulate","workload":"164.gzip","link_latency":-1}`, "link_latency"},
+		// About 8 GiB of ring array per core if admitted: refused before
+		// any work.
+		{"oversized ring node", `{"kind":"simulate","workload":"164.gzip","node_bytes":2147483647}`, "node_bytes 2147483647: accepted range is 0..1048576 on 16 cores"},
 		{"negative deadline", `{"kind":"compile","workload":"164.gzip","deadline_ms":-5}`, "deadline_ms"},
 		{"unknown field", `{"kind":"compile","workload":"164.gzip","bogus":1}`, "bogus"},
 		{"not json", `kind=figure`, "bad request body"},
@@ -592,7 +588,6 @@ func TestE2EValidation(t *testing.T) {
 // reports liveness with queue depth, /metrics decodes into the shared
 // benchreport.Serve schema with the instrumented series present.
 func TestE2EHealthzAndMetrics(t *testing.T) {
-	withTestCache(t)
 	_, ts := newTestServer(t, Config{Concurrency: 3, QueueDepth: 7})
 
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -642,13 +637,53 @@ func TestE2EHealthzAndMetrics(t *testing.T) {
 	}
 }
 
+// TestE2EMetricsCountOnlyTheDaemonsEnv pins that /metrics counts the
+// daemon's own work and nothing else: an Env warmed elsewhere in the
+// same process, which recorded and compiled, leaves the daemon's
+// counters at 0 recordings and 0 compiles until the daemon works.
+func TestE2EMetricsCountOnlyTheDaemonsEnv(t *testing.T) {
+	other := harness.New(harness.Options{})
+	if _, _, err := other.CachedRun(context.Background(), "164.gzip", 3, sim.HelixRC(4), true); err != nil {
+		t.Fatal(err)
+	}
+	if st := other.Stats(); st.Recordings == 0 || st.Compiles == 0 {
+		t.Fatalf("the other Env recorded %d traces and compiled %d times; test is vacuous", st.Recordings, st.Compiles)
+	}
+	_, ts := newTestServer(t, Config{Concurrency: 1})
+	metrics := func() *benchreport.Replay {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap benchreport.Serve
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Replay == nil {
+			t.Fatal("replay counters missing")
+		}
+		return snap.Replay
+	}
+	if r := metrics(); r.Recordings != 0 || r.Compiles != 0 || r.MemMisses != 0 {
+		t.Errorf("idle daemon reports %d recordings, %d compiles, %d misses; want 0 each", r.Recordings, r.Compiles, r.MemMisses)
+	}
+	v, _, _ := postJob(t, ts.URL, `{"kind":"compile","workload":"164.gzip","level":3,"cores":4}`)
+	if v = await(t, ts.URL, v.ID); v.Status != StatusDone {
+		t.Fatalf("compile ended %s (%s)", v.Status, v.Error)
+	}
+	if r := metrics(); r.Recordings != 0 || r.Compiles != 1 {
+		t.Errorf("after one compile job the daemon reports %d recordings and %d compiles, want 0 and 1", r.Recordings, r.Compiles)
+	}
+}
+
 // TestE2EGracefulShutdown pins the drain contract over HTTP: during
 // shutdown the in-flight job finishes (done, full result), healthz and
 // submit report draining with 503, and Shutdown returns only after the
 // drain.
 func TestE2EGracefulShutdown(t *testing.T) {
-	withTestCache(t)
-	s := New(Config{Concurrency: 1})
+	s := New(harness.New(harness.Options{CacheDir: t.TempDir()}), Config{Concurrency: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -701,9 +736,8 @@ func TestE2EGracefulShutdown(t *testing.T) {
 // plausible summary, and an SLO budget evaluation over the produced
 // report.
 func TestE2ELoadGeneratorHotkey(t *testing.T) {
-	withTestCache(t)
 	s, ts := newTestServer(t, Config{Concurrency: 2})
-	_, wantSHA := directFigure(t, "fig9", 16)
+	_, wantSHA := directFigure(t, s.env, "fig9", 16)
 
 	res, err := RunLoad(context.Background(), LoadOptions{
 		BaseURL:       ts.URL,
@@ -773,7 +807,6 @@ func TestE2ELoadGeneratorHotkey(t *testing.T) {
 // TestE2ELoadGeneratorUniformSimulate exercises the uniform mix on
 // simulate jobs: different workloads and levels, all must succeed.
 func TestE2ELoadGeneratorUniformSimulate(t *testing.T) {
-	withTestCache(t)
 	_, ts := newTestServer(t, Config{Concurrency: 4})
 	res, err := RunLoad(context.Background(), LoadOptions{
 		BaseURL:  ts.URL,

@@ -102,7 +102,7 @@ func (r *JobRequest) normalize() error {
 		if r.Experiment == "" {
 			return fmt.Errorf("figure job requires an experiment (one of %v)", harness.ExperimentNames())
 		}
-		if _, ok := harness.FindExperiment(r.Experiment, 16); !ok {
+		if !slices.Contains(harness.ExperimentNames(), r.Experiment) {
 			return fmt.Errorf("unknown experiment %q (have %v)", r.Experiment, harness.ExperimentNames())
 		}
 	default:
@@ -117,11 +117,16 @@ func (r *JobRequest) normalize() error {
 	for _, v := range []struct {
 		name string
 		p    *int
-	}{{"link_latency", r.LinkLatency}, {"signal_bandwidth", r.SignalBandwidth}, {"node_bytes", r.NodeBytes}} {
+	}{{"link_latency", r.LinkLatency}, {"signal_bandwidth", r.SignalBandwidth}} {
 		if v.p != nil {
-			if err := cliutil.CheckNonNegative(v.name, *v.p, "cycles/bytes, 0 = unbounded"); err != nil {
+			if err := cliutil.CheckNonNegative(v.name, *v.p, "cycles or signals per cycle, 0 = unbounded"); err != nil {
 				return err
 			}
+		}
+	}
+	if r.NodeBytes != nil {
+		if err := cliutil.CheckNodeBytes("node_bytes", *r.NodeBytes, r.Cores); err != nil {
+			return err
 		}
 	}
 	if r.DeadlineMillis < 0 {

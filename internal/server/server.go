@@ -1,7 +1,7 @@
 // Package server turns the batch evaluation harness into a resident
-// HTTP/JSON service: compile, simulate and figure jobs share one
-// process-wide two-tier artifact store, so a warm daemon serves
-// repeated work at cache-hit cost instead of re-simulating.
+// HTTP/JSON service: compile, simulate and figure jobs share one harness
+// Env and its tiered artifact stores, so a warm daemon serves repeated
+// work at cache-hit cost instead of re-simulating.
 //
 // The surface is four endpoints:
 //
@@ -24,8 +24,9 @@
 //   - Observability: every endpoint and every job kind feeds a
 //     log-bucketed latency histogram (metrics.go); /metrics renders
 //     p50/p95/p99, error and shed counts, queue gauges, and the
-//     artifact-store counters accumulated since the daemon started,
-//     in the exact benchreport.Serve schema the SLO gate consumes.
+//     counters of the daemon's Env, which counts only the daemon's own
+//     work, in the exact benchreport.Serve schema the SLO gate
+//     consumes.
 package server
 
 import (
@@ -34,11 +35,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
 
-	"helixrc/internal/artifact"
 	"helixrc/internal/benchreport"
 	"helixrc/internal/harness"
 	"helixrc/internal/hcc"
@@ -82,6 +83,7 @@ func (c *Config) withDefaults() Config {
 // Server is the evaluation daemon. Create with New, mount Handler,
 // stop with Shutdown.
 type Server struct {
+	env    *harness.Env
 	cfg    Config
 	q      *queue
 	jobs   *jobStore
@@ -91,12 +93,7 @@ type Server struct {
 	httpMetrics *metricSet // per-endpoint HTTP latencies
 	jobMetrics  *metricSet // per-kind job execution latencies
 
-	start     time.Time
-	baseStats artifact.Stats
-	baseRec   int64
-	baseRep   int64
-	baseComp  int64
-	baseProf  int64
+	start time.Time
 
 	draining  atomic.Bool
 	submitted atomic.Int64
@@ -106,21 +103,16 @@ type Server struct {
 	shed      atomic.Int64
 }
 
-// New builds a server and starts its worker pool. The artifact-store
-// counter base is snapshotted here, so /metrics reports traffic since
-// daemon start even if the embedding process warmed the caches first.
-func New(cfg Config) *Server {
-	rec, rep := harness.ReplayStats()
+// New builds a server that runs its jobs on env and starts its worker
+// pool. /metrics reports env's counters, so it counts the daemon's
+// traffic since start when env is the daemon's own.
+func New(env *harness.Env, cfg Config) *Server {
 	s := &Server{
+		env:         env,
 		cfg:         cfg.withDefaults(),
 		httpMetrics: newMetricSet(),
 		jobMetrics:  newMetricSet(),
 		start:       time.Now(),
-		baseStats:   harness.CacheStats(),
-		baseRec:     rec,
-		baseRep:     rep,
-		baseComp:    harness.CompileStats(),
-		baseProf:    harness.ProfileStats(),
 	}
 	s.jobs = newJobStore(s.cfg.RetainJobs)
 	s.q = newQueue(s.cfg.QueueDepth, s.cfg.Concurrency, s.runJob)
@@ -205,11 +197,19 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobRequest reads a POST /jobs body: one JobRequest, without
+// unknown fields.
+func decodeJobRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -314,11 +314,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // MetricsSnapshot assembles the current service metrics in the shared
 // report schema: admission gauges, per-endpoint and per-job-kind
-// latency summaries, and the artifact-store/replay counters
-// accumulated since the daemon started.
+// latency summaries, and the Env's replay and artifact-store counters.
 func (s *Server) MetricsSnapshot() *benchreport.Serve {
-	rec, rep := harness.ReplayStats()
-	cs := harness.CacheStats().Delta(s.baseStats)
 	return &benchreport.Serve{
 		UptimeMillis:  float64(time.Since(s.start).Microseconds()) / 1e3,
 		Concurrency:   s.cfg.Concurrency,
@@ -333,24 +330,7 @@ func (s *Server) MetricsSnapshot() *benchreport.Serve {
 		Shed:          s.shed.Load(),
 		Endpoints:     s.httpMetrics.summaries(),
 		Jobs:          s.jobMetrics.summaries(),
-		Replay: &benchreport.Replay{
-			Recordings:     rec - s.baseRec,
-			Replays:        rep - s.baseRep,
-			Compiles:       harness.CompileStats() - s.baseComp,
-			Profiles:       harness.ProfileStats() - s.baseProf,
-			MemHits:        cs.MemHits,
-			MemMisses:      cs.MemMisses,
-			DiskHits:       cs.DiskHits,
-			DiskMisses:     cs.DiskMisses,
-			DiskWrites:     cs.DiskWrites,
-			DiskLoadMS:     float64(cs.DiskLoadNS) / 1e6,
-			RemoteHits:     cs.RemoteHits,
-			RemoteMisses:   cs.RemoteMisses,
-			RemoteWrites:   cs.RemoteWrites,
-			RemoteLoadMS:   float64(cs.RemoteLoadNS) / 1e6,
-			CacheEvictions: cs.Evictions,
-			CacheEvictedMB: float64(cs.EvictedBytes) / (1 << 20),
-		},
+		Replay:        s.env.Stats().Replay(),
 	}
 }
 
@@ -429,7 +409,7 @@ func (s *Server) finishJob(j *Job, res *JobResult, err error) {
 	s.jobs.finish(j)
 }
 
-// execute dispatches one job to the harness.
+// execute dispatches one job to the server's harness Env.
 func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 	if err := ctx.Err(); err != nil {
 		// Deadline spent in the queue: fail before doing any work.
@@ -438,7 +418,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 	req := &j.Req
 	switch j.Kind {
 	case JobCompile:
-		_, comp, err := harness.CachedCompile(ctx, req.Workload, hcc.Level(req.Level), req.Cores)
+		_, comp, err := s.env.CachedCompile(ctx, req.Workload, hcc.Level(req.Level), req.Cores)
 		if err != nil {
 			return nil, err
 		}
@@ -446,11 +426,11 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 
 	case JobSimulate:
 		arch := req.arch()
-		par, comp, err := harness.CachedRun(ctx, req.Workload, hcc.Level(req.Level), arch, req.Ref)
+		par, comp, err := s.env.CachedRun(ctx, req.Workload, hcc.Level(req.Level), arch, req.Ref)
 		if err != nil {
 			return nil, err
 		}
-		seq, err := harness.CachedBaseline(ctx, req.Workload, sim.Conventional(req.Cores), req.Ref)
+		seq, err := s.env.CachedBaseline(ctx, req.Workload, sim.Conventional(req.Cores), req.Ref)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", req.Workload, err)
 		}
@@ -467,7 +447,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*JobResult, error) {
 		}, nil
 
 	case JobFigure:
-		e, ok := harness.FindExperiment(req.Experiment, req.Cores)
+		e, ok := s.env.FindExperiment(req.Experiment, req.Cores)
 		if !ok {
 			return nil, fmt.Errorf("unknown experiment %q", req.Experiment)
 		}

@@ -6,6 +6,15 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# stage prints the wall-clock seconds since the previous stage ended (or
+# the gate started), so a slow stage shows without timing it by hand.
+stagestart=$(date +%s)
+stage() {
+  now=$(date +%s)
+  echo "check.sh stage: $1: $((now - stagestart)) s"
+  stagestart=$now
+}
+
 go build ./...
 go vet ./...
 # The benchmark module (bench/, its own go.mod) compiles against the
@@ -14,21 +23,26 @@ go vet ./...
 # module's one dependency is this repository, by replace directive.
 GOPROXY=off go -C bench vet ./...
 test -z "$(gofmt -l .)"
+stage "build and vet"
 # Hard wall-clock bound: a hung cancellation path fails the gate instead
 # of wedging it. The harness package, by far the longest race pass, runs
 # after the others rather than beside them: sharing the CPUs with them
 # took its 10-minute bound close to expiry. Same flags, same bound.
 go test -race -timeout 10m $(go list ./... | grep -v '/internal/harness$')
+stage "race pass, other packages"
 go test -race -timeout 10m ./internal/harness
+stage "race pass, internal/harness"
 # The allocation and retention guards skip themselves under the race
 # detector (its instrumentation allocates), so they run again without it,
 # as does the all-workload fast-vs-reference stepper sweep (too slow
 # under -race).
 go test -count=1 -run 'Allocs|Retention|RunMatchesReference' ./internal/sim ./internal/interp ./internal/mem ./internal/cfg
+stage "no-race guards"
 
 # End-to-end determinism smoke: one small figure, hash-compared against
 # the checked-in benchmark report (exercises the record/replay path).
 go run ./cmd/helix-bench -only fig9 -verify BENCH_2026-08-05.json >/dev/null
+stage "fig9 smoke"
 
 # Perf regression gate: regenerate the full evaluation, verify every
 # figure hash against the checked-in report, then enforce the per-family
@@ -61,6 +75,7 @@ rm -rf "$shardcache" "$explorecache" "$servecache" "$remoteblobs"
 trap cleanup EXIT
 go run ./cmd/helix-bench -quiet -verify BENCH_2026-08-07.json -jsonfile "$report" >/dev/null
 go run ./scripts -enforce -budgets perf/budgets.json "$report"
+stage "evaluation smoke"
 
 # Sharded-evaluation smoke: two -shard workers (scripts/shard2.sh)
 # claim-partition fig9's work units over a shared cache, each verifying
@@ -72,6 +87,7 @@ go run ./scripts -enforce -budgets perf/budgets.json "$report"
 scripts/shard2.sh "$shardreport" go run ./cmd/helix-bench -only fig9 -quiet -cachedir "$shardcache" \
   -verify BENCH_2026-08-05.json
 go run ./scripts -enforce -budgets perf/shard_budgets.json "$shardreport"
+stage "shard smoke"
 
 # Exploration smoke: two -shard workers claim-partition a tiny
 # pointer-chase design-space sweep over a shared cache; each worker's
@@ -88,11 +104,13 @@ go run ./scripts -enforce -budgets perf/explore_budgets.json "$explorereport"
 # merge.
 go run ./cmd/helix-explore -family pointer-chase -cores 2 -tiers 1,5 -links 1,8 -signals 0 \
   -quiet -verify EXPLORE_2026-08-07.json >/dev/null
+stage "explore smokes"
 
 # Differential fuzzing smoke: a fixed-seed sweep of generated loop
 # programs cross-checked through interp, HCC parallelization, the sim
 # fast path and trace replay. Deterministic, ~5s.
 go run ./cmd/helix-fuzz -start 0 -seeds 24 -quick -parallel 0
+stage "fuzz smoke"
 
 # Serving coverage gate: the daemon package must stay well-tested —
 # below 80% statement coverage the gate fails.
@@ -102,6 +120,7 @@ awk -v c="$cover" 'BEGIN { exit (c+0 >= 80.0) ? 0 : 1 }' || {
   echo "internal/server coverage ${cover}% is below the 80% gate" >&2
   exit 1
 }
+stage "server coverage"
 
 # Serve smoke: start the daemon, hit it with a 10s hot-key figure load
 # (hashes verified against the checked-in report), drain it with
@@ -120,6 +139,7 @@ kill -TERM "$servepid"
 wait "$servepid"
 servepid=
 go run ./scripts/slocheck -budgets perf/serve_slo_budgets.json "$servereport"
+stage "serve smoke"
 
 # Multi-machine smoke: two -shard workers with DISJOINT caches (-remote
 # and no -cachedir, so each has only its memory tier) share only a
@@ -138,3 +158,4 @@ kill -TERM "$remotepid"
 wait "$remotepid"
 remotepid=
 go run ./scripts -enforce -budgets perf/remote_budgets.json "$remotereport"
+stage "remote smoke"
