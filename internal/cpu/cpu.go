@@ -62,8 +62,6 @@ type Core struct {
 	// window holds the last Window issue times for OoO window pressure.
 	window []int64
 	wpos   int
-	// Instrs counts instructions issued.
-	Instrs int64
 }
 
 // NewCore builds a core with room for nregs registers.
@@ -126,19 +124,16 @@ func (c *Core) Issue(in *ir.Instr, now, opReady, resultLat int64) (int64, int64)
 // uses it to skip re-deriving the destination on every dynamic
 // instruction; timing is identical to Issue.
 func (c *Core) IssueReg(dst ir.Reg, now, opReady, resultLat int64) (int64, int64) {
-	c.Instrs++
+	if !c.Cfg.OoO {
+		t := c.IssueInOrder(dst, now, opReady, resultLat)
+		return t, t + resultLat
+	}
 	t := max(now, opReady)
-	if c.Cfg.OoO {
-		// Window pressure: cannot issue more than Window instructions
-		// ahead of the oldest in flight.
-		if c.window != nil {
-			if w := c.window[c.wpos]; w > t {
-				t = w
-			}
-		}
-	} else {
-		if c.inOrderHead > t {
-			t = c.inOrderHead
+	// Window pressure: cannot issue more than Window instructions ahead
+	// of the oldest in flight.
+	if c.window != nil {
+		if w := c.window[c.wpos]; w > t {
+			t = w
 		}
 	}
 	t = c.issueSlot(t)
@@ -146,18 +141,26 @@ func (c *Core) IssueReg(dst ir.Reg, now, opReady, resultLat int64) (int64, int64
 	if dst != ir.NoReg {
 		c.regReady[dst] = done
 	}
-	if c.Cfg.OoO {
-		if c.window != nil {
-			c.window[c.wpos] = done
-			c.wpos = (c.wpos + 1) % len(c.window)
-		}
-	} else {
-		c.inOrderHead = t
-		// In-order cores block on long-latency memory (stall-on-use is
-		// approximated by the register scoreboard; stores and branches
-		// retire in order).
+	if c.window != nil {
+		c.window[c.wpos] = done
+		c.wpos = (c.wpos + 1) % len(c.window)
 	}
 	return t, done
+}
+
+// IssueInOrder is IssueReg on an in-order core, returning only the
+// issue time: no instruction issues before the one ahead of it in
+// program order (stall-on-use is approximated by the register
+// scoreboard; stores and branches retire in order). It is the one copy
+// of the in-order rule, and small enough to inline into a caller that
+// has checked the core model, as the simulator's replay lanes do.
+func (c *Core) IssueInOrder(dst ir.Reg, now, opReady, resultLat int64) int64 {
+	t := c.issueSlot(max(now, opReady, c.inOrderHead))
+	if dst != ir.NoReg {
+		c.regReady[dst] = t + resultLat
+	}
+	c.inOrderHead = t
+	return t
 }
 
 // OpReady returns when the instruction's register operands are available.

@@ -142,7 +142,4 @@ func TestResetAndGrow(t *testing.T) {
 	if c.RegReady(99) != 0 {
 		t.Error("grow should extend the scoreboard")
 	}
-	if c.Instrs != 1 {
-		t.Errorf("instruction count should survive reset: %d", c.Instrs)
-	}
 }

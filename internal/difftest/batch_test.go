@@ -10,10 +10,11 @@ import (
 )
 
 // checkBatchEquivalence records one trace for a builder's program and
-// asserts sim.ReplayBatch over the cross-config spread (plus two budget
-// lanes) is lane-for-lane identical to a fresh sim.Run of the program
-// under each lane's config — the batched-retiming analogue of
-// checkConfig's oracle. Budget lanes run under their own MaxSteps, so
+// asserts sim.ReplayBatch over checkConfig's batch — two budget lanes
+// placed before their unlimited class-mate, the recording config, its
+// link-latency and signal-bandwidth variants and the cross-config spread
+// — is lane-for-lane identical to a fresh sim.Run of the program under
+// each lane's config. Budget lanes run under their own MaxSteps, so
 // their ErrBudget partials are compared too.
 func checkBatchEquivalence(t *testing.T, label string, build Builder) {
 	t.Helper()
@@ -37,7 +38,11 @@ func checkBatchEquivalence(t *testing.T, label string, build Builder) {
 	third.MaxSteps = full.Instrs / 3
 	half := rec
 	half.MaxSteps = full.Instrs / 2
-	archs := []sim.Config{rec, sim.Conventional(16), sim.Abstract(16), ooo4, third, half}
+	archs := []sim.Config{third, half, rec}
+	for _, nc := range ringVariants(rec) {
+		archs = append(archs, nc.cfg)
+	}
+	archs = append(archs, sim.Conventional(16), sim.Abstract(16), ooo4)
 	results, errs := sim.ReplayBatch(context.Background(), tr, archs)
 	for i, arch := range archs {
 		want, werr := sim.Run(context.Background(), prog, comp, fn, arch, args...)

@@ -10,7 +10,9 @@
 //     sim.Result structs;
 //  3. replay == execute: a recorded trace replayed under any
 //     configuration matches a fresh execution-driven run under that
-//     configuration, including budget-exhaustion partial results;
+//     configuration, including budget-exhaustion partial results; one
+//     batched replay retimes every configuration, so its lanes share
+//     what the replay engine shares among lanes;
 //  4. alias soundness: every alias tier's dependence graph is a superset
 //     of the dynamically observed loop-carried dependences (the paper's
 //     Figure 2 ground truth is measured against these graphs);
@@ -311,7 +313,7 @@ func checkConfig(ctx context.Context, s *subject, opt Options, level hcc.Level, 
 		return f
 	}
 
-	// Oracle 3: record once, replay under the recording config.
+	// Oracle 3: record once; every replay below retimes this trace.
 	rec, tr, err := sim.Record(ctx, p, comp, f, helix, args...)
 	if err != nil {
 		return fail("replay", "%s: record failed: %v", tag, err)
@@ -319,10 +321,37 @@ func checkConfig(ctx context.Context, s *subject, opt Options, level hcc.Level, 
 	if *rec != *fast {
 		return fail("replay", "%s: recording run diverges from plain run:\n%s", tag, diffResult(rec, fast))
 	}
-	if rp, err := sim.Replay(ctx, tr, helix); err != nil {
-		return fail("replay", "%s: replay failed: %v", tag, err)
-	} else if *rp != *fast {
-		return fail("replay", "%s: replay diverges from execution:\n%s", tag, diffResult(rp, fast))
+
+	// One ReplayBatch retimes the trace under every config checked below,
+	// so the lanes share what the replay engine shares among lanes: the
+	// budget probes first, before their unlimited class-mates, then the
+	// recording config, a link-latency and a signal-bandwidth variant of
+	// it, and the cross-architecture sweep. Each lane must equal a fresh
+	// execution-driven run under its config.
+	var probes []sim.Config
+	if !opt.SkipBudget && fast.Instrs > 16 {
+		for _, frac := range []int64{3, 2} {
+			limited := helix
+			limited.MaxSteps = fast.Instrs / frac
+			probes = append(probes, limited)
+		}
+	}
+	others := ringVariants(helix)
+	firstCross := len(others)
+	if !opt.SkipCross {
+		others = append(others, crossConfigs(cores, opt.Budget)...)
+	}
+	archs := append(probes, helix)
+	for _, nc := range others {
+		archs = append(archs, nc.cfg)
+	}
+	results, errs := sim.ReplayBatch(ctx, tr, archs)
+	lane := len(probes) // the recording config's
+	if errs[lane] != nil {
+		return fail("replay", "%s: replay failed: %v", tag, errs[lane])
+	}
+	if *results[lane] != *fast {
+		return fail("replay", "%s: replay diverges from execution:\n%s", tag, diffResult(results[lane], fast))
 	}
 
 	// Oracle 5: a loop-free compile's trace is the uncompiled program's;
@@ -342,58 +371,54 @@ func checkConfig(ctx context.Context, s *subject, opt Options, level hcc.Level, 
 		return fail("fingerprint", "%s: trace differs from an earlier level's with fingerprint %q", tag, compFP)
 	}
 
-	// Cross-architecture sweep: the same trace retimed under other
-	// configs must match fresh execution-driven runs (fast and slow).
-	if !opt.SkipCross {
-		for _, cross := range crossConfigs(cores, opt.Budget) {
-			if ctx.Err() != nil {
-				return nil
-			}
-			fastX, errX := sim.Run(ctx, p, comp, f, cross.cfg, args...)
-			if errX != nil {
-				return fail("functional", "%s/%s: run failed: %v", tag, cross.name, errX)
-			}
-			if fastX.RetValue != want {
-				return fail("functional", "%s/%s: RetValue %d != %d", tag, cross.name, fastX.RetValue, want)
-			}
-			if f := runBothWays(ctx, s, comp, cross.cfg, fastX, tag+"/"+cross.name, fail); f != nil {
+	// The variants and the cross sweep: the retimed lane must match a
+	// fresh run, and each cross config's run the reference stepper too.
+	for i, nc := range others {
+		if ctx.Err() != nil {
+			return nil
+		}
+		lane++
+		name := tag + "/" + nc.name
+		fastX, errX := sim.Run(ctx, p, comp, f, nc.cfg, args...)
+		if errX != nil {
+			return fail("functional", "%s: run failed: %v", name, errX)
+		}
+		if fastX.RetValue != want {
+			return fail("functional", "%s: RetValue %d != %d", name, fastX.RetValue, want)
+		}
+		if i >= firstCross {
+			if f := runBothWays(ctx, s, comp, nc.cfg, fastX, name, fail); f != nil {
 				return f
 			}
-			rpX, err := sim.Replay(ctx, tr, cross.cfg)
-			if err != nil {
-				return fail("replay", "%s/%s: replay failed: %v", tag, cross.name, err)
-			}
-			if *rpX != *fastX {
-				return fail("replay", "%s/%s: replay diverges from execution:\n%s",
-					tag, cross.name, diffResult(rpX, fastX))
-			}
+		}
+		if errs[lane] != nil {
+			return fail("replay", "%s: replay failed: %v", name, errs[lane])
+		}
+		if *results[lane] != *fastX {
+			return fail("replay", "%s: replay diverges from execution:\n%s", name, diffResult(results[lane], fastX))
 		}
 	}
 
 	// Budget probes: all three paths must fail at the same instruction
 	// with identical partial results.
-	if !opt.SkipBudget && fast.Instrs > 16 {
-		for _, frac := range []int64{3, 2} {
-			if ctx.Err() != nil {
-				return nil
-			}
-			limited := helix
-			limited.MaxSteps = fast.Instrs / frac
-			partialFast, errFast := sim.Run(ctx, p, comp, f, limited, args...)
-			partialSlow, errSlow := sim.Reference(ctx, p, comp, f, limited, args...)
-			partialReplay, errReplay := sim.Replay(ctx, tr, limited)
-			if !errors.Is(errFast, sim.ErrBudget) || !errors.Is(errSlow, sim.ErrBudget) || !errors.Is(errReplay, sim.ErrBudget) {
-				return fail("budget", "%s: MaxSteps=%d want ErrBudget from all paths, got fast=%v slow=%v replay=%v",
-					tag, limited.MaxSteps, errFast, errSlow, errReplay)
-			}
-			if *partialFast != *partialSlow {
-				return fail("budget", "%s: MaxSteps=%d fast/slow partial results diverge:\n%s",
-					tag, limited.MaxSteps, diffResult(partialFast, partialSlow))
-			}
-			if *partialReplay != *partialFast {
-				return fail("budget", "%s: MaxSteps=%d replay/fast partial results diverge:\n%s",
-					tag, limited.MaxSteps, diffResult(partialReplay, partialFast))
-			}
+	for i, limited := range probes {
+		if ctx.Err() != nil {
+			return nil
+		}
+		partialFast, errFast := sim.Run(ctx, p, comp, f, limited, args...)
+		partialSlow, errSlow := sim.Reference(ctx, p, comp, f, limited, args...)
+		partialReplay, errReplay := results[i], errs[i]
+		if !errors.Is(errFast, sim.ErrBudget) || !errors.Is(errSlow, sim.ErrBudget) || !errors.Is(errReplay, sim.ErrBudget) {
+			return fail("budget", "%s: MaxSteps=%d want ErrBudget from all paths, got fast=%v slow=%v replay=%v",
+				tag, limited.MaxSteps, errFast, errSlow, errReplay)
+		}
+		if *partialFast != *partialSlow {
+			return fail("budget", "%s: MaxSteps=%d fast/slow partial results diverge:\n%s",
+				tag, limited.MaxSteps, diffResult(partialFast, partialSlow))
+		}
+		if *partialReplay != *partialFast {
+			return fail("budget", "%s: MaxSteps=%d replay/fast partial results diverge:\n%s",
+				tag, limited.MaxSteps, diffResult(partialReplay, partialFast))
 		}
 	}
 	return nil
@@ -432,6 +457,16 @@ func runBothWays(ctx context.Context, s *subject, comp *hcc.Compiled, cfg sim.Co
 type namedConfig struct {
 	name string
 	cfg  sim.Config
+}
+
+// ringVariants returns a link-latency and a signal-bandwidth variant of
+// a ring-cache config: lanes that share its hierarchy, ring arrays and
+// sequential timing in a batched replay.
+func ringVariants(helix sim.Config) []namedConfig {
+	link, signals := helix, helix
+	link.Ring.LinkLatency = 8
+	signals.Ring.SignalBandwidth = 1
+	return []namedConfig{{"link8", link}, {"sig1", signals}}
 }
 
 // crossConfigs returns the architecture sweep exercised per compile: no

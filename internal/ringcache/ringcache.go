@@ -10,6 +10,19 @@
 // HELIX execution model only sends values forward in iteration order, the
 // simulator can resolve every arrival time in closed form. Bandwidth
 // limits are modelled with slot allocators per traffic class.
+//
+// A ring's state has two parts. Arrays holds what follows from the
+// access stream alone: which node's array holds which word (with
+// unbounded arrays, which nodes have seen it) and which words are dirty.
+// Every store circulates to every node, so two rings with one node count,
+// array size and associativity that carry the same accesses hold the
+// same words, whatever their link latency or bandwidths. Ring holds the
+// timing: when each value was injected and by which node, the link slot
+// allocators and the signal buffers. A Ring from New owns its Arrays,
+// and its Store and Load update both. Rings that share an access stream
+// can share one Arrays instead: the caller updates it once per access
+// and hands the outcome to each timing-only Ring (NewTiming) through
+// TimeStore and TimeLoad, as the simulator's batched replay does.
 package ringcache
 
 import "helixrc/internal/mem"
@@ -99,7 +112,10 @@ type Ring struct {
 	Cfg   Config
 	Stats Stats
 
-	arrays []*mem.Cache // per-node arrays (nil when unbounded)
+	// arrays holds the node contents: the ring's own when built by New,
+	// nil on a timing-only ring, whose caller passes each access's
+	// outcome instead.
+	arrays *Arrays
 	// ready[addr] is the latest injected value's timing for each address.
 	ready map[int64]valueState
 	// dataSlots serializes value circulation (the paper shows one write
@@ -111,11 +127,19 @@ type Ring struct {
 	sigSent [][]int64
 	// sigCount[seg][from] counts signals sent (for sanity checks).
 	sigCount [][]int64
-	dirty    map[int64]bool
+}
+
+// Arrays is the content state of a ring's node arrays: what every node
+// holds and which words are dirty. It follows from the sequence of
+// shared accesses alone, never from their timing.
+type Arrays struct {
+	nodes  int
+	arrays []*mem.Cache // per-node arrays (nil when unbounded)
 	// seen tracks which nodes have a copy when arrays are unbounded: a
-	// presence bitmask of (Nodes+63)/64 words per address, word w of
+	// presence bitmask of (nodes+63)/64 words per address, word w of
 	// address a stored under seenKey{a, w}.
-	seen map[seenKey]uint64
+	seen  map[seenKey]uint64
+	dirty map[int64]bool
 }
 
 // seenKey names one 64-node word of an address's presence bitmask.
@@ -124,22 +148,89 @@ type seenKey struct {
 	word int
 }
 
-// New builds a ring for a loop with numSegs segments.
+// NewArrays builds empty node arrays of cfg's shape: its Nodes,
+// ArrayBytes (0 = unbounded) and Assoc.
+func NewArrays(cfg Config) *Arrays {
+	a := &Arrays{nodes: cfg.Nodes, seen: map[seenKey]uint64{}, dirty: map[int64]bool{}}
+	if cfg.ArrayBytes > 0 {
+		for i := 0; i < cfg.Nodes; i++ {
+			a.arrays = append(a.arrays, mem.NewCache(mem.CacheConfig{
+				SizeBytes: cfg.ArrayBytes, Assoc: cfg.Assoc, LineBytes: 8,
+			}))
+		}
+	}
+	return a
+}
+
+// Reset empties the arrays, reusing their allocations.
+func (a *Arrays) Reset() {
+	clear(a.dirty)
+	clear(a.seen)
+	for _, c := range a.arrays {
+		c.ResetAll()
+	}
+}
+
+// Store circulates a store of addr from node core: every node's array
+// receives the word, dirty in the producer's. It returns how many dirty
+// words the insertions evicted.
+func (a *Arrays) Store(core int, addr int64) (evictions int64) {
+	a.dirty[addr] = true
+	if a.arrays == nil {
+		for w := 0; w < (a.nodes+63)/64; w++ {
+			a.seen[seenKey{addr, w}] = ^uint64(0)
+		}
+		return 0
+	}
+	for n, c := range a.arrays {
+		if ev, dirty := c.Insert(addr, n == core); ev >= 0 && dirty {
+			evictions++
+		}
+	}
+	return evictions
+}
+
+// Load looks addr up in node core's array and then fills it there. It
+// reports whether the word was present before the fill and how many
+// dirty words the fill evicted.
+func (a *Arrays) Load(core int, addr int64) (present bool, evictions int64) {
+	if a.arrays == nil {
+		k := seenKey{addr, core / 64}
+		bit := uint64(1) << uint(core%64)
+		present = a.seen[k]&bit != 0
+		a.seen[k] |= bit
+		return present, 0
+	}
+	c := a.arrays[core]
+	present = c.Lookup(addr)
+	if ev, dirty := c.Insert(addr, false); ev >= 0 && dirty {
+		evictions = 1
+	}
+	return present, evictions
+}
+
+// DirtyWords reports how many distinct words have been stored since the
+// last Reset: the words a loop-end flush writes back.
+func (a *Arrays) DirtyWords() int { return len(a.dirty) }
+
+// New builds a ring, with its own node arrays, for a loop with numSegs
+// segments.
 func New(cfg Config, numSegs int) *Ring {
+	r := NewTiming(cfg, numSegs)
+	r.arrays = NewArrays(cfg)
+	return r
+}
+
+// NewTiming builds a timing-only ring for a loop with numSegs segments:
+// its contents live in an Arrays the caller shares among rings of one
+// shape, so it is driven by TimeStore, TimeLoad and FlushCostOf instead
+// of Store, Load and FlushCost.
+func NewTiming(cfg Config, numSegs int) *Ring {
 	r := &Ring{
 		Cfg:       cfg,
 		ready:     map[int64]valueState{},
 		dataSlots: slotAlloc{perCycle: cfg.DataBandwidth},
 		sigSlots:  slotAlloc{perCycle: cfg.SignalBandwidth},
-		dirty:     map[int64]bool{},
-		seen:      map[seenKey]uint64{},
-	}
-	if cfg.ArrayBytes > 0 {
-		for i := 0; i < cfg.Nodes; i++ {
-			r.arrays = append(r.arrays, mem.NewCache(mem.CacheConfig{
-				SizeBytes: cfg.ArrayBytes, Assoc: cfg.Assoc, LineBytes: 8,
-			}))
-		}
 	}
 	r.sigSent = make([][]int64, numSegs)
 	r.sigCount = make([][]int64, numSegs)
@@ -153,20 +244,18 @@ func New(cfg Config, numSegs int) *Ring {
 	return r
 }
 
-// Reset restores the ring to the state New(cfg, numSegs) would produce,
-// reusing the existing allocations (arrays, maps, signal matrices, and
-// the rows of a larger segment count seen earlier). The simulator pools
-// rings across loop invocations, which removes the dominant allocation
-// in ring-cache runs.
+// Reset restores the ring to the state New(cfg, numSegs) would produce
+// (NewTiming's, for a timing-only ring), reusing the existing
+// allocations (arrays, maps, signal matrices, and the rows of a larger
+// segment count seen earlier). The simulator pools rings across loop
+// invocations, which removes the dominant allocation in ring-cache runs.
 func (r *Ring) Reset(numSegs int) {
 	r.Stats = Stats{}
 	clear(r.ready)
 	r.dataSlots = slotAlloc{perCycle: r.Cfg.DataBandwidth}
 	r.sigSlots = slotAlloc{perCycle: r.Cfg.SignalBandwidth}
-	clear(r.dirty)
-	clear(r.seen)
-	for _, a := range r.arrays {
-		a.ResetAll()
+	if r.arrays != nil {
+		r.arrays.Reset()
 	}
 	if cap(r.sigSent) < numSegs {
 		sent, count := make([][]int64, numSegs), make([][]int64, numSegs)
@@ -202,25 +291,18 @@ func (r *Ring) dist(a, b int) int {
 // time the core may continue (injection is decoupled: the core does not
 // wait for circulation).
 func (r *Ring) Store(core int, addr int64, t int64) int64 {
+	return r.TimeStore(core, addr, t, r.arrays.Store(core, addr))
+}
+
+// TimeStore is Store's timing on a timing-only ring: evictions is what
+// Arrays.Store returned for this store on the shared arrays.
+func (r *Ring) TimeStore(core int, addr, t, evictions int64) int64 {
 	r.Stats.Stores++
+	r.Stats.Evictions += evictions
 	inj := r.dataSlots.take(t) + int64(r.Cfg.InjectLatency)
 	prev, ok := r.ready[addr]
 	if !ok || inj >= prev.sentAt {
 		r.ready[addr] = valueState{sentAt: inj, from: core}
-	}
-	r.dirty[addr] = true
-	// Value circulation: every node's array receives a copy of the pair
-	// as it passes (arrival *times* are computed on demand in Load).
-	if r.arrays != nil {
-		for n := range r.arrays {
-			if ev, dirty := r.arrays[n].Insert(addr, n == core); ev >= 0 && dirty {
-				r.Stats.Evictions++
-			}
-		}
-	} else {
-		for w := 0; w < (r.Cfg.Nodes+63)/64; w++ {
-			r.seen[seenKey{addr, w}] = ^uint64(0)
-		}
 	}
 	return inj
 }
@@ -228,14 +310,16 @@ func (r *Ring) Store(core int, addr int64, t int64) int64 {
 // Load returns the completion time of a shared load at node `core` issued
 // at time t.
 func (r *Ring) Load(core int, addr int64, t int64) int64 {
+	present, evictions := r.arrays.Load(core, addr)
+	return r.TimeLoad(core, addr, t, present, evictions)
+}
+
+// TimeLoad is Load's timing on a timing-only ring: present and evictions
+// are what Arrays.Load returned for this load on the shared arrays.
+func (r *Ring) TimeLoad(core int, addr, t int64, present bool, evictions int64) int64 {
 	r.Stats.Loads++
+	r.Stats.Evictions += evictions
 	done := t + 1 // node access
-	present := false
-	if r.arrays != nil {
-		present = r.arrays[core].Lookup(addr)
-	} else {
-		present = r.seen[seenKey{addr, core / 64}]&(1<<uint(core%64)) != 0
-	}
 	if vs, ok := r.ready[addr]; ok {
 		// The value is (or will be) circulating: it reaches this node at
 		// sentAt + distance hops.
@@ -258,13 +342,6 @@ func (r *Ring) Load(core int, addr int64, t int64) int64 {
 		// First touch: the owner node pulls the line from its L1.
 		done = r.ownerFetch(core, addr, t)
 		r.Stats.LoadMisses++
-	}
-	if r.arrays != nil {
-		if ev, dirty := r.arrays[core].Insert(addr, false); ev >= 0 && dirty {
-			r.Stats.Evictions++
-		}
-	} else {
-		r.seen[seenKey{addr, core / 64}] |= 1 << uint(core%64)
 	}
 	return done
 }
@@ -325,17 +402,24 @@ func (r *Ring) WaitReady(seg, core int, t int64) int64 {
 // their owner nodes' L1s at loop end (the distributed fence of §5.2), and
 // resets the dirty set.
 func (r *Ring) FlushCost() int64 {
-	n := int64(len(r.dirty))
-	clear(r.dirty)
-	if n == 0 {
+	n := r.arrays.DirtyWords()
+	clear(r.arrays.dirty)
+	return r.FlushCostOf(n)
+}
+
+// FlushCostOf is FlushCost on a timing-only ring: words is the shared
+// arrays' DirtyWords.
+func (r *Ring) FlushCostOf(words int) int64 {
+	if words == 0 {
 		return 0
 	}
 	bw := int64(r.Cfg.DataBandwidth)
 	if bw <= 0 {
 		bw = 8
 	}
-	return n/bw + int64(r.Cfg.OwnerL1Latency+r.Cfg.Nodes*r.Cfg.LinkLatency)
+	return int64(words)/bw + int64(r.Cfg.OwnerL1Latency+r.Cfg.Nodes*r.Cfg.LinkLatency)
 }
 
-// DirtyWords reports the current dirty shared word count.
-func (r *Ring) DirtyWords() int { return len(r.dirty) }
+// DirtyWords reports the current dirty shared word count of a ring that
+// owns its arrays (New).
+func (r *Ring) DirtyWords() int { return r.arrays.DirtyWords() }

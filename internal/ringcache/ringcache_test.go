@@ -1,6 +1,7 @@
 package ringcache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -220,5 +221,62 @@ func TestOwnerMapping(t *testing.T) {
 	}
 	if len(seen) != 16 {
 		t.Errorf("bit-mask hash should spread lines over all nodes, got %d", len(seen))
+	}
+}
+
+// TestSharedArraysMatchOwned drives rings that differ only in link
+// latency and signal bandwidth through one access sequence two ways:
+// each with its own arrays (New), and as timing-only rings (NewTiming)
+// over one Arrays updated once per access. Every returned time, the
+// stats and the flush cost must agree: what the arrays hold follows from
+// the accesses alone.
+func TestSharedArraysMatchOwned(t *testing.T) {
+	for _, arrayBytes := range []int{64, 1 << 10, 0} {
+		base := DefaultConfig(8)
+		base.ArrayBytes, base.Assoc = arrayBytes, 2
+		slow := base
+		slow.LinkLatency, slow.SignalBandwidth = 4, 1
+		cfgs := []Config{base, slow}
+		shared := NewArrays(base)
+		var owned, timing []*Ring
+		for _, cfg := range cfgs {
+			owned = append(owned, New(cfg, 2))
+			timing = append(timing, NewTiming(cfg, 2))
+		}
+		rng := rand.New(rand.NewSource(int64(arrayBytes) + 1))
+		tm := int64(1)
+		for op := 0; op < 4000; op++ {
+			core, addr := rng.Intn(8), int64(rng.Intn(200))
+			tm += int64(rng.Intn(3))
+			switch rng.Intn(3) {
+			case 0:
+				ev := shared.Store(core, addr)
+				for i := range cfgs {
+					if got, want := timing[i].TimeStore(core, addr, tm, ev), owned[i].Store(core, addr, tm); got != want {
+						t.Fatalf("%d bytes, config %d, op %d: TimeStore = %d, Store = %d", arrayBytes, i, op, got, want)
+					}
+				}
+			case 1:
+				present, ev := shared.Load(core, addr)
+				for i := range cfgs {
+					if got, want := timing[i].TimeLoad(core, addr, tm, present, ev), owned[i].Load(core, addr, tm); got != want {
+						t.Fatalf("%d bytes, config %d, op %d: TimeLoad = %d, Load = %d", arrayBytes, i, op, got, want)
+					}
+				}
+			case 2:
+				for i := range cfgs {
+					timing[i].Signal(op%2, core, tm)
+					owned[i].Signal(op%2, core, tm)
+				}
+			}
+		}
+		for i := range cfgs {
+			if got, want := timing[i].FlushCostOf(shared.DirtyWords()), owned[i].FlushCost(); got != want {
+				t.Errorf("%d bytes, config %d: FlushCostOf = %d, FlushCost = %d", arrayBytes, i, got, want)
+			}
+			if timing[i].Stats != owned[i].Stats {
+				t.Errorf("%d bytes, config %d: stats diverge:\ntiming: %+v\nowned:  %+v", arrayBytes, i, timing[i].Stats, owned[i].Stats)
+			}
+		}
 	}
 }

@@ -111,25 +111,21 @@ func decodeInstr(in *ir.Instr, lastValDefs map[int32]ir.Reg) instrMeta {
 	return m
 }
 
-// metaReady mirrors cpu.Core.OpReady over pre-decoded operands.
+// metaReady mirrors cpu.Core.OpReady over pre-decoded operands. It is
+// written to stay under the inlining budget: every stepper's and replay
+// lane's issue calls it.
 func metaReady(core *cpu.Core, m *instrMeta) int64 {
-	switch m.nuses {
-	case 0:
+	if m.nuses == 0 {
 		return 0
-	case 1:
-		return core.RegReady(m.uses[0])
-	default:
-		t := core.RegReady(m.uses[0])
-		if v := core.RegReady(m.uses[1]); v > t {
-			t = v
-		}
-		for _, reg := range m.more {
-			if v := core.RegReady(reg); v > t {
-				t = v
-			}
-		}
-		return t
 	}
+	t := core.RegReady(m.uses[0])
+	if m.nuses > 1 {
+		t = max(t, core.RegReady(m.uses[1]))
+		for _, reg := range m.more {
+			t = max(t, core.RegReady(reg))
+		}
+	}
+	return t
 }
 
 // metaFor returns the decoded metadata for a block, decoding on first
@@ -264,35 +260,45 @@ type hierKey struct {
 	cfg   memsys.Config
 }
 
-// hierPools maps hierKey -> *sync.Pool of *mem.Hierarchy. Hierarchies
-// dominate per-run allocation (the L2 alone is >100k lines); pooling
-// them across runs — including runs on other goroutines — is the
-// single biggest allocation win.
-var hierPools sync.Map
+// shapePool recycles values across runs, including runs on other
+// goroutines, with one sync.Pool per shape key.
+type shapePool[K comparable, V any] struct{ pools sync.Map }
+
+// get returns a pooled value of shape k, or false when there is none.
+func (p *shapePool[K, V]) get(k K) (v V, ok bool) {
+	if sp, found := p.pools.Load(k); found {
+		v, ok = sp.(*sync.Pool).Get().(V)
+	}
+	return v, ok
+}
+
+// put returns v to shape k's pool.
+func (p *shapePool[K, V]) put(k K, v V) {
+	sp, ok := p.pools.Load(k)
+	if !ok {
+		sp, _ = p.pools.LoadOrStore(k, &sync.Pool{})
+	}
+	sp.(*sync.Pool).Put(v)
+}
+
+// hierPools pools hierarchies by shape. Hierarchies dominate per-run
+// allocation (the L2 alone is >100k lines); pooling them across runs is
+// the single biggest allocation win.
+var hierPools shapePool[hierKey, *memsys.Hierarchy]
 
 func hierFromPool(cores int, cfg memsys.Config) *memsys.Hierarchy {
-	key := hierKey{cores: cores, cfg: cfg}
-	if p, ok := hierPools.Load(key); ok {
-		if v := p.(*sync.Pool).Get(); v != nil {
-			h := v.(*memsys.Hierarchy)
-			h.Reset()
-			return h
-		}
+	if h, ok := hierPools.get(hierKey{cores: cores, cfg: cfg}); ok {
+		h.Reset()
+		return h
 	}
 	return memsys.NewHierarchy(cores, cfg)
 }
 
 // hierToPool returns a hierarchy to its shape's pool.
 func hierToPool(h *memsys.Hierarchy, cores int, cfg memsys.Config) {
-	if h == nil {
-		return
+	if h != nil {
+		hierPools.put(hierKey{cores: cores, cfg: cfg}, h)
 	}
-	key := hierKey{cores: cores, cfg: cfg}
-	p, ok := hierPools.Load(key)
-	if !ok {
-		p, _ = hierPools.LoadOrStore(key, &sync.Pool{})
-	}
-	p.(*sync.Pool).Put(h)
 }
 
 // reclaimHier returns the runner's hierarchy to the pool (fast path

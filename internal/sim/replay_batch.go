@@ -3,10 +3,25 @@ package sim
 // The replay engine: one traversal of a recorded Trace re-times it under
 // N configurations, with no functional execution at all. Replay is its
 // one-lane case. The traversal — cursors, iteration scheduling, segment
-// scratch — is driven by the recorded stream alone, so it is shared;
-// each per-config "lane" owns only timing state (scoreboards, ring,
-// hierarchy, clocks). Every timing expression mirrors the fast stepper
-// (fast.go), and therefore the reference stepper.
+// scratch — is driven by the recorded stream alone, so it is shared.
+// The replayer also owns every piece of state that depends only on the
+// trace and on config fields a group of lanes has in common, and
+// updates it once per instruction, before the per-lane loop:
+//
+//   - one memory hierarchy per memory group (memGroup), accessed once
+//     per memory instruction; its lanes read the latency;
+//   - one set of ring arrays per array group (arrayGroup), updated once
+//     per shared access the group's rings carry; its lanes time the
+//     access against the outcome;
+//   - sequential spans, timed by one lane per class (laneClass), whose
+//     other members add the span's duration to their own clock;
+//   - the stream counters (streamCounts), added to a lane's Result when
+//     it freezes or the walk ends.
+//
+// A lane keeps only what differs between lanes: scoreboards, clocks,
+// its ring's injection and signal times, and its overhead cycles. Every
+// timing expression mirrors the fast stepper (fast.go), and therefore
+// the reference stepper.
 //
 // Each lane's (Result, error) is bit-identical to a fresh Run under its
 // config, failure paths included. Budget checks sit where the steppers
@@ -17,8 +32,9 @@ package sim
 // against Run.
 //
 // Replayers are pooled: a lane slot keeps its scoreboards while its core
-// model is unchanged and its ring while its ring configuration is, so a
-// steady-state call allocates only its Results. Every timing field is
+// model is unchanged and its timing ring while its ring configuration
+// is, and hierarchies and ring arrays come from pools keyed by shape, so
+// a steady-state call allocates only its Results. Every timing field is
 // reset per call and every pooled structure per loop, so reuse can never
 // change a cycle count.
 
@@ -91,6 +107,7 @@ func replayInto(ctx context.Context, tr *Trace, archs []Config, results []*Resul
 	b.ctx, b.tr = ctx, tr
 	b.cores, b.steps, b.check = 0, 0, 0
 	b.runCursor, b.addrCursor = 0, 0
+	b.stream = streamCounts{}
 
 	lanes := b.lanes[:0]
 	for i, arch := range archs {
@@ -113,7 +130,7 @@ func replayInto(ctx context.Context, tr *Trace, archs []Config, results []*Resul
 		} else {
 			lanes = append(lanes, batchLane{})
 		}
-		lanes[len(lanes)-1].reset(i, arch, tr.maxRegs)
+		lanes[len(lanes)-1].reset(i, arch)
 	}
 	b.lanes = lanes
 	if len(lanes) > 0 {
@@ -145,12 +162,12 @@ func ringConfig(arch Config) ringcache.Config {
 	return rc
 }
 
-// batchLane is the per-config timing state: everything except the trace
-// cursors and step accounting, which are shared.
+// batchLane is one config's timing state: scoreboards, clocks, its
+// ring's injection and signal times, and its overhead cycles. Everything
+// it shares with other lanes lives in the replayer.
 type batchLane struct {
 	idx  int // position in the caller's archs slice
 	arch Config
-	hier *memsys.Hierarchy
 
 	maxSteps int64
 	now      int64 // sequential clock (core 0)
@@ -159,30 +176,29 @@ type batchLane struct {
 	res      Result
 	err      error
 
-	seqCore  *cpu.Core
+	seqCore  *cpu.Core // core 0's scoreboard, used while the lane times its class
 	core     *cpu.Core // the core running the current iteration
 	parCores []*cpu.Core
 	coreTime []int64
 	ringCfg  ringcache.Config
-	ringBuf  *ringcache.Ring // the slot's one ring, reset for every loop
+	ringBuf  *ringcache.Ring // the slot's one timing ring, reset for every loop
 	ring     *ringcache.Ring // active loop's ring (nil on conventional lanes)
 	convSig  []int64
 
-	// memGroup indexes the lane's memory-sharing group (-1 for
-	// PerfectMem lanes, which have no hierarchy). Lanes with identical
-	// memory config and decoupling issue the exact same hierarchy access
-	// sequence, so one leader lane per group owns the hierarchy and the
-	// rest reuse its latencies — the dominant saving of batching.
-	memGroup int
+	mem   *memGroup   // nil for PerfectMem lanes, which have no hierarchy
+	arr   *arrayGroup // nil unless the lane's ring carries shared accesses
+	class *laneClass
 
-	decReg, decMem, decSync bool
-	c2c, l1, branchCost     int64
+	inOrder             bool
+	route               routing
+	decSync             bool
+	c2c, l1, branchCost int64
 }
 
 // reset points a lane slot at arch for one replay. Every timing field
 // starts fresh; the scoreboards survive while the core model is
 // unchanged and the ring while the ring configuration is.
-func (ln *batchLane) reset(idx int, arch Config, maxRegs int) {
+func (ln *batchLane) reset(idx int, arch Config) {
 	if arch.Core != ln.arch.Core {
 		ln.seqCore = nil
 		clear(ln.parCores)
@@ -191,58 +207,50 @@ func (ln *batchLane) reset(idx int, arch Config, maxRegs int) {
 		ln.ringCfg, ln.ringBuf = rc, nil
 	}
 	ln.idx, ln.arch = idx, arch
-	ln.hier, ln.core, ln.ring = nil, nil, nil
+	ln.core, ln.ring = nil, nil
 	ln.maxSteps = arch.effectiveMaxSteps()
 	ln.now, ln.t, ln.start = 0, 0, 0
 	ln.res, ln.err = Result{}, nil
-	ln.memGroup = -1
-	ln.decReg, ln.decMem, ln.decSync = arch.DecoupleReg, arch.DecoupleMem, arch.DecoupleSync
+	ln.mem, ln.arr, ln.class = nil, nil, nil
+	ln.inOrder = !arch.Core.OoO
+	ln.route, ln.decSync = routing{arch.DecoupleReg, arch.DecoupleMem}, arch.DecoupleSync
 	ln.c2c, ln.l1 = int64(arch.Mem.CacheToCache), int64(arch.Mem.L1Latency)
 	if arch.PerfectMem {
 		ln.c2c = 0
 	}
 	ln.branchCost = int64(arch.Core.BranchCost)
-	if ln.seqCore == nil {
-		ln.seqCore = cpu.NewCore(arch.Core, maxRegs)
-	} else {
-		ln.seqCore.Grow(maxRegs)
-	}
-	ln.seqCore.Reset(0)
 }
 
-// memProfile identifies lanes whose hierarchy access sequences (and
-// therefore latencies and stats) are provably identical: same memory
-// config, and the same shared-access routing — whether a ring exists at
-// all, and which access kinds it absorbs. Ring parameters and the core
-// model shift timing, never the access stream, so they stay out.
-type memProfile struct {
-	mem            memsys.Config
-	anyDec         bool
-	decReg, decMem bool
+// anyDec reports whether the lane's loops run with a ring at all.
+func (ln *batchLane) anyDec() bool { return ln.route.decReg || ln.route.decMem || ln.decSync }
+
+// memLat is the latency of the memory access being processed: its
+// group's, or a single cycle under perfect memory.
+func (ln *batchLane) memLat() int64 {
+	if ln.mem == nil {
+		return 1
+	}
+	return ln.mem.lat
 }
 
-func (ln *batchLane) memProfile() memProfile {
-	return memProfile{
-		mem:    ln.arch.Mem,
-		anyDec: ln.decReg || ln.decMem || ln.decSync,
-		decReg: ln.decReg,
-		decMem: ln.decMem,
+// issue issues one instruction on core under the lane's core model and
+// returns its issue time. The in-order rule, which most lanes use, is
+// inlined here.
+func (ln *batchLane) issue(core *cpu.Core, dst ir.Reg, now, opReady, lat int64) int64 {
+	if ln.inOrder {
+		return core.IssueInOrder(dst, now, opReady, lat)
 	}
+	t, _ := core.IssueReg(dst, now, opReady, lat)
+	return t
 }
 
-// latFor resolves one hierarchy access latency for a lane: group
-// leaders (hierarchy owners) access and publish, followers reuse the
-// leader's value. Live-lane order keeps each group's leader first.
-func (b *batchReplayer) latFor(ln *batchLane, c int, addr int64, write bool) int64 {
-	if ln.hier != nil {
-		lat := int64(ln.hier.Access(c, addr, write))
-		b.groupLat[ln.memGroup] = lat
-		return lat
+// advance moves the lane's iteration clock past an instruction issued
+// at issue.
+func (ln *batchLane) advance(issue int64, branches bool) {
+	ln.t = issue
+	if branches {
+		ln.t += ln.branchCost
 	}
-	if ln.memGroup < 0 {
-		return 1 // PerfectMem
-	}
-	return b.groupLat[ln.memGroup]
 }
 
 func (ln *batchLane) ensurePerCore(n int) {
@@ -262,37 +270,122 @@ func (ln *batchLane) convBuf(n int) {
 	}
 }
 
-// ringFor returns the slot's ring reset for a loop of numSegs segments.
+// ringFor returns the slot's timing ring reset for a loop of numSegs
+// segments.
 func (ln *batchLane) ringFor(numSegs int) *ringcache.Ring {
 	if ln.ringBuf == nil {
-		ln.ringBuf = ringcache.New(ln.ringCfg, numSegs)
+		ln.ringBuf = ringcache.NewTiming(ln.ringCfg, numSegs)
 	} else {
 		ln.ringBuf.Reset(numSegs)
 	}
 	return ln.ringBuf
 }
 
-// finish is the shared post-dispatch bookkeeping of one dynamic
-// instruction of a loop iteration on one lane.
-func (ln *batchLane) finish(issue int64, inSeg, added, branches bool) {
-	if added {
-		ln.res.Overheads.AddedInstr++
+// routing is which shared accesses a lane's ring carries, when it has
+// one: register-slot accesses (DecoupleReg), other shared words
+// (DecoupleMem), or both.
+type routing struct{ decReg, decMem bool }
+
+// carries reports whether a ring with this routing absorbs a shared
+// access to a register slot (slot) or to any other shared word.
+func (r routing) carries(slot bool) bool {
+	if slot {
+		return r.decReg
 	}
-	if inSeg {
-		ln.res.SeqSegInstrs++
+	return r.decMem
+}
+
+// memProfile identifies lanes whose hierarchy access sequences (and
+// therefore latencies and stats) are provably identical: same memory
+// config, and the same shared-access routing — whether a ring exists at
+// all, and which access kinds it absorbs. Ring parameters and the core
+// model shift timing, never the access stream, so they stay out.
+type memProfile struct {
+	mem    memsys.Config
+	anyDec bool
+	route  routing
+}
+
+// ringCarries reports whether the profile's lanes send a shared access
+// to their rings instead of the hierarchy.
+func (p memProfile) ringCarries(slot bool) bool { return p.anyDec && p.route.carries(slot) }
+
+// memGroup is the hierarchy of every lane with one memProfile. The
+// replayer accesses it once per memory instruction that the group
+// routes to it, while the group has a live lane, and its lanes read lat.
+type memGroup struct {
+	prof memProfile
+	hier *memsys.Hierarchy
+	live int   // live lanes in the group
+	lat  int64 // latency of the access being processed
+}
+
+// arrayGroup holds the ring arrays of every lane whose rings have one
+// shape (node count, array bytes, associativity) and carry the same
+// shared accesses. Every store circulates to every node (§5), so what
+// the arrays hold follows from the access stream alone: link latency
+// and bandwidths only move times. The replayer updates the arrays once
+// per access the group carries, while the group has a live lane, and
+// its lanes time the access against present and evictions.
+type arrayGroup struct {
+	shape  ringcache.Config
+	route  routing
+	arrays *ringcache.Arrays
+	live   int
+
+	present   bool  // the access being processed found its word (loads)
+	evictions int64 // dirty words the access evicted
+}
+
+// arrayShape is the part of a ring configuration its arrays depend on.
+func arrayShape(rc ringcache.Config) ringcache.Config {
+	shape := ringcache.Config{Nodes: rc.Nodes, ArrayBytes: rc.ArrayBytes, Assoc: rc.Assoc}
+	if shape.ArrayBytes <= 0 {
+		shape.ArrayBytes, shape.Assoc = 0, 0 // unbounded: presence sets
 	}
-	ln.res.Instrs++
-	ln.res.ParallelInstrs++
-	if branches {
-		ln.t = issue + ln.branchCost
-	} else {
-		ln.t = issue
-	}
+	return shape
+}
+
+// laneClass is the lanes with one core model and one memory group (or
+// perfect memory). A lane's sequential core restarts at its own clock,
+// at the start of the walk and after every loop, and every timing rule
+// is a max or a sum of times and constants, so the members' sequential
+// spans differ only by a shift. The timer, the member with the largest
+// step budget, times each span; the others add its duration to their
+// clocks. The timer freezes last, so a class never changes timer.
+type laneClass struct {
+	core  cpu.Config
+	mem   *memGroup
+	timer *batchLane
+	t0    int64 // the timer's clock at the current span's start
+}
+
+// streamCounts are the Result counters that follow from the trace
+// alone, counted once per traversal instead of once per lane.
+type streamCounts struct {
+	instrs, parallelInstrs, seqSegInstrs       int64
+	addedInstr, waitSignal                     int64
+	segEntries, iterationsRun, loopInvocations int64
+}
+
+// addTo adds the counts so far to a lane's Result: when the lane
+// freezes, which gives Run's partial counts, or when the walk ends.
+func (s *streamCounts) addTo(r *Result) {
+	r.Instrs += s.instrs
+	r.ParallelInstrs += s.parallelInstrs
+	r.SeqSegInstrs += s.seqSegInstrs
+	r.Overheads.AddedInstr += s.addedInstr
+	r.Overheads.WaitSignal += s.waitSignal
+	r.SegEntries += s.segEntries
+	r.IterationsRun += s.iterationsRun
+	r.LoopInvocations += s.loopInvocations
 }
 
 // batchReplayer walks the trace once for all lanes. The stream-driven
-// state (cursors, step count, iteration scheduling, segment scratch) is
-// shared; live holds the lanes still being advanced, in stable order.
+// state (cursors, step count, iteration scheduling, segment scratch,
+// stream counters) and the state lanes share (memory and array groups,
+// classes) are its own; live holds the lanes still being advanced, in
+// stable order.
 type batchReplayer struct {
 	ctx   context.Context
 	tr    *Trace
@@ -303,95 +396,144 @@ type batchReplayer struct {
 
 	runCursor  int
 	addrCursor int
+	stream     streamCounts
 
 	lanes []batchLane  // this call's lanes; pooled slots beyond len
 	live  []*batchLane // still-advancing lanes, in stable lane order
 
-	// groupLeader[g] is the live lane owning group g's hierarchy (always
-	// the group's first live lane); groupLat[g] is the latency it
-	// published for the instruction being processed.
-	groupLeader []*batchLane
-	groupLat    []int64
+	mems    []memGroup
+	arrs    []arrayGroup
+	classes []laneClass
 
 	ranReal []bool
 	stopped []bool
 	scr     segScratch
 }
 
-// group fills live with every lane and sorts the lanes with a hierarchy
-// into memory-sharing groups, handing each group's first lane a pooled
-// hierarchy.
+// reserve returns s emptied with room for n elements, so that appending
+// up to n never moves it and pointers into it stay valid.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// group fills live with every lane and sorts the lanes into memory
+// groups, array groups and classes, drawing each group's hierarchy and
+// arrays from their pools and giving each class timer a sequential
+// core. There is at most one group and one class per lane, so the
+// reserved slices never move while lanes point into them.
 func (b *batchReplayer) group() {
+	n := len(b.lanes)
+	b.mems, b.arrs, b.classes = reserve(b.mems, n), reserve(b.arrs, n), reserve(b.classes, n)
 	for li := range b.lanes {
 		ln := &b.lanes[li]
 		b.live = append(b.live, ln)
-		if ln.arch.PerfectMem {
-			continue
+		if !ln.arch.PerfectMem {
+			p := memProfile{mem: ln.arch.Mem, anyDec: ln.anyDec(), route: ln.route}
+			for gi := range b.mems {
+				if b.mems[gi].prof == p {
+					ln.mem = &b.mems[gi]
+					break
+				}
+			}
+			if ln.mem == nil {
+				b.mems = append(b.mems, memGroup{prof: p, hier: hierFromPool(b.cores, p.mem)})
+				ln.mem = &b.mems[len(b.mems)-1]
+			}
+			ln.mem.live++
 		}
-		p := ln.memProfile()
-		ln.memGroup = len(b.groupLeader)
-		for g, leader := range b.groupLeader {
-			if leader.memProfile() == p {
-				ln.memGroup = g
+		if ln.route != (routing{}) {
+			shape := arrayShape(ln.ringCfg)
+			for gi := range b.arrs {
+				if g := &b.arrs[gi]; g.shape == shape && g.route == ln.route {
+					ln.arr = g
+					break
+				}
+			}
+			if ln.arr == nil {
+				arrays, ok := arrayPools.get(shape)
+				if !ok {
+					arrays = ringcache.NewArrays(shape)
+				}
+				b.arrs = append(b.arrs, arrayGroup{shape: shape, route: ln.route, arrays: arrays})
+				ln.arr = &b.arrs[len(b.arrs)-1]
+			}
+			ln.arr.live++
+		}
+		for ci := range b.classes {
+			if cl := &b.classes[ci]; cl.core == ln.arch.Core && cl.mem == ln.mem {
+				ln.class = cl
 				break
 			}
 		}
-		if ln.memGroup == len(b.groupLeader) {
-			b.groupLeader = append(b.groupLeader, ln)
-			ln.hier = hierFromPool(b.cores, ln.arch.Mem)
+		if ln.class == nil {
+			b.classes = append(b.classes, laneClass{core: ln.arch.Core, mem: ln.mem, timer: ln})
+			ln.class = &b.classes[len(b.classes)-1]
+		} else if ln.maxSteps > ln.class.timer.maxSteps {
+			ln.class.timer = ln
 		}
 	}
-	if cap(b.groupLat) < len(b.groupLeader) {
-		b.groupLat = make([]int64, len(b.groupLeader))
+	for ci := range b.classes {
+		tm := b.classes[ci].timer
+		if tm.seqCore == nil {
+			tm.seqCore = cpu.NewCore(tm.arch.Core, b.tr.maxRegs)
+		} else {
+			tm.seqCore.Grow(b.tr.maxRegs)
+		}
+		tm.seqCore.Reset(0)
 	}
-	b.groupLat = b.groupLat[:len(b.groupLeader)]
 }
 
-// release parks the replayer for reuse. Every hierarchy went back to
-// its pool when its lane froze or the walk ended. A parked replayer
-// keeps one set of scoreboards and one ring per lane of its last call,
-// never slots a larger earlier call left behind: rings can be large
-// (Figure 11d's 32 KB node arrays make a 2 MB ring at 16 cores), and a
-// replayer that stays hot would otherwise carry them indefinitely.
-// Dropping the other references keeps it from pinning a trace, a
-// context or an error.
+// release returns the groups' hierarchies and arrays to their pools and
+// parks the replayer for reuse. A parked replayer keeps one set of
+// scoreboards and one timing ring per lane of its last call, never
+// slots a larger earlier call left behind: a replayer that stays hot
+// would otherwise carry them indefinitely. Lane rings hold no arrays, so
+// the large state (Figure 11d's 32 KB node arrays make 2 MB at 16 cores)
+// is the pools'. Dropping the other references keeps it from pinning a
+// trace, a context or an error.
 func (b *batchReplayer) release() {
+	for gi := range b.mems {
+		hierToPool(b.mems[gi].hier, b.cores, b.mems[gi].prof.mem)
+	}
+	for gi := range b.arrs {
+		arrayPools.put(b.arrs[gi].shape, b.arrs[gi].arrays)
+	}
+	clear(b.mems[:cap(b.mems)])
+	clear(b.arrs[:cap(b.arrs)])
+	clear(b.classes[:cap(b.classes)])
+	b.mems, b.arrs, b.classes = b.mems[:0], b.arrs[:0], b.classes[:0]
 	clear(b.lanes[len(b.lanes):cap(b.lanes)])
 	b.ctx, b.tr = nil, nil
 	clear(b.live[:cap(b.live)])
 	b.live = b.live[:0]
-	clear(b.groupLeader[:cap(b.groupLeader)])
-	b.groupLeader = b.groupLeader[:0]
 	for li := range b.lanes {
-		b.lanes[li].err = nil
+		ln := &b.lanes[li]
+		ln.err, ln.mem, ln.arr, ln.class = nil, nil, nil, nil
 	}
 	replayerPool.Put(b)
 }
 
+// arrayPools pools ring arrays by shape, as hierPools does
+// hierarchies; the replayer resets them at every loop start.
+var arrayPools shapePool[ringcache.Config, *ringcache.Arrays]
+
 // freeze retires live[i]: the lane keeps its partial Result exactly as
-// Run's error return would (no Cycles, no memory stats), and stops
-// being advanced. A frozen group leader hands its hierarchy to the
-// group's next live lane — whose own hierarchy, had it owned one, would
-// be in exactly this state — or back to the pool when none remains.
+// Run's error return would (the stream counts so far, no Cycles, no
+// memory stats), and stops being advanced. Its groups stop counting it;
+// a group with no live lane left is no longer updated.
 func (b *batchReplayer) freeze(i int, err error) {
 	ln := b.live[i]
 	ln.err = err
+	b.stream.addTo(&ln.res)
 	b.live = append(b.live[:i], b.live[i+1:]...)
-	if ln.hier != nil {
-		var promoted *batchLane
-		for _, lo := range b.live {
-			if lo.memGroup == ln.memGroup {
-				promoted = lo
-				break
-			}
-		}
-		if promoted != nil {
-			promoted.hier = ln.hier
-			b.groupLeader[ln.memGroup] = promoted
-		} else {
-			hierToPool(ln.hier, b.cores, ln.arch.Mem)
-		}
-		ln.hier = nil
+	if ln.mem != nil {
+		ln.mem.live--
+	}
+	if ln.arr != nil {
+		ln.arr.live--
 	}
 }
 
@@ -436,6 +578,38 @@ func (b *batchReplayer) sharedCheck() error {
 	return nil
 }
 
+// access performs one hierarchy access for every memory group with a
+// live lane.
+func (b *batchReplayer) access(c int, addr int64, write bool) {
+	for gi := range b.mems {
+		if g := &b.mems[gi]; g.live > 0 {
+			g.lat = int64(g.hier.Access(c, addr, write))
+		}
+	}
+}
+
+// accessShared performs one shared access for every group with a live
+// lane: on the hierarchy of each memory group that does not route it to
+// a ring, and on the arrays of each array group whose rings carry it.
+func (b *batchReplayer) accessShared(c int, addr int64, write, slot bool) {
+	for gi := range b.mems {
+		if g := &b.mems[gi]; g.live > 0 && !g.prof.ringCarries(slot) {
+			g.lat = int64(g.hier.Access(c, addr, write))
+		}
+	}
+	for gi := range b.arrs {
+		g := &b.arrs[gi]
+		if g.live == 0 || !g.route.carries(slot) {
+			continue
+		}
+		if write {
+			g.evictions = g.arrays.Store(c, addr)
+		} else {
+			g.present, g.evictions = g.arrays.Load(c, addr)
+		}
+	}
+}
+
 // run walks the whole trace, mirroring runSequential: sequential spans
 // on core 0, each followed by at most one loop invocation.
 func (b *batchReplayer) run() {
@@ -461,25 +635,24 @@ func (b *batchReplayer) run() {
 		ln.now++ // last instructions draining, as in runSequential
 		ln.res.Cycles = ln.now
 		ln.res.RetValue = tr.retValue
-		if ln.memGroup >= 0 {
-			// Followers read their group leader's stats — identical to
-			// what their own hierarchy would have accumulated.
-			ln.res.Mem = b.groupLeader[ln.memGroup].hier.Stats
-		}
-	}
-	for _, ln := range b.live {
-		if ln.hier != nil {
-			hierToPool(ln.hier, b.cores, ln.arch.Mem)
-			ln.hier = nil
+		b.stream.addTo(&ln.res)
+		if ln.mem != nil {
+			ln.res.Mem = ln.mem.hier.Stats
 		}
 	}
 }
 
-// seqSpan replays nruns block-runs of sequential code on every live
-// lane's core 0, mirroring runSequentialFast.
+// seqSpan replays nruns block-runs of sequential code, mirroring
+// runSequentialFast: each class timer times them on its core 0, and
+// every other live lane then adds its timer's span duration to its own
+// clock. Spans with no loop between them continue one timed sequence,
+// and the shift between a member and its timer holds across them.
 func (b *batchReplayer) seqSpan(nruns int) error {
 	tr := b.tr
-	live := b.live
+	for ci := range b.classes {
+		cl := &b.classes[ci]
+		cl.t0 = cl.timer.now
+	}
 	for k := 0; k < nruns; k++ {
 		run := tr.runs[b.runCursor]
 		b.runCursor++
@@ -488,29 +661,37 @@ func (b *batchReplayer) seqSpan(nruns int) error {
 				if err := b.sharedCheck(); err != nil {
 					return err
 				}
-				live = b.live
 			}
 			m := &tr.metas[off]
 			isMem := m.cls == clsShared || m.cls == clsPriv
-			var addr int64
 			if isMem {
-				addr = tr.addrs[b.addrCursor]
+				b.access(0, tr.addrs[b.addrCursor], m.isStore)
 				b.addrCursor++
 			}
-			for _, ln := range live {
+			for ci := range b.classes {
+				ln := b.classes[ci].timer
+				if ln.err != nil {
+					continue // frozen, and so is the rest of its class
+				}
 				lat := m.lat
 				if isMem {
-					lat = b.latFor(ln, 0, addr, m.isStore)
+					lat = ln.memLat()
 				}
-				issue, _ := ln.seqCore.IssueReg(m.dst, ln.now, metaReady(ln.seqCore, m), lat)
-				ln.res.Instrs++
+				core := ln.seqCore
+				issue := ln.issue(core, m.dst, ln.now, metaReady(core, m), lat)
 				if m.branches {
 					ln.now = issue + ln.branchCost
 				} else {
 					ln.now = issue
 				}
 			}
+			b.stream.instrs++
 			b.steps++
+		}
+	}
+	for _, ln := range b.live {
+		if cl := ln.class; cl.timer != ln {
+			ln.now += cl.timer.now - cl.t0
 		}
 	}
 	return nil
@@ -522,8 +703,13 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 	n := b.cores
 	numSegs := int(lt.numSegs)
 
+	b.stream.loopInvocations++
+	for gi := range b.arrs {
+		if g := &b.arrs[gi]; g.live > 0 {
+			g.arrays.Reset()
+		}
+	}
 	for _, ln := range b.live {
-		ln.res.LoopInvocations++
 		// Startup: thread wake + one broadcast store (2 cycles) per
 		// live-in slot. The stores themselves are functional and already
 		// in the past.
@@ -539,7 +725,7 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 			ln.coreTime[c] = ln.start
 		}
 		ln.ring = nil
-		if ln.decReg || ln.decMem || ln.decSync {
+		if ln.anyDec() {
 			ln.ring = ln.ringFor(numSegs)
 		}
 		ln.convBuf(numSegs)
@@ -573,9 +759,7 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 		}
 		if it.status == 0 {
 			b.ranReal[c] = true
-			for _, ln := range b.live {
-				ln.res.IterationsRun++
-			}
+			b.stream.iterationsRun++
 		} else {
 			b.stopped[c] = true
 			stoppedCount++
@@ -589,7 +773,16 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 		return b.freezeAll(errIterStream)
 	}
 
-	// End of loop: drain, flush.
+	// End of loop: drain, flush. Conventional groups write their dirty
+	// lines back once per group; every conventional lane still pays the
+	// L2 drain.
+	for gi := range b.mems {
+		if g := &b.mems[gi]; g.live > 0 && !g.prof.anyDec {
+			for c := 0; c < n; c++ {
+				g.hier.FlushDirty(c)
+			}
+		}
+	}
 	for _, ln := range b.live {
 		end := ln.start
 		for c := 0; c < n; c++ {
@@ -606,7 +799,11 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 			}
 		}
 		if ln.ring != nil {
-			end += ln.ring.FlushCost()
+			dirty := 0
+			if ln.arr != nil {
+				dirty = ln.arr.arrays.DirtyWords()
+			}
+			end += ln.ring.FlushCostOf(dirty)
 			ln.res.Ring.Stores += ln.ring.Stats.Stores
 			ln.res.Ring.Loads += ln.ring.Stats.Loads
 			ln.res.Ring.LoadHits += ln.ring.Stats.LoadHits
@@ -615,27 +812,22 @@ func (b *batchReplayer) replayLoop(lt *loopTrace) error {
 			ln.res.Ring.Signals += ln.ring.Stats.Signals
 			ln.res.Ring.StallCycles += ln.ring.Stats.StallCycles
 			ln.res.Ring.SignalStalls += ln.ring.Stats.SignalStalls
-		} else if ln.memGroup >= 0 {
-			// Flush once per group (the leader owns the hierarchy);
-			// every conventional lane still pays the L2 drain.
-			if ln.hier != nil {
-				for c := 0; c < n; c++ {
-					ln.hier.FlushDirty(c)
-				}
-			}
+		} else if ln.mem != nil {
 			end += int64(ln.arch.Mem.L2Latency)
 		}
 		ln.res.ParallelCycles += end + 5 - ln.now // +5: live-out collection
 		ln.now = end + 5
-		ln.seqCore.Reset(ln.now)
+		if ln.class.timer == ln {
+			ln.seqCore.Reset(ln.now)
+		}
 	}
 	return nil
 }
 
 // replayIteration mirrors runIterationFast minus everything functional:
 // no interpreter step, no register values, no validation. The segment
-// scratch and cursors are shared, and segment-entry transitions are
-// stream-driven, so they are hoisted out of the per-lane loops.
+// scratch, cursors, shared groups and stream counters are updated once
+// per instruction, before the per-lane loop.
 func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 	tr := b.tr
 	scr := &b.scr
@@ -662,20 +854,19 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 				live = b.live
 			}
 			m := &tr.metas[off]
-			added := m.added
 
 			switch m.cls {
 			case clsWait:
 				s := int(m.seg)
-				firstWait := scr.waitEp[s] != ep
-				if firstWait {
+				if scr.waitEp[s] != ep {
 					scr.waitEp[s] = ep
 					activeSegs++
+					b.stream.segEntries++
 				}
-				inSeg := activeSegs > 0
+				b.stream.waitSignal++
 				for _, ln := range live {
 					core := ln.core
-					iss, _ := core.IssueReg(ir.NoReg, ln.t, 0, 1)
+					iss := ln.issue(core, ir.NoReg, ln.t, 0, 1)
 					var ready int64
 					if ln.decSync {
 						ready = ln.ring.WaitReady(s, c, iss+1)
@@ -687,11 +878,7 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 					}
 					core.Barrier(ready)
 					ln.res.Overheads.DependenceWaiting += ready - (iss + 1)
-					ln.res.Overheads.WaitSignal++
-					if firstWait {
-						ln.res.SegEntries++
-					}
-					ln.finish(iss, inSeg, added, m.branches)
+					ln.advance(iss, m.branches)
 				}
 
 			case clsSignal:
@@ -699,9 +886,10 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 				if scr.waitEp[s] == ep && activeSegs > 0 {
 					activeSegs--
 				}
-				inSeg := activeSegs > 0
+				b.stream.waitSignal++
 				for _, ln := range live {
-					iss, _ := ln.core.IssueReg(ir.NoReg, ln.t, 0, 1)
+					core := ln.core
+					iss := ln.issue(core, ir.NoReg, ln.t, 0, 1)
 					send := iss + 1
 					if ln.decSync {
 						ln.ring.Signal(s, c, send)
@@ -711,8 +899,7 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 							ln.convSig[s] = send
 						}
 					}
-					ln.res.Overheads.WaitSignal++
-					ln.finish(iss, inSeg, added, m.branches)
+					ln.advance(iss, m.branches)
 				}
 
 			case clsShared:
@@ -720,52 +907,57 @@ func (b *batchReplayer) replayIteration(it *iterTrace, c int) error {
 				addr := tr.addrs[ai]
 				b.addrCursor++
 				slot := tr.slotAt(ai)
-				inSeg := activeSegs > 0
+				b.accessShared(c, addr, m.isStore, slot)
 				for _, ln := range live {
 					core := ln.core
-					dec := ln.decMem
-					if slot {
-						dec = ln.decReg
+					// A ring lane's own injection is one cycle; the ring
+					// times the rest.
+					viaRing := ln.ring != nil && ln.route.carries(slot)
+					lat := int64(1)
+					if !viaRing {
+						lat = ln.memLat()
 					}
-					var issue int64
-					if ln.ring != nil && dec {
-						iss, _ := core.IssueReg(m.dst, ln.t, metaReady(core, m), 1)
-						if m.isStore {
-							ln.ring.Store(c, addr, iss+1)
-						} else {
-							done := ln.ring.Load(c, addr, iss+1)
-							core.SetRegReady(m.dst, done)
-							ln.res.Overheads.Communication += max(0, done-(iss+2))
-						}
-						issue = iss
-					} else {
-						lat := b.latFor(ln, c, addr, m.isStore)
-						iss, _ := core.IssueReg(m.dst, ln.t, metaReady(core, m), lat)
+					iss := ln.issue(core, m.dst, ln.t, metaReady(core, m), lat)
+					switch {
+					case !viaRing:
 						ln.res.Overheads.Communication += max(0, lat-ln.l1)
-						issue = iss
+					case m.isStore:
+						ln.ring.TimeStore(c, addr, iss+1, ln.arr.evictions)
+					default:
+						done := ln.ring.TimeLoad(c, addr, iss+1, ln.arr.present, ln.arr.evictions)
+						core.SetRegReady(m.dst, done)
+						ln.res.Overheads.Communication += max(0, done-(iss+2))
 					}
-					ln.finish(issue, inSeg, added, m.branches)
+					ln.advance(iss, m.branches)
 				}
 
 			case clsPriv:
-				addr := tr.addrs[b.addrCursor]
+				b.access(c, tr.addrs[b.addrCursor], m.isStore)
 				b.addrCursor++
-				inSeg := activeSegs > 0
 				for _, ln := range live {
-					lat := b.latFor(ln, c, addr, m.isStore)
-					iss, _ := ln.core.IssueReg(m.dst, ln.t, metaReady(ln.core, m), lat)
+					core := ln.core
+					lat := ln.memLat()
+					iss := ln.issue(core, m.dst, ln.t, metaReady(core, m), lat)
 					ln.res.Overheads.Memory += max(0, lat-ln.l1)
-					ln.finish(iss, inSeg, added, m.branches)
+					ln.advance(iss, m.branches)
 				}
 
 			default:
-				inSeg := activeSegs > 0
 				for _, ln := range live {
-					iss, _ := ln.core.IssueReg(m.dst, ln.t, metaReady(ln.core, m), m.lat)
-					ln.finish(iss, inSeg, added, m.branches)
+					core := ln.core
+					iss := ln.issue(core, m.dst, ln.t, metaReady(core, m), m.lat)
+					ln.advance(iss, m.branches)
 				}
 			}
 
+			if m.added {
+				b.stream.addedInstr++
+			}
+			if activeSegs > 0 {
+				b.stream.seqSegInstrs++
+			}
+			b.stream.instrs++
+			b.stream.parallelInstrs++
 			b.steps++
 		}
 	}

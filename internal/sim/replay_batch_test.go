@@ -91,21 +91,32 @@ func assertBatchMatchesRun(t *testing.T, tr *Trace, run runFunc, archs []Config)
 
 // batchCrossConfigs is a config spread exercising every timing path:
 // decoupling on/off, perfect memory, ring parameter sweeps, core
-// models, and a duplicate lane.
+// models, and a duplicate lane. Its ring variants put several lanes in
+// one array group (link latency and signal bandwidth leave the arrays
+// alone) and split others off by array size and associativity.
 func batchCrossConfigs() []Config {
 	link8 := HelixRC(16)
 	link8.Ring.LinkLatency = 8
 	sig1 := HelixRC(16)
 	sig1.Ring.SignalBandwidth = 1
+	link4sig2 := HelixRC(16)
+	link4sig2.Ring.LinkLatency, link4sig2.Ring.SignalBandwidth = 4, 2
 	noMemDec := HelixRC(16)
 	noMemDec.DecoupleMem = false
 	smallRing := HelixRC(16)
 	smallRing.Ring.ArrayBytes = 256
+	smallRingLink8 := smallRing
+	smallRingLink8.Ring.LinkLatency = 8
+	directRing := smallRing
+	directRing.Ring.Assoc = 1
+	unboundedRing := HelixRC(16)
+	unboundedRing.Ring.ArrayBytes = 0
 	ooo4 := HelixRC(16)
 	ooo4.Core = cpu.OoO4()
 	return []Config{
 		HelixRC(16), Conventional(16), Abstract(16),
-		link8, sig1, noMemDec, smallRing, ooo4,
+		link8, sig1, link4sig2, noMemDec, smallRing, smallRingLink8,
+		directRing, unboundedRing, ooo4,
 		HelixRC(16), // duplicate lane: must match independently
 	}
 }
@@ -230,6 +241,69 @@ func TestReplayBatchBudgetPartials(t *testing.T) {
 		if budgets[i] > 0 && results[i].Instrs != budgets[i] {
 			t.Errorf("budget %d: partial ran %d instructions", budgets[i], results[i].Instrs)
 		}
+	}
+}
+
+// TestReplayBatchBudgetOrderings puts the smallest budget first in each
+// class (lanes with one core model and memory group) and in each memory
+// and array group, so the lane that opens a class or a group freezes
+// first while later members keep running. Lanes mix in-order and
+// out-of-order cores, decoupling variants and ring variants; every lane
+// must still equal Run under its config.
+func TestReplayBatchBudgetOrderings(t *testing.T) {
+	full, tr, run := longWorkloadTrace(t)
+	helix := HelixRC(16)
+	ooo4 := helix
+	ooo4.Core = cpu.OoO4()
+	noMemDec := helix
+	noMemDec.DecoupleMem = false
+	link8 := helix
+	link8.Ring.LinkLatency = 8
+	sig1ooo := ooo4
+	sig1ooo.Ring.SignalBandwidth = 1
+	conv := Conventional(16)
+	convOoO := conv
+	convOoO.Core = cpu.OoO2()
+	budget := func(c Config, steps int64) Config {
+		c.MaxSteps = steps
+		return c
+	}
+	half, seventh := full.Instrs/2, full.Instrs/7
+	orderings := []struct {
+		name  string
+		archs []Config
+	}{
+		// One class, budgets ascending: the first lane freezes first,
+		// and the unlimited lane that times the class comes last.
+		{"class-ascending", []Config{budget(helix, 100), budget(link8, 101), budget(helix, seventh),
+			budget(link8, ctxCheckEvery), budget(helix, half), helix}},
+		// Each class and group opens with its smallest budget; the
+		// in-order and out-of-order classes share a hierarchy and ring
+		// arrays, the conventional ones a hierarchy without a ring.
+		{"mixed", []Config{budget(ooo4, 100), budget(helix, 101), budget(convOoO, ctxCheckEvery),
+			budget(noMemDec, 100), budget(conv, seventh), budget(sig1ooo, half),
+			link8, ooo4, conv, noMemDec, convOoO, budget(helix, seventh)}},
+		// Every lane of every class runs out: no lane finishes.
+		{"all-frozen", []Config{budget(helix, 100), budget(ooo4, 101), budget(link8, seventh),
+			budget(conv, half), budget(sig1ooo, seventh)}},
+	}
+	wants := map[Config]*Result{}
+	werrs := map[Config]error{}
+	for _, o := range orderings {
+		archs := o.archs
+		t.Run(o.name, func(t *testing.T) {
+			results, errs := ReplayBatch(context.Background(), tr, archs)
+			for i, arch := range archs {
+				if _, ok := wants[arch]; !ok {
+					wants[arch], werrs[arch] = run(context.Background(), arch)
+				}
+				assertLane(t, fmt.Sprintf("lane %d (MaxSteps %d)", i, arch.MaxSteps),
+					results[i], errs[i], wants[arch], werrs[arch])
+				if arch.MaxSteps > 0 && !errors.Is(errs[i], ErrBudget) {
+					t.Errorf("lane %d: MaxSteps %d: want ErrBudget, got %v", i, arch.MaxSteps, errs[i])
+				}
+			}
+		})
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"helixrc/internal/cpu"
 	"helixrc/internal/hcc"
 	"helixrc/internal/ir"
 )
@@ -276,8 +278,12 @@ func cloneTrace(tr *Trace) *Trace {
 // FuzzDecodeTrace feeds DecodeTrace mutated trace bodies, resealed with
 // a fresh checksum so the mutations reach the structural checks.
 // Decoding must never panic, and every trace it accepts must replay
-// under the HELIX-RC and conventional platforms at its core count
-// without panicking. The seed is one small recorded trace.
+// without panicking in one batch whose lanes share every structure the
+// engine shares (sharingLanes), each lane equal to its solo Replay,
+// Result and error. Accepted traces include shapes Record never writes,
+// such as sequential spans with no loop between them. The seed is one
+// small recorded trace, and the same trace with every sequential span
+// split in two.
 func FuzzDecodeTrace(f *testing.F) {
 	pm, fm := buildMixed(f, 24)
 	comp := compileFor(f, pm, fm, hcc.V3, 24)
@@ -285,21 +291,76 @@ func FuzzDecodeTrace(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	data, err := EncodeTrace(tr)
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range []*Trace{tr, splitSpans(tr)} {
+		data, err := EncodeTrace(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data[:len(data)-sha256.Size])
 	}
-	f.Add(data[:len(data)-sha256.Size])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sum := sha256.Sum256(body)
 		got, err := DecodeTrace(append(body[:len(body):len(body)], sum[:]...))
 		if err != nil {
 			return
 		}
-		for _, arch := range []Config{HelixRC(got.cores), Conventional(got.cores)} {
-			Replay(context.Background(), got, arch)
+		archs := sharingLanes(got)
+		results, errs := ReplayBatch(context.Background(), got, archs)
+		for i, arch := range archs {
+			want, werr := Replay(context.Background(), got, arch)
+			assertLane(t, fmt.Sprintf("lane %d", i), results[i], errs[i], want, werr)
 		}
 	})
+}
+
+// splitSpans returns tr with the first block-run of each sequential
+// span cut in two and the span split after its first half: two
+// consecutive spans with no loop between them, the same instruction
+// stream, and a shape DecodeTrace accepts but Record never writes.
+func splitSpans(tr *Trace) *Trace {
+	c := cloneTrace(tr)
+	c.runs, c.events = c.runs[:0:0], c.events[:0:0]
+	next := 0 // tr.runs cursor
+	copyRuns := func(n int32) {
+		c.runs = append(c.runs, tr.runs[next:next+int(n)]...)
+		next += int(n)
+	}
+	for _, ev := range tr.events {
+		if r := tr.runs[next]; ev.runs > 0 && r.n >= 2 {
+			half := r.n / 2
+			c.runs = append(c.runs, blockRun{off: r.off, n: half}, blockRun{off: r.off + half, n: r.n - half})
+			c.events = append(c.events, traceEvent{runs: 1, loop: -1})
+			next++
+			copyRuns(ev.runs - 1)
+		} else {
+			copyRuns(ev.runs)
+		}
+		c.events = append(c.events, ev)
+		if ev.loop >= 0 {
+			for _, it := range tr.loops[ev.loop].iters {
+				copyRuns(it.runs)
+			}
+		}
+	}
+	return c
+}
+
+// sharingLanes is a batch over tr whose lanes share every structure the
+// replay engine shares: a budget-limited HELIX-RC lane first, ahead of
+// its unlimited class-mate, a link-latency and a signal-bandwidth
+// variant (one class, one hierarchy, one ring-array group), an
+// out-of-order lane (the same hierarchy and arrays, its own class) and a
+// conventional lane (its own hierarchy, no ring).
+func sharingLanes(tr *Trace) []Config {
+	limited := HelixRC(tr.cores)
+	limited.MaxSteps = tr.instrs/2 + 1
+	link := HelixRC(tr.cores)
+	link.Ring.LinkLatency = 8
+	signals := HelixRC(tr.cores)
+	signals.Ring.SignalBandwidth = 1
+	ooo := HelixRC(tr.cores)
+	ooo.Core = cpu.OoO4()
+	return []Config{limited, HelixRC(tr.cores), link, signals, ooo, Conventional(tr.cores)}
 }
 
 // heapBytes returns the bytes f allocates on the heap.
